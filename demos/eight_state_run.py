@@ -1,8 +1,8 @@
 """Reproduce the bundled eight-state run end to end.
 
 Builds the 16-qubit circuit (4 routing ancillas, 8 data qubits, 4 verdict
-qubits), samples 8192 shots, decodes every ancilla outcome through the
-derived permutation table, and compares all 28 pairwise overlap estimates
+qubits), samples 8192 shots, decodes every ancilla outcome from the
+circuit's wiring, and compares all 28 pairwise overlap estimates
 with their exact values and with the bundled record of the same experiment.
 """
 
@@ -14,7 +14,7 @@ from multiswap.estimation import estimate_all_overlaps, plan_for
 from multiswap.fixtures import load_ensemble, reference_estimates
 
 ensemble = load_ensemble(0)
-_, _, circuit, plan, _ = plan_for(ensemble, "new", "standard")
+_, _, circuit, plan = plan_for(ensemble, "new", "standard")
 profile = count_resources(circuit)
 print(
     f"circuit: {circuit.qubit_count} qubits, {profile.cswap_count} CSWAPs "

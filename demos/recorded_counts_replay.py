@@ -15,19 +15,22 @@ from multiswap.estimation import plan_for, replay
 from multiswap.fixtures import load_ensemble, reference_counts, reference_estimates
 
 ensemble = load_ensemble(0)
-counts = reference_counts()
+counts = reference_counts()  # one row of bits per distinct outcome, with its count
+duplicated = (counts.bits == [1, 1, 1, 1, 1, 0, 1, 0]).all(axis=1)
 print(f"recorded shots: {counts.total_shots}")
 print(f"distinct outcomes: {len(counts.counts)} "
-      f"(duplicate |11111010> rows merged to {counts.counts['11111010']})")
+      f"(duplicate |11111010> rows merged to {counts.counts[duplicated].sum()})")
 
-_, _, _, _, table = plan_for(ensemble, "new", "standard")
+_, _, _, plan = plan_for(ensemble, "new", "standard")
 
-t0 = sum(c for key, c in counts.counts.items() if key[:4] in ("0010", "0011") and key[7] == "0")
-t1 = sum(c for key, c in counts.counts.items() if key[:4] in ("0010", "0011") and key[7] == "1")
+# ancilla prefixes 0010 and 0011 share s1 s2 s3 = 001; r4 is column 7
+routed = (counts.bits[:, :3] == [0, 0, 1]).all(axis=1)
+t0 = counts.counts[routed & (counts.bits[:, 7] == 0)].sum()
+t1 = counts.counts[routed & (counts.bits[:, 7] == 1)].sum()
 print(f"\nworked example, pair (6,7): t0={t0}, t1={t1}, "
       f"estimate {2 * t0 / (t0 + t1) - 1:.4f}")
 
-report = replay(counts, table, ensemble, reference=reference_estimates(), tolerance=1e-3)
+report = replay(counts, plan, ensemble, reference=reference_estimates(), tolerance=1e-3)
 print(f"\nreplayed {len(report.estimates)} pairs against the published estimates "
       f"(tolerance {report.tolerance}):")
 for est in report.estimates:

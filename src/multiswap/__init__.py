@@ -11,12 +11,13 @@ from .builder import (
     build_network,
     build_u4,
     build_un,
+    decode,
     derive_permutation_table,
     initial_state,
     pad_inputs,
     pair_coverage_map,
 )
-from .circuits import CircuitIR, Gate, ResourceProfile, ShotOutcome, count_resources
+from .circuits import CircuitIR, Gate, ResourceProfile, count_resources
 from .estimation import (
     CountsTable,
     OverlapEstimate,
@@ -27,7 +28,6 @@ from .estimation import (
     oracle_distribution,
     oracle_sample,
     replay,
-    run_experiment,
     tally,
 )
 from .san import build_san_u4, build_san_un, san_pair_coverage

@@ -79,14 +79,6 @@ def baseline_cswaps_alt(k: int) -> int:
     return 3 * (2**k - 1)
 
 
-def ancillas_by_doubling(k: int) -> int:
-    """Unroll d(2^j) = d(2^(j-1)) + 2 from d(4) = 2."""
-    d = 2
-    for _ in range(3, k + 1):
-        d += 2
-    return d
-
-
 #: columns of a resource comparison row, in emission order
 RESOURCE_COLUMNS = (
     "n",

@@ -20,11 +20,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .circuits import CircuitIR, Gate
 from .states import PureState, StateEnsemble, basis_state, tensor_product
 
 #: swap rule kinds: rule1 exchanges groups 2 and 3, rule2 exchanges 2 and 4
 SWAP_RULES = ("rule1", "rule2")
+
+#: final swap-test variants a full circuit can end with
+FINAL_VARIANTS = ("standard", "destructive")
 
 
 def four_groups(registers) -> tuple[tuple[int, ...], ...]:
@@ -199,11 +204,15 @@ def _final_test_gates(plan: LayoutPlan) -> tuple[list[Gate], list[tuple[int, str
         data = [q for reg in range(1, plan.n + 1) for q in plan.register_qubits(reg)]
         measured += list(zip(data, labels))
     else:
-        raise ValueError(f"unknown final variant {plan.final_variant!r}")
+        raise ValueError(
+            f"unknown final variant {plan.final_variant!r}; expected one of {FINAL_VARIANTS}"
+        )
     return gates, measured
 
 
-def _assemble(plan: LayoutPlan) -> CircuitIR:
+def assemble(plan: LayoutPlan) -> CircuitIR:
+    """Gate list of a plan: ancilla prep, controlled swaps, then the final
+    swap tests its variant names (none for a bare network)."""
     roles = ["ancilla"] * plan.ancilla_count + ["data"] * plan.data_qubit_count
     gates = _swap_gates(plan)
     if plan.final_variant is None:
@@ -230,7 +239,7 @@ def build_network(n: int, width: int = 1) -> tuple[CircuitIR, LayoutPlan]:
         slots=tuple((2 * i + 1, 2 * i + 2) for i in range(n // 2)),
         final_variant=None,
     )
-    return _assemble(plan), plan
+    return assemble(plan), plan
 
 
 def build_u4(width: int = 1) -> tuple[CircuitIR, LayoutPlan]:
@@ -242,11 +251,9 @@ def build_un(
     n: int, width: int = 1, final_variant: str = "standard"
 ) -> tuple[CircuitIR, LayoutPlan]:
     """Full circuit: swap network followed by a swap test on every slot."""
-    if final_variant not in ("standard", "destructive"):
-        raise ValueError("final variant must be 'standard' or 'destructive'")
     _, plan = build_network(n, width)
     plan = replace(plan, final_variant=final_variant)
-    return _assemble(plan), plan
+    return assemble(plan), plan
 
 
 def initial_state(ensemble: StateEnsemble, plan: LayoutPlan) -> PureState:
@@ -261,31 +268,45 @@ def initial_state(ensemble: StateEnsemble, plan: LayoutPlan) -> PureState:
     return tensor_product(parts)
 
 
-def derive_permutation_table(plan: LayoutPlan) -> PermutationTable:
-    """Classically replay the controlled swaps for every ancilla outcome.
+def decode(plan: LayoutPlan, ancilla_bits) -> np.ndarray:
+    """Input label held by every register under every given ancilla outcome.
 
-    This is the authoritative decoder: it is computed from the same wiring
-    that generates the gates, never transcribed from any reference table.
+    ``ancilla_bits`` is an (R, d) 0/1 array whose column i is ancilla
+    s{i+1}. Returns an (n, R) array whose entry [p, r] is the 1-based input
+    label in register p+1 after the controlled swaps of outcome r. This is
+    the authoritative decoder: a classical replay of
+    ``plan.controlled_swaps``, the same wiring that generates the gates,
+    never transcribed from any reference table.
     """
-    d = plan.ancilla_count
+    fire = np.asarray(ancilla_bits, dtype=bool)
+    if fire.ndim != 2 or fire.shape[1] != plan.ancilla_count:
+        raise ValueError(
+            f"ancilla bits must have {plan.ancilla_count} columns, got shape {fire.shape}"
+        )
+    fire = np.ascontiguousarray(fire.T)
+    labels = np.arange(1, plan.n + 1, dtype=np.min_scalar_type(plan.n))
+    labels = np.repeat(labels[:, None], fire.shape[1], axis=1)
+    for anc, ra, rb in plan.controlled_swaps:
+        a, b = labels[ra - 1], labels[rb - 1]
+        labels[ra - 1], labels[rb - 1] = np.where(fire[anc], b, a), np.where(fire[anc], a, b)
+    if plan.scheme == "new" and (labels[0] != 1).any():
+        moved = np.flatnonzero(labels[0] != 1)[:4]
+        raise AssertionError(f"register 1 moved under outcome rows {moved.tolist()}")
+    return labels
+
+
+def derive_permutation_table(plan: LayoutPlan) -> PermutationTable:
+    """Audit view of the decoder: ``decode`` applied to every ancilla outcome,
+    keyed by outcome bitstring."""
+    bits = np.array(list(itertools.product((0, 1), repeat=plan.ancilla_count)))
+    columns = decode(plan, bits).T.tolist()
     rows: dict[str, tuple[int, ...]] = {}
     slot_map: dict[str, tuple[tuple[int, int], ...]] = {}
-    for bits in itertools.product("01", repeat=d):
-        outcome = "".join(bits)
-        labels = list(range(1, plan.n + 1))
-        for anc, ra, rb in plan.controlled_swaps:
-            if outcome[anc] == "1":
-                labels[ra - 1], labels[rb - 1] = labels[rb - 1], labels[ra - 1]
+    for outcome_bits, labels in zip(bits.tolist(), columns):
+        outcome = "".join(map(str, outcome_bits))
         rows[outcome] = tuple(labels)
-        slot_map[outcome] = tuple(
-            (labels[a - 1], labels[b - 1]) for a, b in plan.slots
-        )
-    table = PermutationTable(d, plan.slots, rows, slot_map)
-    if plan.scheme == "new":
-        bad = [o for o, row in rows.items() if row[0] != 1]
-        if bad:
-            raise AssertionError(f"register 1 moved under outcomes {bad[:4]}")
-    return table
+        slot_map[outcome] = tuple((labels[a - 1], labels[b - 1]) for a, b in plan.slots)
+    return PermutationTable(plan.ancilla_count, plan.slots, rows, slot_map)
 
 
 def pair_coverage_map(

@@ -138,15 +138,3 @@ def count_resources(circuit: CircuitIR) -> ResourceProfile:
         qubit_count=circuit.qubit_count,
     )
 
-
-@dataclass(frozen=True)
-class ShotOutcome:
-    """One shot's classical bits, keyed by measurement label."""
-
-    bits: dict
-
-    @classmethod
-    def from_bitstring(cls, labels, bitstring: str) -> "ShotOutcome":
-        if len(labels) != len(bitstring):
-            raise ValueError("bitstring length must match label count")
-        return cls(bits={lbl: int(b) for lbl, b in zip(labels, bitstring)})

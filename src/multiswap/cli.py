@@ -8,13 +8,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import analytics, fixtures
-from .builder import build_un, derive_permutation_table, pad_inputs
+from .builder import FINAL_VARIANTS, build_un, derive_permutation_table
 from .circuits import count_resources
-from .estimation import estimate_all_overlaps, plan_for, replay
+from .estimation import ENGINES, SCHEMES, estimate_all_overlaps, plan_for, replay
 from .fileio import (
     DataError,
     ESTIMATE_COLUMNS,
@@ -36,37 +35,11 @@ class ConfigError(ValueError):
     """Invalid configuration (bad flag values, impossible engine choice)."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated settings of an estimation run."""
-
-    scheme: str = "new"
-    shots: int = 8192
-    seed: int = 0
-    final_variant: str = "standard"
-    engine: str = "auto"
-    input_path: str = ""
-    out_dir: str = "."
-    normalize: bool = False
-
-    def __post_init__(self):
-        if self.shots < 1:
-            raise ConfigError(f"shots must be >= 1, got {self.shots}")
-        if self.scheme not in ("new", "san"):
-            raise ConfigError(f"scheme must be 'new' or 'san', got {self.scheme!r}")
-        if self.final_variant not in ("standard", "destructive"):
-            raise ConfigError(
-                f"final variant must be 'standard' or 'destructive', got {self.final_variant!r}"
-            )
-        if self.engine not in ("statevector", "oracle", "auto"):
-            raise ConfigError(f"unknown engine {self.engine!r}")
-
-
 def _add_common(parser, *, shots=True):
     parser.add_argument("states", help="input state file (JSON)")
-    parser.add_argument("--scheme", choices=("new", "san"), default="new")
+    parser.add_argument("--scheme", choices=SCHEMES, default="new")
     parser.add_argument(
-        "--final", choices=("standard", "destructive"), default="standard",
+        "--final", choices=FINAL_VARIANTS, default="standard",
         help="final swap-test variant",
     )
     parser.add_argument(
@@ -76,7 +49,7 @@ def _add_common(parser, *, shots=True):
     if shots:
         parser.add_argument("--shots", type=int, default=8192)
         parser.add_argument("--seed", type=int, default=0)
-        parser.add_argument("--engine", choices=("statevector", "oracle", "auto"), default="auto")
+        parser.add_argument("--engine", choices=ENGINES, default="auto")
         parser.add_argument("--out-dir", default=".")
 
 
@@ -117,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-table", help="export a decoder table as JSON")
     p.add_argument("--n", type=int, required=True, help="register count (power of two)")
-    p.add_argument("--scheme", choices=("new", "san"), default="new")
+    p.add_argument("--scheme", choices=SCHEMES, default="new")
     p.add_argument("--width", type=int, default=1)
     p.add_argument("-o", "--output", help="output path (default: stdout)")
     return parser
@@ -131,11 +104,7 @@ def _load(path: str, normalize: bool):
 
 def cmd_build(args) -> int:
     ensemble = _load(args.states, args.normalize)
-    padded, pad_labels = pad_inputs(ensemble)
-    if args.scheme == "new":
-        circuit, plan = build_un(padded.n, padded.width, args.final)
-    else:
-        circuit, plan = build_san_un(padded.n, padded.width, args.final)
+    padded, pad_labels, circuit, plan = plan_for(ensemble, args.scheme, args.final)
     profile = count_resources(circuit)
     final_cswaps = len(plan.slots) * plan.width if args.final == "standard" else 0
     network_cswaps = profile.cswap_count - final_cswaps
@@ -160,26 +129,16 @@ def cmd_build(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    config = RunConfig(
+    ensemble = _load(args.states, args.normalize)
+    result = estimate_all_overlaps(
+        ensemble,
         scheme=args.scheme,
         shots=args.shots,
         seed=args.seed,
         final_variant=args.final,
         engine=args.engine,
-        input_path=args.states,
-        out_dir=args.out_dir,
-        normalize=args.normalize,
     )
-    ensemble = _load(config.input_path, config.normalize)
-    result = estimate_all_overlaps(
-        ensemble,
-        scheme=config.scheme,
-        shots=config.shots,
-        seed=config.seed,
-        final_variant=config.final_variant,
-        engine=config.engine,
-    )
-    out = Path(config.out_dir)
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "estimates.csv", ESTIMATE_COLUMNS, estimate_rows(result.estimates))
     rows, summary = analytics.scatter_data(result.estimates)
@@ -188,8 +147,8 @@ def cmd_estimate(args) -> int:
         out / "counts.txt",
         result.counts,
         comments=(
-            f"engine={result.engine} shots={config.shots} seed={config.seed} "
-            f"final={config.final_variant}",
+            f"engine={result.engine} shots={args.shots} seed={args.seed} "
+            f"final={args.final}",
         ),
     )
     print(f"{len(result.estimates)} pair estimates written to {out / 'estimates.csv'}")
@@ -204,15 +163,12 @@ def cmd_replay(args) -> int:
         counts = fixtures.reference_counts()
     else:
         counts = read_counts(args.counts)
-    padded, pad_labels = pad_inputs(ensemble)
     scheme = counts.scheme or "new"
-    _, _, _, plan, table = plan_for(ensemble, scheme, "standard")
+    _, pad_labels, _, plan = plan_for(ensemble, scheme, "standard")
     expected = plan.measured_labels()
-    destructive_labels = None
     if counts.labels != expected:
-        _, _, _, plan_d, _ = plan_for(ensemble, scheme, "destructive")
-        destructive_labels = plan_d.measured_labels()
-        if counts.labels != destructive_labels:
+        _, _, _, plan = plan_for(ensemble, scheme, "destructive")
+        if counts.labels != plan.measured_labels():
             raise DataError(
                 "counts layout does not match the states: expected "
                 f"{' '.join(expected)} (or the destructive form), found "
@@ -226,10 +182,9 @@ def cmd_replay(args) -> int:
         reference = read_reference_estimates(args.reference)
     report = replay(
         counts,
-        table,
+        plan,
         ensemble,
         pad_labels=pad_labels,
-        width=padded.width,
         reference=reference,
         tolerance=args.tolerance,
     )

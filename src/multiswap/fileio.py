@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import csv
 import json
-from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 from .builder import PermutationTable
 from .estimation import CountsTable, ReplayReport
@@ -79,7 +80,8 @@ def read_counts(path) -> CountsTable:
     path = Path(path)
     labels: tuple[str, ...] | None = None
     scheme = ""
-    counts: Counter = Counter()
+    keys: list[str] = []
+    values: list[int] = []
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -93,24 +95,32 @@ def read_counts(path) -> CountsTable:
         parts = line.split()
         if len(parts) != 2 or set(parts[0]) - {"0", "1"} or not parts[1].isdigit():
             raise DataError(f"{path}:{lineno}: expected '<bitstring> <count>', got {raw!r}")
-        counts[parts[0]] += int(parts[1])
-    if labels is None:
-        raise DataError(f"{path}: missing 'layout:' header")
-    bad = [key for key in counts if len(key) != len(labels)]
+        keys.append(parts[0])
+        values.append(int(parts[1]))
+    if not labels:
+        raise DataError(f"{path}: missing or empty 'layout:' header")
+    bad = [key for key in keys if len(key) != len(labels)]
     if bad:
         raise DataError(
             f"{path}: bitstring length {len(bad[0])} does not match the "
             f"{len(labels)}-bit layout ({' '.join(labels)})"
         )
-    return CountsTable(labels, scheme, counts)
+    if any(v >= 1 << 63 for v in values):
+        raise DataError(f"{path}: a count exceeds the 64-bit range")
+    text = np.frombuffer("".join(keys).encode("ascii"), dtype=np.uint8)
+    bits = text.reshape(len(keys), len(labels)) - ord("0")
+    return CountsTable(labels, scheme, bits, np.array(values, dtype=np.int64))
 
 
 def write_counts(path, counts: CountsTable, *, comments: tuple[str, ...] = ()) -> None:
+    """Write counts as ``<bitstring> <count>`` lines in the table's row order."""
     lines = [f"# {c}" for c in comments]
     lines.append("layout: " + " ".join(counts.labels))
     lines.append(f"scheme: {counts.scheme}")
-    for key in sorted(counts.counts):
-        lines.append(f"{key} {counts.counts[key]}")
+    width = len(counts.labels)
+    text = (counts.bits + ord("0")).tobytes().decode("ascii")
+    for row, count in enumerate(counts.counts.tolist()):
+        lines.append(f"{text[row * width : (row + 1) * width]} {count}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -37,11 +37,6 @@ def reference_counts() -> CountsTable:
         return read_counts(path)
 
 
-def reference_counts_path():
-    """Context manager yielding a filesystem path to the counts fixture."""
-    return resources.as_file(_data("reference_counts.txt"))
-
-
 def reference_estimates() -> dict[tuple[int, int], float]:
     """The recorded run's published per-pair estimates."""
     with resources.as_file(_data("reference_estimates.csv")) as path:

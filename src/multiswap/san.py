@@ -17,14 +17,12 @@ from __future__ import annotations
 
 import itertools
 
-from .builder import LayoutPlan, _assemble, derive_permutation_table
+from .builder import LayoutPlan, assemble, derive_permutation_table, pair_coverage_map
 from .circuits import CircuitIR
 
 #: the four-register block: (ancilla offset within the triple, position pair),
 #: in gate order; positions are 1-based within the block
 U4_BLOCK = ((0, (1, 3)), (2, (2, 3)), (1, (1, 4)))
-
-SanLayout = LayoutPlan
 
 
 def _san_groups(n: int) -> list[list[tuple[int, int, int, int]]]:
@@ -67,30 +65,26 @@ def _san_plan(n: int, width: int, final_variant: str | None) -> LayoutPlan:
     )
 
 
-def build_san_network(n: int, width: int = 1) -> tuple[CircuitIR, SanLayout]:
+def build_san_network(n: int, width: int = 1) -> tuple[CircuitIR, LayoutPlan]:
     plan = _san_plan(n, width, None)
-    return _assemble(plan), plan
+    return assemble(plan), plan
 
 
-def build_san_u4(width: int = 1) -> tuple[CircuitIR, SanLayout]:
+def build_san_u4(width: int = 1) -> tuple[CircuitIR, LayoutPlan]:
     """Four registers, three ancillas, three controlled swaps."""
     return build_san_network(4, width)
 
 
 def build_san_un(
     n: int, width: int = 1, final_variant: str = "standard"
-) -> tuple[CircuitIR, SanLayout]:
+) -> tuple[CircuitIR, LayoutPlan]:
     """Baseline circuit with its single final swap test on registers (1, 2)."""
-    if final_variant not in ("standard", "destructive"):
-        raise ValueError("final variant must be 'standard' or 'destructive'")
     plan = _san_plan(n, width, final_variant)
-    return _assemble(plan), plan
+    return assemble(plan), plan
 
 
 def san_pair_coverage(n: int) -> dict[tuple[int, int], list[tuple[str, int]]]:
     """Outcomes bringing each unordered pair to the measured slot (1, 2)."""
-    from .builder import pair_coverage_map
-
     table = derive_permutation_table(_san_plan(n, 1, None))
     return pair_coverage_map(table)
 

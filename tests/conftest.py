@@ -14,6 +14,12 @@ def random_ensemble(rng: np.random.Generator, n: int, width: int = 1) -> StateEn
     return StateEnsemble(tuple(random_state(rng, width) for _ in range(n)))
 
 
+def outcome_count(counts, bitstring: str) -> int:
+    """Shots a CountsTable records for one outcome bitstring (0 if absent)."""
+    row = np.array([int(b) for b in bitstring], dtype=np.uint8)
+    return int(counts.counts[(counts.bits == row).all(axis=1)].sum())
+
+
 @pytest.fixture(scope="session")
 def d0():
     return load_ensemble(0)

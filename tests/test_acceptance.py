@@ -13,6 +13,7 @@ import pytest
 from multiswap.analytics import precision
 from multiswap.builder import (
     build_network,
+    decode,
     derive_permutation_table,
     initial_state,
     pair_coverage_map,
@@ -35,11 +36,11 @@ from multiswap.fixtures import (
     reference_table_rows,
 )
 from multiswap.san import build_san_network, san_pair_coverage
-from multiswap.sim import measure_probabilities, project_qubits, run_statevector
+from multiswap.sim import measured_distribution, project_qubits, run_statevector
 from multiswap.states import exact_overlap, tensor_product
 from multiswap.swaptest import VARIANTS, verdict_probability
 
-from conftest import random_ensemble, random_state
+from conftest import outcome_count, random_ensemble, random_state
 
 
 def _ok(name: str, detail: str = ""):
@@ -152,11 +153,10 @@ def test_c06_oracle_equivalence():
     rng = np.random.default_rng(404)
     for n in (4, 8):
         ensemble = random_ensemble(rng, n)
-        padded, _, circuit, plan, table = plan_for(ensemble, "new", "standard")
-        full = measure_probabilities(circuit, initial_state(padded, plan))
-        model = oracle_distribution(padded, table)
-        keys = set(full) | set(model)
-        tv = 0.5 * sum(abs(full.get(k, 0.0) - model.get(k, 0.0)) for k in keys)
+        padded, _, circuit, plan = plan_for(ensemble, "new", "standard")
+        _, full = measured_distribution(circuit, initial_state(padded, plan))
+        model = oracle_distribution(padded, plan)
+        tv = 0.5 * np.abs(full - model).sum()
         assert tv <= 1e-9, n
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
@@ -173,7 +173,20 @@ def test_c07_pair_coverage_all_sizes():
         coverage = san_pair_coverage(n)
         assert len(coverage) == n * (n - 1) // 2
         assert all(coverage.values())
-    _ok("C7", "(zero uncovered pairs, new n<=32 and baseline n<=16)")
+    # the run path does not re-check coverage, so pin it up to the sizes the
+    # oracle engine is used at, over every ancilla outcome via the decoder
+    for network, sizes in ((build_network, (64, 128, 256)), (build_san_network, (32, 64))):
+        for n in sizes:
+            plan = network(n)[1]
+            d = plan.ancilla_count
+            outcomes = (np.arange(1 << d)[:, None] >> np.arange(d - 1, -1, -1)) & 1
+            labels = decode(plan, outcomes).astype(np.int64)
+            a = labels[[r - 1 for r, _ in plan.slots]]
+            b = labels[[r - 1 for _, r in plan.slots]]
+            pairs = np.unique(np.minimum(a, b) * (n + 1) + np.maximum(a, b))
+            assert len(pairs) == n * (n - 1) // 2, n
+            assert (a != b).all()
+    _ok("C7", "(zero uncovered pairs, new n<=256 and baseline n<=64)")
 
 
 def test_c08_precision_law(d0):
@@ -192,9 +205,9 @@ def test_c08_precision_law(d0):
 
 def test_c09_recorded_counts_replay(d0):
     counts = reference_counts()
-    assert counts.counts["11111010"] == 48  # duplicate rows merged
-    _, _, _, _, table = plan_for(d0, "new", "standard")
-    report = replay(counts, table, d0, reference=reference_estimates(), tolerance=1e-3)
+    assert outcome_count(counts, "11111010") == 48  # duplicate rows merged
+    _, _, _, plan = plan_for(d0, "new", "standard")
+    report = replay(counts, plan, d0, reference=reference_estimates(), tolerance=1e-3)
     assert len(report.estimates) == 28
     assert all(est.samples > 0 for est in report.estimates)
     assert set(report.flags.values()) <= {"ok", "deviates"}

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from multiswap.builder import (
     build_network,
     build_u4,
     build_un,
+    decode,
     derive_permutation_table,
     initial_state,
     pad_inputs,
@@ -14,6 +16,7 @@ from multiswap.builder import (
 )
 from multiswap.circuits import count_resources
 from multiswap.fixtures import reference_table_rows
+from multiswap.san import build_san_network
 from multiswap.sim import measure_probabilities, project_qubits, run_statevector
 from multiswap.states import StateEnsemble, exact_overlap, tensor_product
 
@@ -207,3 +210,40 @@ def test_group_partition_and_rules():
         four_groups(range(3))
     with pytest.raises(ValueError, match="unknown swap rule"):
         rule_swaps("rule3", groups)
+
+
+def _replay_outcome(plan, outcome_bits) -> list[int]:
+    """Reference decoder: swap labels per controlled swap, one outcome at a time."""
+    labels = list(range(1, plan.n + 1))
+    for anc, ra, rb in plan.controlled_swaps:
+        if outcome_bits[anc]:
+            labels[ra - 1], labels[rb - 1] = labels[rb - 1], labels[ra - 1]
+    return labels
+
+
+@pytest.mark.parametrize(
+    "network,n",
+    [(build_network, 2**k) for k in range(2, 9)]
+    + [(build_san_network, 2**k) for k in range(2, 7)],
+)
+def test_decode_matches_per_outcome_replay(network, n):
+    plan = network(n)[1]
+    d = plan.ancilla_count
+    if d <= 8:
+        outcomes = (np.arange(1 << d)[:, None] >> np.arange(d - 1, -1, -1)) & 1
+    else:  # every outcome is too many for the pure-Python reference
+        rng = np.random.default_rng(n + d)
+        outcomes = np.vstack([rng.integers(0, 2, size=(200, d)), np.ones((1, d), int)])
+    labels = decode(plan, outcomes)
+    assert labels.shape == (n, len(outcomes))
+    for column, bits in zip(labels.T.tolist(), outcomes.tolist()):
+        assert column == _replay_outcome(plan, bits)
+
+
+def test_decode_rejects_bad_input_and_a_moved_register_one():
+    _, plan = build_network(8)
+    with pytest.raises(ValueError, match="4 columns"):
+        decode(plan, np.zeros((2, 3)))
+    broken = replace(plan, controlled_swaps=((0, 1, 2),))
+    with pytest.raises(AssertionError, match="register 1 moved"):
+        decode(broken, np.ones((1, 4)))

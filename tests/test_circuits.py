@@ -4,7 +4,6 @@ from multiswap.circuits import (
     CircuitIR,
     Gate,
     ResourceProfile,
-    ShotOutcome,
     count_resources,
 )
 
@@ -55,10 +54,3 @@ def test_resource_profile_invariants():
         ResourceProfile(-1, 0, 0, 0)
     with pytest.raises(ValueError, match="exceed"):
         ResourceProfile(3, 0, 2, 4)
-
-
-def test_shot_outcome_from_bitstring():
-    outcome = ShotOutcome.from_bitstring(("s1", "r1"), "10")
-    assert outcome.bits == {"s1": 1, "r1": 0}
-    with pytest.raises(ValueError):
-        ShotOutcome.from_bitstring(("s1",), "10")

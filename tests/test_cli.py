@@ -189,3 +189,26 @@ def test_bad_states_content_is_data_error(tmp_path, capsys):
     path.write_text(json.dumps({"width": 1, "states": [[0.5, 0.5], [1, 0]]}))
     assert main(["build", str(path)]) == 3
     assert main(["build", str(path), "--normalize"]) == 0
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_estimate_rejects_out_of_range_seed(states_file, seed, capsys):
+    assert main(["estimate", states_file, "--seed", seed]) == 2
+    assert "seed must satisfy 0 <= seed < 2**64" in capsys.readouterr().err
+
+
+def test_san_destructive_estimate_then_replay(states_file, tmp_path):
+    out = tmp_path / "run"
+    assert main(
+        ["estimate", states_file, "--scheme", "san", "--final", "destructive",
+         "--engine", "statevector", "--shots", "4096", "--out-dir", str(out)]
+    ) == 0
+    replay_out = tmp_path / "replayed"
+    assert main(
+        ["replay", str(out / "counts.txt"), states_file, "--out-dir", str(replay_out)]
+    ) == 0
+    est_rows = (out / "estimates.csv").read_text().splitlines()[1:]
+    rep_rows = (replay_out / "replay.csv").read_text().splitlines()[1:]
+    assert len(est_rows) == len(rep_rows) == 28
+    for est, rep in zip(est_rows, rep_rows):
+        assert rep.startswith(est)

@@ -1,4 +1,4 @@
-from collections import Counter
+import itertools
 
 import numpy as np
 import pytest
@@ -13,15 +13,14 @@ from multiswap.estimation import (
     oracle_sample,
     plan_for,
     replay,
-    run_experiment,
     tally,
 )
 from multiswap.fixtures import reference_counts, reference_estimates
 from multiswap.builder import initial_state
-from multiswap.sim import measure_probabilities
+from multiswap.sim import measured_distribution
 from multiswap.states import StateEnsemble, basis_state
 
-from conftest import random_ensemble
+from conftest import outcome_count, random_ensemble
 
 
 def test_estimate_worked_example():
@@ -46,9 +45,9 @@ def test_estimate_without_samples_is_marked_not_crashed():
 def test_tally_worked_example_from_recorded_counts(d0):
     counts = reference_counts()
     assert counts.total_shots == 8192
-    assert counts.counts["11111010"] == 48  # duplicate rows merged
-    _, _, _, _, table = plan_for(d0, "new", "standard")
-    records = {rec.pair: rec for rec in tally(counts, table)}
+    assert outcome_count(counts, "11111010") == 48  # duplicate rows merged
+    _, _, _, plan = plan_for(d0, "new", "standard")
+    records = {rec.pair: rec for rec in tally(counts, plan)}
     assert records[(6, 7)].t0 == 601
     assert records[(6, 7)].t1 == 403
     assert len(records) == 28
@@ -56,42 +55,51 @@ def test_tally_worked_example_from_recorded_counts(d0):
 
 
 def test_tally_rejects_wrong_layout(d0):
-    _, _, _, _, table = plan_for(d0, "new", "standard")
-    bad = CountsTable(("s1", "s2", "r1"), "new", Counter({"000": 1}))
+    _, _, _, plan = plan_for(d0, "new", "standard")
+    bad = CountsTable(("s1", "s2", "r1"), "new", np.zeros((1, 3)), [1])
     with pytest.raises(ValueError, match="expected"):
-        tally(bad, table)
+        tally(bad, plan)
 
 
 def test_tally_uniform_synthetic_counts_cover_every_pair(d0):
     ensemble = StateEnsemble(d0.states[:4])
-    _, _, _, plan, table = plan_for(ensemble, "new", "standard")
+    _, _, _, plan = plan_for(ensemble, "new", "standard")
     labels = plan.measured_labels()
-    keys = [format(i, "04b") for i in range(16)]
-    counts = CountsTable(labels, "new", Counter({k: 5 for k in keys}))
-    records = tally(counts, table)
+    bits = np.array(list(itertools.product((0, 1), repeat=4)))
+    counts = CountsTable(labels, "new", bits, np.full(16, 5))
+    records = tally(counts, plan)
     assert len(records) == 6
     assert all(rec.samples > 0 for rec in records)
 
 
+def _same_counts(a: CountsTable, b: CountsTable) -> bool:
+    return (
+        a.labels == b.labels
+        and np.array_equal(a.bits, b.bits)
+        and np.array_equal(a.counts, b.counts)
+    )
+
+
 def test_run_experiment_deterministic(d0):
-    first = run_experiment(d0, "new", shots=2048, seed=11)
-    second = run_experiment(d0, "new", shots=2048, seed=11)
-    assert first.counts == second.counts
-    assert first.labels == second.labels
-    third = run_experiment(d0, "new", shots=2048, seed=12)
-    assert first.counts != third.counts
+    first = estimate_all_overlaps(d0, "new", shots=2048, seed=11).counts
+    second = estimate_all_overlaps(d0, "new", shots=2048, seed=11).counts
+    assert _same_counts(first, second)
+    third = estimate_all_overlaps(d0, "new", shots=2048, seed=12).counts
+    assert not _same_counts(first, third)
 
 
 def test_run_experiment_identical_basis_states_never_fail():
     ensemble = StateEnsemble(tuple(basis_state(1) for _ in range(4)))
-    counts = run_experiment(ensemble, "new", shots=512, seed=3)
-    for key in counts.counts:
-        assert key[2:] == "00"  # both slot verdicts always succeed
+    counts = estimate_all_overlaps(ensemble, "new", shots=512, seed=3).counts
+    assert counts.total_shots == 512
+    assert not counts.bits[:, 2:].any()  # both slot verdicts always succeed
 
 
 def test_qubit_cap_error_names_oracle(d0):
     with pytest.raises(ValueError, match="oracle"):
-        run_experiment(d0, "new", shots=16, seed=0, engine="statevector", max_qubits=10)
+        estimate_all_overlaps(
+            d0, "new", shots=16, seed=0, engine="statevector", max_qubits=10
+        )
 
 
 def test_auto_prefers_statevector_then_oracle(d0):
@@ -105,20 +113,19 @@ def test_auto_prefers_statevector_then_oracle(d0):
 def test_oracle_distribution_matches_full_circuit(n):
     rng = np.random.default_rng(60 + n)
     ensemble = random_ensemble(rng, n)
-    padded, _, circuit, plan, table = plan_for(ensemble, "new", "standard")
-    full = measure_probabilities(circuit, initial_state(padded, plan))
-    model = oracle_distribution(padded, table)
-    keys = set(full) | set(model)
-    tv = 0.5 * sum(abs(full.get(k, 0.0) - model.get(k, 0.0)) for k in keys)
+    padded, _, circuit, plan = plan_for(ensemble, "new", "standard")
+    _, full = measured_distribution(circuit, initial_state(padded, plan))
+    model = oracle_distribution(padded, plan)
+    tv = 0.5 * np.abs(full - model).sum()
     assert tv <= 1e-9
 
 
 def test_oracle_identical_states_all_verdicts_zero():
     ensemble = StateEnsemble(tuple(basis_state(1) for _ in range(4)))
-    _, _, _, _, table = plan_for(ensemble, "new", "standard")
-    counts = oracle_sample(ensemble, table, shots=400, seed=5)
-    for key in counts.counts:
-        assert key[2:] == "00"
+    _, _, _, plan = plan_for(ensemble, "new", "standard")
+    counts = oracle_sample(ensemble, plan, shots=400, seed=5)
+    assert counts.total_shots == 400
+    assert not counts.bits[:, 2:].any()
 
 
 def test_oracle_scales_past_the_statevector_cap():
@@ -165,12 +172,12 @@ def test_estimates_converge_with_shot_count(d0):
 def test_estimator_is_unbiased_across_seeds():
     rng = np.random.default_rng(77)
     ensemble = random_ensemble(rng, 4)
-    _, _, _, _, table = plan_for(ensemble, "new", "standard")
+    _, _, _, plan = plan_for(ensemble, "new", "standard")
     shots, seeds = 2000, 60
     sums = {pair: 0.0 for pair in ensemble.pairs()}
     for seed in range(seeds):
-        counts = oracle_sample(ensemble, table, shots, seed)
-        for rec in tally(counts, table):
+        counts = oracle_sample(ensemble, plan, shots, seed)
+        for rec in tally(counts, plan):
             sums[rec.pair] += 2.0 * rec.t0 / rec.samples - 1.0
     for (i, j), total in sums.items():
         o = ensemble.overlap(i, j)
@@ -187,8 +194,7 @@ def test_analytic_estimates_sit_on_the_diagonal(d0):
 
 def test_replay_round_trips_run_counts(d0):
     result = estimate_all_overlaps(d0, shots=4096, seed=13)
-    _, _, _, _, table = plan_for(d0, "new", "standard")
-    report = replay(result.counts, table, d0)
+    report = replay(result.counts, result.plan, d0)
     assert report.total_shots == 4096
     by_pair = {est.pair: est for est in report.estimates}
     for est in result.estimates:
@@ -198,8 +204,8 @@ def test_replay_round_trips_run_counts(d0):
 
 def test_replay_recorded_run_against_published_estimates(d0):
     counts = reference_counts()
-    _, _, _, _, table = plan_for(d0, "new", "standard")
-    report = replay(counts, table, d0, reference=reference_estimates(), tolerance=1e-3)
+    _, _, _, plan = plan_for(d0, "new", "standard")
+    report = replay(counts, plan, d0, reference=reference_estimates(), tolerance=1e-3)
     assert len(report.estimates) == 28
     assert report.total_shots == 8192
     # most published estimates are reproduced from the published counts
@@ -212,9 +218,9 @@ def test_replay_recorded_run_against_published_estimates(d0):
 def test_replay_size_mismatch(d0):
     counts = reference_counts()
     small = StateEnsemble(d0.states[:4])
-    _, _, _, _, table = plan_for(d0, "new", "standard")
+    _, _, _, plan = plan_for(d0, "new", "standard")
     with pytest.raises(ValueError, match="registers"):
-        replay(counts, table, small)
+        replay(counts, plan, small)
 
 
 def test_destructive_final_variant_pipeline(d0):
@@ -223,5 +229,71 @@ def test_destructive_final_variant_pipeline(d0):
         ensemble, shots=200000, seed=19, final_variant="destructive"
     )
     assert len(result.estimates) == 6
+    for est in result.estimates:
+        assert abs(est.estimate - est.exact) <= 4 * est.stderr
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_oracle_identical_states_at_scale(n):
+    # every overlap is exactly 1, so every verdict succeeds and every real
+    # pair must be reached; sizes past 64 slots once overflowed a packed key
+    ensemble = StateEnsemble(tuple(basis_state(1) for _ in range(n)))
+    shots = 100_000
+    result = estimate_all_overlaps(ensemble, shots=shots, seed=3, engine="oracle")
+    assert result.engine == "oracle"
+    assert len(result.estimates) == n * (n - 1) // 2
+    assert all(est.samples > 0 for est in result.estimates)
+    assert sum(est.samples for est in result.estimates) == shots * n // 2
+    assert all(est.estimate == 1.0 for est in result.estimates)
+
+
+def test_san_destructive_pipeline_and_replay(d0):
+    # the baseline scheme measures all n registers destructively but tests
+    # only slot (1, 2); each verdict comes from that slot's two registers
+    result = estimate_all_overlaps(
+        d0, "san", shots=200_000, seed=23, final_variant="destructive",
+        engine="statevector",
+    )
+    assert result.counts.labels == result.plan.measured_labels()
+    assert len(result.estimates) == 28
+    for est in result.estimates:
+        assert abs(est.estimate - est.exact) <= 4 * est.stderr
+    report = replay(result.counts, result.plan, d0)
+    assert [(e.pair, e.estimate, e.samples) for e in report.estimates] == [
+        (e.pair, e.estimate, e.samples) for e in result.estimates
+    ]
+
+
+def test_counts_table_merges_and_sorts_rows():
+    table = CountsTable(("a", "b"), "new", [[1, 0], [0, 1], [1, 0]], [3, 1, 4])
+    assert table.bits.tolist() == [[0, 1], [1, 0]]
+    assert table.counts.tolist() == [1, 7]
+    assert table.total_shots == 8
+    with pytest.raises(ValueError, match="0/1"):
+        CountsTable(("a", "b"), "new", [[2, 0]], [1])
+    with pytest.raises(ValueError, match="non-negative"):
+        CountsTable(("a", "b"), "new", [[1, 0]], [-1])
+
+
+def test_run_validates_configuration(d0):
+    for kwargs, message in (
+        ({"scheme": "old"}, "scheme"),
+        ({"final_variant": "weak"}, "final variant"),
+        ({"engine": "gpu"}, "engine"),
+        ({"shots": 0}, "shots"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 1 << 64}, "seed"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            estimate_all_overlaps(d0, **kwargs)
+
+
+def test_destructive_verdict_is_parity_over_wide_registers():
+    # with two qubits per register a verdict is the parity of two AND bits
+    ensemble = random_ensemble(np.random.default_rng(5), 4, width=2)
+    result = estimate_all_overlaps(
+        ensemble, shots=100_000, seed=29, final_variant="destructive",
+        engine="statevector",
+    )
     for est in result.estimates:
         assert abs(est.estimate - est.exact) <= 4 * est.stderr
