@@ -14,6 +14,7 @@ from .builder import (
     decode,
     derive_permutation_table,
     initial_state,
+    input_factors,
     pad_inputs,
     pair_coverage_map,
 )

@@ -256,16 +256,19 @@ def build_un(
     return assemble(plan), plan
 
 
-def initial_state(ensemble: StateEnsemble, plan: LayoutPlan) -> PureState:
-    """|0> ancillas, then the input registers in order, then |0> result qubits."""
+def input_factors(ensemble: StateEnsemble, plan: LayoutPlan) -> list[PureState]:
+    """The circuit's input as a product in qubit order: one |0> per ancilla,
+    the input registers in order, then one |0> per result qubit."""
     if ensemble.n != plan.n or ensemble.width != plan.width:
         raise ValueError("ensemble does not match the layout plan (pad first)")
-    parts = [basis_state(plan.ancilla_count)] if plan.ancilla_count else []
-    parts += list(ensemble.states)
     extra = plan.total_qubits - plan.ancilla_count - plan.data_qubit_count
-    if extra:
-        parts.append(basis_state(extra))
-    return tensor_product(parts)
+    zero = basis_state(1)
+    return [zero] * plan.ancilla_count + list(ensemble.states) + [zero] * extra
+
+
+def initial_state(ensemble: StateEnsemble, plan: LayoutPlan) -> PureState:
+    """The dense input state: the tensor product of ``input_factors``."""
+    return tensor_product(input_factors(ensemble, plan))
 
 
 def decode(plan: LayoutPlan, ancilla_bits) -> np.ndarray:

@@ -130,6 +130,9 @@ def cmd_build(args) -> int:
 
 def cmd_estimate(args) -> int:
     ensemble = _load(args.states, args.normalize)
+    # an unusable output path fails here, not after the simulation
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     result = estimate_all_overlaps(
         ensemble,
         scheme=args.scheme,
@@ -138,8 +141,6 @@ def cmd_estimate(args) -> int:
         final_variant=args.final,
         engine=args.engine,
     )
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "estimates.csv", ESTIMATE_COLUMNS, estimate_rows(result.estimates))
     rows, summary = analytics.scatter_data(result.estimates)
     write_csv(out / "scatter.csv", analytics.SCATTER_COLUMNS, rows)
@@ -249,6 +250,8 @@ def cmd_export_table(args) -> int:
     n, width = args.n, args.width
     if n < 4 or n & (n - 1):
         raise ConfigError(f"--n must be a power of two >= 4, got {n}")
+    if width < 1:
+        raise ConfigError(f"--width must be >= 1, got {width}")
     if args.scheme == "new":
         _, plan = build_un(n, width, "standard")
         ref_name = {4: "new_n4", 8: "new_n8"}.get(n)
@@ -284,7 +287,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, ValueError) as exc:

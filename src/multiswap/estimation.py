@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import san as san_mod
-from .builder import FINAL_VARIANTS, LayoutPlan, build_un, decode, initial_state, pad_inputs
+from .builder import FINAL_VARIANTS, LayoutPlan, build_un, decode, input_factors, pad_inputs
 from .circuits import CircuitIR
 from .sim import MAX_QUBITS, measured_distribution, sample_from_distribution, shot_rng
 from .states import StateEnsemble
@@ -302,7 +302,7 @@ def estimate_all_overlaps(
         )
     else:
         labels, probs = measured_distribution(
-            circuit, initial_state(padded, plan), max_qubits=max_qubits
+            circuit, input_factors(padded, plan), max_qubits=max_qubits
         )
         idx = sample_from_distribution(probs, shots, seed)
         values, cnts = np.unique(idx, return_counts=True)
@@ -351,6 +351,8 @@ def replay(
     flagged "deviates" when |estimate - reference| exceeds ``tolerance`` and
     "unsampled" when no shot reached it.
     """
+    if not np.isfinite(tolerance) or tolerance < 0:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     padded, auto_pads = pad_inputs(ensemble)
     pad_labels = pad_labels or auto_pads
     if padded.n != plan.n:

@@ -3,15 +3,28 @@
 Qubit 0 is the most significant bit of a basis index, so the joint state of
 registers listed in order is their Kronecker product in that order.
 
-Gates act in place on one working copy of the input, so a run holds the
-read-only input plus that copy (2 x 16 * 2**Q bytes) and a scratch buffer of
-two ``_BLOCK``-amplitude blocks. Every gate kind the builders emit is a basis
-permutation (X, CNOT, SWAP, CSWAP: two strided views of the ``[2]*Q`` tensor
-exchange contents), a diagonal sign (Z, CCZ: one view is negated) or H (a
-butterfly on the two half-views, done as a batched 2x2 matmul where the
-target's stride allows). Each kernel walks its views in blocks small enough to
-stay in cache, so no gate allocates a state-sized array; the measured marginal
-is reduced block by block the same way.
+The input is a state or a product of factor states in qubit order (the
+paper's circuit starts with |0> ancillas and result qubits next to the input
+registers). A run allocates one zeroed buffer of 16 * 2**Q bytes, plus a
+scratch buffer of two ``_BLOCK``-amplitude blocks, and never builds the dense
+input. A factor is merged in just before the first gate that touches it, as
+the new most significant axes of the active prefix, so qubits sit in the
+order gates first reach them: a |0> factor costs nothing, and pages past the
+active prefix stay untouched until a gate first writes them. A factor that no
+gate touches is merged only if it is measured (``measured_distribution``) or
+the full output is asked for (``run_statevector``, which then transposes to
+qubit order unless the buffer already holds it). On the estimation path
+nothing is copied; a dense input fed to ``run_statevector`` is held once as
+the input and once in the buffer.
+
+Gates act in place on the active prefix. Every gate kind the builders emit
+is a basis permutation (X, CNOT, SWAP, CSWAP: two strided views of the
+``[2]*k`` tensor exchange contents), a diagonal sign (Z, CCZ: one view is
+negated) or H (a butterfly on the two half-views, done as a batched 2x2
+matmul where the target's stride allows). Each kernel walks its views in
+blocks small enough to stay in cache, so no gate allocates a state-sized
+array; the measured marginal is reduced block by block the same way and
+checked to sum to 1 in place of re-validating the state-sized output.
 
 Shot sampling uses the counter-based Philox generator keyed by the run seed;
 shot i consumes the i-th uniform of the stream, so a run partitioned across
@@ -21,11 +34,15 @@ workers by shot index reproduces the serial result exactly.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 
 import numpy as np
 
 from .circuits import CircuitIR, Gate
-from .states import PureState
+from .states import NORM_ATOL, PureState
+
+# A state, or its factors in qubit order (first factor most significant)
+InputState = PureState | Sequence[PureState]
 
 # Dense simulation only; beyond this many qubits use the permutation oracle
 # in multiswap.estimation instead.
@@ -165,40 +182,90 @@ def _apply_gate(psi: np.ndarray, gate: Gate, qubit_count: int, buf: np.ndarray):
         np.copyto(b, ta)
 
 
-def run_statevector(
-    circuit: CircuitIR, input_state: PureState, *, max_qubits: int = MAX_QUBITS
-) -> PureState:
-    """Evolve the input through every gate and return the exact output state.
+def _evolve(
+    circuit: CircuitIR, state: InputState, max_qubits: int, keep
+) -> tuple[np.ndarray, dict[int, int]]:
+    """Run every gate on one zeroed buffer that the input factors enter lazily.
 
-    The input is left unchanged; the output is one working copy of it.
+    Returns the active state (flat, 2**k amplitudes over the k merged
+    qubits) and each merged qubit's position in it, 0 most significant.
+    A factor is merged just before the first gate touching it; factors
+    holding a qubit of ``keep`` that no gate touched are merged afterwards,
+    last factor first; any other factor never enters the buffer.
     """
-    if input_state.width != circuit.qubit_count:
-        raise ValueError(
-            f"input width {input_state.width} != circuit qubits {circuit.qubit_count}"
-        )
+    factors = [state] if isinstance(state, PureState) else list(state)
+    total = sum(f.width for f in factors)
+    if total != circuit.qubit_count:
+        raise ValueError(f"input width {total} != circuit qubits {circuit.qubit_count}")
     _check_size(circuit.qubit_count, max_qubits)
-    psi = input_state.amplitudes.copy()
+    owner, first = [], []
+    for i, f in enumerate(factors):
+        first.append(len(owner))
+        owner += [i] * f.width
+    psi = np.zeros(1 << circuit.qubit_count, dtype=np.complex128)
+    psi[0] = 1.0
+    low: dict[int, int] = {}  # merged qubit -> bit, counted from the least significant
+
+    def merge(i: int):
+        # psi[:n] -> f (x) psi[:n]: the factor becomes the most significant
+        # axes; the tail is written before the head it reads is scaled
+        f, base, width = factors[i].amplitudes, len(low), factors[i].width
+        n = 1 << base
+        if f[1:].any():
+            np.multiply(f[1:, None], psi[:n], out=psi[n : f.size * n].reshape(-1, n))
+        if f[0] != 1:
+            psi[:n] *= f[0]
+        for j in range(width):
+            low[first[i] + j] = base + width - 1 - j
+
     buf = np.empty((2, _BLOCK), dtype=np.complex128)
     for gate in circuit.gates:
-        _apply_gate(psi, gate, circuit.qubit_count, buf)
-    return PureState(psi, circuit.qubit_count)
+        for q in gate.qubits:
+            if q not in low:
+                merge(owner[q])
+        k = len(low)
+        inner = Gate(gate.kind, tuple(k - 1 - low[q] for q in gate.qubits))
+        _apply_gate(psi[: 1 << k], inner, k, buf)
+    for q in sorted(keep, reverse=True):
+        if q not in low:
+            merge(owner[q])
+    k = len(low)
+    return psi[: 1 << k], {q: k - 1 - b for q, b in low.items()}
+
+
+def run_statevector(
+    circuit: CircuitIR, input_state: InputState, *, max_qubits: int = MAX_QUBITS
+) -> PureState:
+    """Evolve the input through every gate and return the exact output state,
+    in qubit order.
+
+    ``input_state`` is a state or its factors in qubit order. The input is
+    left unchanged; the output is a new buffer.
+    """
+    q = circuit.qubit_count
+    psi, pos = _evolve(circuit, input_state, max_qubits, range(q))
+    axes = [pos[qb] for qb in range(q)]
+    if axes != list(range(q)):
+        psi = psi.reshape((2,) * q).transpose(axes).reshape(-1)
+    return PureState(psi, q)
 
 
 def measured_distribution(
-    circuit: CircuitIR, input_state: PureState, *, max_qubits: int = MAX_QUBITS
+    circuit: CircuitIR, input_state: InputState, *, max_qubits: int = MAX_QUBITS
 ) -> tuple[tuple[str, ...], np.ndarray]:
     """Exact marginal over the measured qubits, in declared label order.
 
-    Returns (labels, p) where p[i] is the probability of the bitstring whose
+    ``input_state`` is a state or its factors in qubit order. Returns
+    (labels, p) where p[i] is the probability of the bitstring whose
     leftmost bit (first label) is the most significant bit of i.
     """
     if not circuit.measured:
         raise ValueError("circuit declares no measured qubits")
-    out = run_statevector(circuit, input_state, max_qubits=max_qubits)
-    keep = circuit.measured_qubits
+    psi, pos = _evolve(circuit, input_state, max_qubits, circuit.measured_qubits)
+    keep = [pos[qb] for qb in circuit.measured_qubits]
     order = sorted(keep)
     # kept qubits sit on the odd axes, the unmeasured runs on the even ones
-    psi = _split(out.amplitudes, order, circuit.qubit_count)
+    psi = _split(psi, order, len(pos))
     drop = tuple(range(0, psi.ndim, 2))
     probs = np.zeros((2,) * len(keep))
     buf = np.empty(_BLOCK)
@@ -208,7 +275,12 @@ def measured_distribution(
         np.abs(block, out=p)
         np.square(p, out=p)
         probs[ix[1::2]] += p.sum(axis=drop)
-    probs = np.transpose(probs, [order.index(qb) for qb in keep]).reshape(-1)
+    probs = np.transpose(probs, [order.index(i) for i in keep]).reshape(-1)
+    # the state-sized output is never wrapped in a validated PureState, so
+    # the marginal is checked in its place
+    total = probs.sum()
+    if not np.isfinite(total) or abs(total - 1.0) > 2 * NORM_ATOL:
+        raise ValueError(f"measured marginal sums to {total!r}, not 1")
     return circuit.labels, probs
 
 
@@ -217,7 +289,7 @@ def bitstring(index: int, nbits: int) -> str:
 
 
 def measure_probabilities(
-    circuit: CircuitIR, input_state: PureState, *, max_qubits: int = MAX_QUBITS
+    circuit: CircuitIR, input_state: InputState, *, max_qubits: int = MAX_QUBITS
 ) -> dict[str, float]:
     """Outcome distribution over measured bits as {bitstring: probability}."""
     labels, probs = measured_distribution(circuit, input_state, max_qubits=max_qubits)
@@ -245,7 +317,7 @@ def sample_from_distribution(probs: np.ndarray, shots: int, seed: int) -> np.nda
 
 def sample_shots(
     circuit: CircuitIR,
-    input_state: PureState,
+    input_state: InputState,
     shots: int,
     seed: int,
     *,

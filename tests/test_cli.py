@@ -212,3 +212,33 @@ def test_san_destructive_estimate_then_replay(states_file, tmp_path):
     assert len(est_rows) == len(rep_rows) == 28
     for est, rep in zip(est_rows, rep_rows):
         assert rep.startswith(est)
+
+
+def test_estimate_out_dir_that_is_a_file_is_data_error(states_file, tmp_path, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    for out_dir in (blocker, blocker / "sub"):
+        assert main(["estimate", states_file, "--out-dir", str(out_dir)]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and str(blocker) in err
+
+
+def test_estimate_checks_out_dir_before_simulating(states_file, tmp_path, monkeypatch):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    ran = []
+    monkeypatch.setattr("multiswap.cli.estimate_all_overlaps", lambda *a, **k: ran.append(1))
+    assert main(["estimate", states_file, "--out-dir", str(blocker)]) == 3
+    assert ran == []
+
+
+@pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
+def test_replay_rejects_bad_tolerance(tolerance, capsys):
+    assert main(["replay", "bundled", "bundled", "--tolerance", tolerance]) == 2
+    assert "tolerance must be finite and >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("width", ["0", "-1"])
+def test_export_table_rejects_bad_width(width, capsys):
+    assert main(["export-table", "--n", "8", "--width", width]) == 2
+    assert "--width must be >= 1" in capsys.readouterr().err

@@ -10,6 +10,7 @@ import pytest
 
 import multiswap
 from multiswap import sim
+from multiswap.builder import build_un, input_factors
 from multiswap.circuits import GATE_ARITY, CircuitIR, Gate
 from multiswap.sim import (
     measured_distribution,
@@ -18,10 +19,11 @@ from multiswap.sim import (
     run_statevector,
     sample_shots,
 )
+from multiswap.san import build_san_un
 from multiswap.states import PureState, basis_state, normalize, tensor_product
 from multiswap.swaptest import build_swap_test, pair_input
 
-from conftest import random_state
+from conftest import random_ensemble, random_state
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -249,11 +251,134 @@ def test_measured_distribution_matches_full_marginal(block, monkeypatch):
                                        rtol=0, atol=1e-15)
 
 
+def _random_factors(rng, q):
+    """Factors covering q qubits: 1-qubit |0>, |1> or random states and random
+    2- and 3-qubit states, in random order."""
+    factors, left = [], q
+    while left:
+        width = int(rng.integers(1, min(3, left) + 1))
+        if width == 1:
+            pick = rng.integers(3)
+            factors.append(basis_state(1, int(pick)) if pick < 2 else random_state(rng, 1))
+        else:
+            factors.append(random_state(rng, width))
+        left -= width
+    return factors
+
+
+def _assert_product_matches_dense(circuit, factors):
+    dense = tensor_product(factors)
+    np.testing.assert_allclose(run_statevector(circuit, factors).amplitudes,
+                               run_statevector(circuit, dense).amplitudes, rtol=0, atol=1e-12)
+    if circuit.measured:
+        labels, probs = measured_distribution(circuit, factors)
+        assert labels == circuit.labels
+        np.testing.assert_allclose(probs, measured_distribution(circuit, dense)[1],
+                                   rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_product_input_matches_dense_input(seed):
+    # gates reach the factors in a scrambled order and leave some untouched;
+    # measurements read touched and untouched qubits alike
+    rng = np.random.default_rng(100 + seed)
+    kinds = sorted(GATE_ARITY)
+    for _ in range(8):
+        q = int(rng.integers(3, 10))
+        factors = _random_factors(rng, q)
+        active = rng.permutation(q)[: int(rng.integers(3, q + 1))]
+        gates = []
+        for _ in range(int(rng.integers(1, 12))):
+            kind = kinds[rng.integers(len(kinds))]
+            gates.append(Gate(kind, rng.choice(active, size=GATE_ARITY[kind], replace=False)))
+        read = rng.permutation(q)[: int(rng.integers(0, q + 1))]
+        measured = [(int(qb), f"m{qb}") for qb in read]
+        _assert_product_matches_dense(_circuit(q, gates, measured), factors)
+
+
+@pytest.mark.parametrize("build", [build_un, build_san_un])
+@pytest.mark.parametrize("final", ["standard", "destructive"])
+def test_product_input_matches_dense_on_built_circuits(build, final):
+    rng = np.random.default_rng(7)
+    circuit, plan = build(4, 1, final)
+    _assert_product_matches_dense(circuit, input_factors(random_ensemble(rng, 4), plan))
+
+
+def test_product_output_is_in_qubit_order():
+    # qubit 0 enters the buffer first, so it is least significant inside;
+    # qubit 1 enters afterwards and the output is transposed back
+    out = run_statevector(_circuit(2, [Gate("X", (0,))]), [basis_state(1), basis_state(1)])
+    np.testing.assert_array_equal(out.amplitudes, [0, 0, 1, 0])
+    rng = np.random.default_rng(31)
+    a, b, c = random_state(rng, 2), random_state(rng, 1), random_state(rng, 2)
+    out = run_statevector(_circuit(5, [Gate("Z", (3,)), Gate("Z", (3,))]), [a, b, c])
+    np.testing.assert_allclose(out.amplitudes, tensor_product([a, b, c]).amplitudes,
+                               rtol=0, atol=1e-15)
+
+
+def test_factor_widths_must_cover_the_circuit():
+    with pytest.raises(ValueError, match="input width 3 != circuit qubits 4"):
+        run_statevector(_circuit(4, []), [basis_state(1), basis_state(2)])
+    with pytest.raises(ValueError, match="input width 5 != circuit qubits 4"):
+        measured_distribution(_circuit(4, [], [(0, "a")]), [basis_state(2)] * 2 + [basis_state(1)])
+
+
+def test_merge_edge_cases():
+    rng = np.random.default_rng(32)
+    a = random_state(rng, 2)
+    # f[0] == 0 merged into a non-empty buffer: the head it scales becomes zero
+    no_head = normalize([0, 1, 1j, 0])
+    # an all-zero tail merged into a non-empty buffer: nothing is written
+    zero = basis_state(2)
+    gates = [Gate("H", (0,)), Gate("CNOT", (1, 2)), Gate("CSWAP", (4, 0, 3))]
+    for second in (no_head, zero, basis_state(2, 3)):
+        _assert_product_matches_dense(_circuit(5, gates, [(3, "x"), (0, "y")]),
+                                      [a, second, basis_state(1, 1)])
+    # a dense factor of 2**q amplitudes merged into the empty buffer
+    dense = random_state(rng, 6)
+    _assert_product_matches_dense(_circuit(6, [Gate("H", (5,))], [(2, "z")]), [dense])
+    _assert_product_matches_dense(_circuit(6, [], [(2, "z")]), [basis_state(6, 7)])
+
+
+def test_untouched_unmeasured_factor_is_never_merged(monkeypatch):
+    # a 20-qubit factor that no gate touches and no measurement reads: the
+    # gates and the marginal only ever see the other two qubits
+    sizes = []
+    split = sim._split
+    monkeypatch.setattr(sim, "_split",
+                        lambda psi, *rest: sizes.append(psi.size) or split(psi, *rest))
+    circuit = _circuit(22, [Gate("H", (0,)), Gate("CNOT", (0, 1))], [(1, "b"), (0, "a")])
+    factors = [basis_state(1), basis_state(1), basis_state(20, 5)]
+    labels, probs = measured_distribution(circuit, factors)
+    np.testing.assert_allclose(probs, [0.5, 0, 0, 0.5], atol=1e-15)
+    assert sizes == [2, 4, 4]
+
+
+@pytest.mark.parametrize("scale", [1.001, np.nan])
+def test_marginal_norm_is_checked(scale, monkeypatch):
+    # the output is not re-validated as a PureState, so a kernel that lost
+    # the norm or produced NaN must be caught at the marginal
+    monkeypatch.setattr(sim, "_apply_gate", lambda psi, *rest: np.multiply(psi, scale, out=psi))
+    circuit = _circuit(3, [Gate("H", (1,))], [(0, "a")])
+    with pytest.raises(ValueError, match="marginal sums to"):
+        measured_distribution(circuit, [basis_state(1)] * 3)
+
+
+def _child_peak_bytes(code: str) -> int:
+    """Run ``code`` in a fresh interpreter and return its peak RSS in bytes."""
+    code += "\nimport resource\nprint(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    src = str(Path(multiswap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.split()[-1]) * 1024  # ru_maxrss is in KiB on Linux
+
+
 def test_26_qubit_statevector_holds_one_working_copy():
     """The README's 26-qubit limit, run at 26 qubits: a 1 GiB input plus one
     working copy, so the process stays under 2.5 GiB."""
     child = textwrap.dedent("""
-        import resource
         import numpy as np
         from multiswap.circuits import CircuitIR, Gate
         from multiswap.sim import run_statevector
@@ -279,12 +404,25 @@ def test_26_qubit_statevector_holds_one_working_copy():
         assert np.count_nonzero(psi) == 4, np.flatnonzero(psi)[:8]
         for index, amplitude in expected.items():
             assert abs(psi[index] - amplitude) < 1e-12, (index, psi[index])
-        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
     """)
-    src = str(Path(multiswap.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
-                          env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    peak_bytes = int(proc.stdout.split()[-1]) * 1024  # ru_maxrss is in KiB on Linux
+    peak_bytes = _child_peak_bytes(child)
     assert peak_bytes < 2.5 * 2**30, f"peak RSS {peak_bytes / 2**30:.2f} GiB"
+
+
+def test_estimation_run_holds_one_state_buffer():
+    """The statevector engine at 24 qubits (n=8, width 2) holds one 256 MiB
+    buffer, not a dense input plus a working copy (over 512 MiB)."""
+    child = textwrap.dedent("""
+        import numpy as np
+        from multiswap.estimation import estimate_all_overlaps
+        from multiswap.states import PureState, StateEnsemble
+
+        rng = np.random.default_rng(24)
+        v = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        ensemble = StateEnsemble(tuple(PureState(row, 2) for row in v))
+        result = estimate_all_overlaps(ensemble, shots=1000, seed=3, engine="statevector")
+        assert result.engine == "statevector" and result.plan.total_qubits == 24
+    """)
+    peak_mib = _child_peak_bytes(child) / 2**20
+    assert peak_mib < 400, f"peak RSS {peak_mib:.0f} MiB"
