@@ -23,21 +23,20 @@ print(
 )
 
 result = estimate_all_overlaps(ensemble, shots=8192, seed=7)
+est = result.estimates  # one column per field, one row per pair
 published = reference_estimates()
 
 print("\npair   exact    this run  published  samples")
-for est in result.estimates:
+rows = zip(est.pairs.tolist(), est.exact.tolist(), est.estimate.tolist(), est.samples.tolist())
+for (i, j), exact, value, samples in rows:
     print(
-        f"{est.pair}  {est.exact:.4f}   {est.estimate:+.4f}   "
-        f"{published[est.pair]:+.4f}    {est.samples}"
+        f"{(i, j)}  {exact:.4f}   {value:+.4f}   "
+        f"{published[(i, j)]:+.4f}    {samples}"
     )
 
-rows, summary = scatter_data(result.estimates)
-in_band = sum(
-    1 for est in result.estimates
-    if abs(est.estimate - est.exact) <= 3 * est.stderr
-)
+_, summary = scatter_data(est)
+in_band = np.sum(np.abs(est.estimate - est.exact) <= 3 * est.stderr)
 print(f"\nwithin 3/sqrt(m) of exact: {in_band}/28")
 print(f"max |error| {summary.max_abs_error:.4f}, rmse {summary.rmse:.4f}")
-print(f"mean per-pair samples: {np.mean([e.samples for e in result.estimates]):.1f}"
+print(f"mean per-pair samples: {est.samples.mean():.1f}"
       f" (expected N/(n-1) = {8192/7:.1f})")

@@ -25,14 +25,13 @@ start = time.perf_counter()
 result = estimate_all_overlaps(ensemble, shots=1_000_000, seed=8, engine="oracle")
 elapsed = time.perf_counter() - start
 
-errors = np.array([est.estimate - est.exact for est in result.estimates])
-samples = np.array([est.samples for est in result.estimates])
+est = result.estimates
+errors = est.estimate - est.exact
+samples = est.samples
 print(f"engine: {result.engine}, shots: 1e6, elapsed {elapsed:.1f}s")
-print(f"pairs estimated: {len(result.estimates)}")
+print(f"pairs estimated: {len(est)}")
 print(f"mean samples per pair: {samples.mean():.0f} (model N/(n-1) = {1e6 / 63:.0f})")
 print(f"rmse: {np.sqrt((errors**2).mean()):.5f}")
 print(f"max |error|: {np.abs(errors).max():.5f}")
-in_band = np.mean([
-    abs(est.estimate - est.exact) <= 3 * est.stderr for est in result.estimates
-])
+in_band = np.mean(np.abs(errors) <= 3 * est.stderr)
 print(f"within 3/sqrt(m): {in_band:.1%}")

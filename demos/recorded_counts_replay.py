@@ -31,14 +31,15 @@ print(f"\nworked example, pair (6,7): t0={t0}, t1={t1}, "
       f"estimate {2 * t0 / (t0 + t1) - 1:.4f}")
 
 report = replay(counts, plan, ensemble, reference=reference_estimates(), tolerance=1e-3)
-print(f"\nreplayed {len(report.estimates)} pairs against the published estimates "
+est = report.estimates  # reference and flags are aligned with est.pairs
+print(f"\nreplayed {len(est)} pairs against the published estimates "
       f"(tolerance {report.tolerance}):")
-for est in report.estimates:
-    flag = report.flags[est.pair]
-    ref = report.reference[est.pair]
+rows = zip(est.pairs.tolist(), est.estimate.tolist(), report.reference.tolist(),
+           est.samples.tolist(), report.flags.tolist())
+for (i, j), value, ref, samples, flag in rows:
     marker = "   <-- " + flag if flag != "ok" else ""
-    print(f"  {est.pair}: replayed {est.estimate:+.4f}  published {ref:+.4f}"
-          f"  m={est.samples}{marker}")
+    print(f"  {(i, j)}: replayed {value:+.4f}  published {ref:+.4f}"
+          f"  m={samples}{marker}")
 
-deviating = sorted(p for p, f in report.flags.items() if f != "ok")
+deviating = [(i, j) for i, j in est.pairs[report.flags != "ok"].tolist()]
 print(f"\npublished values not derivable from the published counts: {deviating}")

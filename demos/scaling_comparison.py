@@ -37,8 +37,8 @@ print("\nempirical check at n=8, N=20000 (same seed for both schemes):")
 ensemble = load_ensemble(0)
 new = estimate_all_overlaps(ensemble, "new", shots=20000, seed=11)
 base = estimate_all_overlaps(ensemble, "san", shots=20000, seed=11)
-avg_new = sum(e.samples for e in new.estimates) / len(new.estimates)
-avg_base = sum(e.samples for e in base.estimates) / len(base.estimates)
+avg_new = new.estimates.samples.mean()
+avg_base = base.estimates.samples.mean()
 print(f"  recursive scheme: {avg_new:.1f} samples/pair")
 print(f"  baseline scheme:  {avg_base:.1f} samples/pair")
 print(f"  ratio: {avg_new / avg_base:.2f} (model says {ensemble.n / 2:.1f})")

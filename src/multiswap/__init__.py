@@ -21,10 +21,8 @@ from .builder import (
 from .circuits import CircuitIR, Gate, ResourceProfile, count_resources
 from .estimation import (
     CountsTable,
-    OverlapEstimate,
-    TallyRecord,
-    analytic_estimates,
-    estimate,
+    PairEstimates,
+    ReplayReport,
     estimate_all_overlaps,
     oracle_distribution,
     oracle_sample,

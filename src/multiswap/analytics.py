@@ -12,7 +12,7 @@ import numpy as np
 
 from .builder import build_network
 from .circuits import count_resources
-from .estimation import OverlapEstimate
+from .estimation import PairEstimates
 from .san import build_san_network
 
 
@@ -144,10 +144,6 @@ def resource_report(max_k: int) -> list[dict]:
     return rows
 
 
-#: columns of a scatter row, in emission order
-SCATTER_COLUMNS = ("estimate", "exact", "pair_i", "pair_j", "samples")
-
-
 @dataclass(frozen=True)
 class ScatterSummary:
     rows: int
@@ -155,30 +151,22 @@ class ScatterSummary:
     rmse: float
 
 
-def scatter_data(estimates) -> tuple[list[dict], ScatterSummary]:
-    """Estimate-vs-exact rows (x = estimate, y = exact) plus error summary."""
-    rows = []
-    errors = []
-    for est in estimates:
-        if not isinstance(est, OverlapEstimate):
-            raise TypeError(f"expected OverlapEstimate, got {type(est)}")
-        if est.estimate is None or est.exact is None:
-            continue
-        rows.append(
-            {
-                "estimate": est.estimate,
-                "exact": est.exact,
-                "pair_i": est.pair[0],
-                "pair_j": est.pair[1],
-                "samples": est.samples,
-            }
-        )
-        errors.append(est.estimate - est.exact)
-    if errors:
-        err = np.asarray(errors)
-        summary = ScatterSummary(
-            len(rows), float(np.max(np.abs(err))), float(np.sqrt(np.mean(err**2)))
-        )
-    else:
-        summary = ScatterSummary(0, 0.0, 0.0)
-    return rows, summary
+def scatter_data(estimates: PairEstimates) -> tuple[dict[str, np.ndarray], ScatterSummary]:
+    """Estimate-vs-exact columns (x = estimate, y = exact) over the sampled
+    pairs, plus their error summary."""
+    keep = estimates.samples > 0
+    pairs = estimates.pairs[keep]
+    columns = {
+        "estimate": estimates.estimate[keep],
+        "exact": estimates.exact[keep],
+        "pair_i": pairs[:, 0],
+        "pair_j": pairs[:, 1],
+        "samples": estimates.samples[keep],
+    }
+    err = columns["estimate"] - columns["exact"]
+    if not len(err):
+        return columns, ScatterSummary(0, 0.0, 0.0)
+    summary = ScatterSummary(
+        len(err), float(np.max(np.abs(err))), float(np.sqrt(np.mean(err**2)))
+    )
+    return columns, summary

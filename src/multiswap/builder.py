@@ -31,6 +31,10 @@ SWAP_RULES = ("rule1", "rule2")
 #: final swap-test variants a full circuit can end with
 FINAL_VARIANTS = ("standard", "destructive")
 
+#: largest decoder table ``derive_permutation_table`` builds, in labels
+#: (2**d ancilla outcomes times n registers): n = 256 for the new scheme
+MAX_TABLE_ENTRIES = 1 << 22
+
 
 def four_groups(registers) -> tuple[tuple[int, ...], ...]:
     """Split contiguous registers into the four equal ordered groups."""
@@ -300,7 +304,14 @@ def decode(plan: LayoutPlan, ancilla_bits) -> np.ndarray:
 
 def derive_permutation_table(plan: LayoutPlan) -> PermutationTable:
     """Audit view of the decoder: ``decode`` applied to every ancilla outcome,
-    keyed by outcome bitstring."""
+    keyed by outcome bitstring. Tables above ``MAX_TABLE_ENTRIES`` labels
+    (2**d outcomes times n registers) are refused before any is built."""
+    entries = plan.n << plan.ancilla_count
+    if entries > MAX_TABLE_ENTRIES:
+        raise ValueError(
+            f"decoder table of 2^{plan.ancilla_count} outcomes x {plan.n} registers "
+            f"({entries} entries) exceeds the limit of {MAX_TABLE_ENTRIES} entries"
+        )
     bits = np.array(list(itertools.product((0, 1), repeat=plan.ancilla_count)))
     columns = decode(plan, bits).T.tolist()
     rows: dict[str, tuple[int, ...]] = {}

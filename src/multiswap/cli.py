@@ -10,25 +10,22 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import analytics, fixtures
-from .builder import FINAL_VARIANTS, build_un, derive_permutation_table
+from .builder import FINAL_VARIANTS, derive_permutation_table
 from .circuits import count_resources
-from .estimation import ENGINES, SCHEMES, estimate_all_overlaps, plan_for, replay
+from .estimation import ENGINES, SCHEMES, build_circuit, estimate_all_overlaps, plan_for, replay
 from .fileio import (
     DataError,
-    ESTIMATE_COLUMNS,
-    REPLAY_COLUMNS,
-    estimate_rows,
     load_states,
     read_counts,
     read_reference_estimates,
-    replay_rows,
     table_to_dict,
     write_counts,
     write_csv,
 )
 from .qasm import to_qasm
-from .san import build_san_un
 
 
 class ConfigError(ValueError):
@@ -141,9 +138,9 @@ def cmd_estimate(args) -> int:
         final_variant=args.final,
         engine=args.engine,
     )
-    write_csv(out / "estimates.csv", ESTIMATE_COLUMNS, estimate_rows(result.estimates))
-    rows, summary = analytics.scatter_data(result.estimates)
-    write_csv(out / "scatter.csv", analytics.SCATTER_COLUMNS, rows)
+    write_csv(out / "estimates.csv", result.estimates.columns())
+    scatter, summary = analytics.scatter_data(result.estimates)
+    write_csv(out / "scatter.csv", scatter)
     write_counts(
         out / "counts.txt",
         result.counts,
@@ -189,28 +186,23 @@ def cmd_replay(args) -> int:
         reference=reference,
         tolerance=args.tolerance,
     )
-    rows = replay_rows(report)
+    est = report.estimates
+    flagged = np.flatnonzero(report.flags != "ok")
     print(f"total shots: {report.total_shots}")
-    flagged = {p: f for p, f in report.flags.items() if f != "ok"}
-    print(f"pairs: {len(report.estimates)}, flagged: {len(flagged)}")
-    for pair, flag in sorted(flagged.items()):
-        print(f"  {pair}: {flag}")
+    print(f"pairs: {len(est)}, flagged: {len(flagged)}")
+    for (i, j), flag in zip(est.pairs[flagged].tolist(), report.flags[flagged].tolist()):
+        print(f"  {(i, j)}: {flag}")
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_csv(out / "replay.csv", REPLAY_COLUMNS, rows)
+        write_csv(out / "replay.csv", report.columns())
         print(f"report written to {out / 'replay.csv'}")
     else:
-        for row in rows:
-            print(
-                f"({row['pair_i']},{row['pair_j']}) exact={row['exact']:.4f} "
-                + (
-                    f"estimate={row['estimate']:.4f}"
-                    if row["estimate"] is not None
-                    else "unsampled"
-                )
-                + f" samples={row['samples']} flag={row['flag']}"
-            )
+        rows = zip(est.pairs.tolist(), est.exact.tolist(), est.estimate.tolist(),
+                   est.samples.tolist(), report.flags.tolist())
+        for (i, j), exact, value, samples, flag in rows:
+            shown = "unsampled" if np.isnan(value) else f"estimate={value:.4f}"
+            print(f"({i},{j}) exact={exact:.4f} {shown} samples={samples} flag={flag}")
     return 0
 
 
@@ -222,23 +214,15 @@ def cmd_analyze(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = analytics.resource_report(args.max_k)
-    write_csv(out / "resources.csv", analytics.RESOURCE_COLUMNS, rows)
-    precision_rows = []
-    for row in rows:
-        model = analytics.precision(row["n"], args.shots)
-        precision_rows.append(
-            {
-                "n": model.n,
-                "shots": model.shots,
-                "baseline_per_pair": model.baseline_per_pair,
-                "multiplexed_per_pair": model.multiplexed_per_pair,
-                "ratio": model.ratio,
-            }
-        )
+    write_csv(
+        out / "resources.csv",
+        {col: [row[col] for row in rows] for col in analytics.RESOURCE_COLUMNS},
+    )
+    models = [analytics.precision(row["n"], args.shots) for row in rows]
+    names = ("n", "shots", "baseline_per_pair", "multiplexed_per_pair", "ratio")
     write_csv(
         out / "precision.csv",
-        ("n", "shots", "baseline_per_pair", "multiplexed_per_pair", "ratio"),
-        precision_rows,
+        {name: [getattr(model, name) for model in models] for name in names},
     )
     conflicts = sum(1 for r in rows if r["formula_conflict"])
     print(f"{len(rows)} rows written to {out / 'resources.csv'} and precision.csv")
@@ -248,16 +232,12 @@ def cmd_analyze(args) -> int:
 
 def cmd_export_table(args) -> int:
     n, width = args.n, args.width
-    if n < 4 or n & (n - 1):
-        raise ConfigError(f"--n must be a power of two >= 4, got {n}")
     if width < 1:
         raise ConfigError(f"--width must be >= 1, got {width}")
-    if args.scheme == "new":
-        _, plan = build_un(n, width, "standard")
-        ref_name = {4: "new_n4", 8: "new_n8"}.get(n)
-    else:
-        _, plan = build_san_un(n, width, "standard")
-        ref_name = {4: "san_n4"}.get(n)
+    _, plan = build_circuit(args.scheme, n, width)
+    ref_name = {("new", 4): "new_n4", ("new", 8): "new_n8", ("san", 4): "san_n4"}.get(
+        (args.scheme, n)
+    )
     table = derive_permutation_table(plan)
     reference = fixtures.reference_table_rows(ref_name) if ref_name else None
     doc = table_to_dict(table, scheme=args.scheme, reference_rows=reference)

@@ -15,7 +15,6 @@ bitstrings appear only in ``fileio``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -79,40 +78,53 @@ class CountsTable:
 
 
 @dataclass(frozen=True)
-class TallyRecord:
-    """Verdict counts pooled over every (outcome, slot) entry testing a pair."""
+class PairEstimates:
+    """Per-pair results as columns, one row per real unordered pair.
 
-    pair: tuple[int, int]
-    t0: int
-    t1: int
+    ``pairs`` is a (P, 2) array of 1-based labels i < j in
+    ``itertools.combinations`` order. ``exact``, ``estimate`` and ``stderr``
+    are float vectors and ``samples`` an int64 vector; an unsampled pair has
+    0 samples and NaN estimate and stderr.
+    """
 
-    @property
-    def samples(self) -> int:
-        return self.t0 + self.t1
-
-
-@dataclass(frozen=True)
-class OverlapEstimate:
-    """Estimated vs exact overlap for one pair; estimate is None if unsampled."""
-
-    pair: tuple[int, int]
-    exact: float | None
-    estimate: float | None
-    samples: int
-    stderr: float | None
+    pairs: np.ndarray
+    exact: np.ndarray
+    samples: np.ndarray
+    estimate: np.ndarray
+    stderr: np.ndarray
 
     def __post_init__(self):
-        if self.estimate is not None and not -1.0 <= self.estimate <= 1.0 + 1e-12:
-            raise ValueError(f"estimate {self.estimate} outside [-1, 1]")
+        outside = (self.estimate < -1.0) | (self.estimate > 1.0 + 1e-12)
+        if outside.any():
+            raise ValueError(f"estimate {self.estimate[outside][0]} outside [-1, 1]")
 
+    @classmethod
+    def from_verdicts(cls, pairs, t0, t1, exact) -> "PairEstimates":
+        """2*t0/m - 1 with a 1/sqrt(m) error bound, m = t0 + t1, for every
+        pair at once; NaN where m = 0."""
+        t0 = np.asarray(t0, dtype=np.int64)
+        m = t0 + np.asarray(t1, dtype=np.int64)
+        sampled = m > 0
+        value = np.full(len(m), np.nan)
+        value[sampled] = 2.0 * t0[sampled] / m[sampled] - 1.0
+        stderr = np.full(len(m), np.nan)
+        stderr[sampled] = 1.0 / np.sqrt(m[sampled])
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        return cls(pairs, np.asarray(exact, dtype=float), m, value, stderr)
 
-def estimate(record: TallyRecord, exact: float | None = None) -> OverlapEstimate:
-    """2*t0/(t0+t1) - 1 with a 1/sqrt(m) error bound; never crashes on m=0."""
-    m = record.samples
-    if m == 0:
-        return OverlapEstimate(record.pair, exact, None, 0, None)
-    value = 2.0 * record.t0 / m - 1.0
-    return OverlapEstimate(record.pair, exact, value, m, 1.0 / np.sqrt(m))
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def columns(self) -> dict[str, np.ndarray]:
+        """The estimates table, in ``estimates.csv`` column order."""
+        return {
+            "pair_i": self.pairs[:, 0],
+            "pair_j": self.pairs[:, 1],
+            "exact": self.exact,
+            "estimate": self.estimate,
+            "samples": self.samples,
+            "stderr": self.stderr,
+        }
 
 
 def _check_choice(kind: str, value, choices: tuple[str, ...]):
@@ -120,20 +132,27 @@ def _check_choice(kind: str, value, choices: tuple[str, ...]):
         raise ValueError(f"unknown {kind} {value!r}; expected one of {choices}")
 
 
+def build_circuit(
+    scheme: str, n: int, width: int = 1, final_variant: str = "standard"
+) -> tuple[CircuitIR, LayoutPlan]:
+    """The full circuit and layout plan of ``scheme`` on n registers."""
+    _check_choice("scheme", scheme, SCHEMES)
+    build = build_un if scheme == "new" else san_mod.build_san_un
+    return build(n, width, final_variant)
+
+
 def plan_for(
     ensemble: StateEnsemble, scheme: str = "new", final_variant: str = "standard"
 ) -> tuple[StateEnsemble, tuple[int, ...], CircuitIR, LayoutPlan]:
     """Pad the ensemble and build its circuit and layout plan."""
-    _check_choice("scheme", scheme, SCHEMES)
     padded, pad_labels = pad_inputs(ensemble)
-    build = build_un if scheme == "new" else san_mod.build_san_un
-    circuit, plan = build(padded.n, padded.width, final_variant)
+    circuit, plan = build_circuit(scheme, padded.n, padded.width, final_variant)
     return padded, pad_labels, circuit, plan
 
 
 def tally(
     counts: CountsTable, plan: LayoutPlan, pad_labels: tuple[int, ...] = ()
-) -> list[TallyRecord]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pool verdict counts per unordered real pair across outcomes and slots.
 
     Each distinct ancilla prefix is decoded once into the pair sitting in
@@ -142,7 +161,11 @@ def tally(
     verdict is the parity of the bitwise AND of the slot's two registers.
     Ordered duplicates such as (1,4) and (4,1) pool together: swap-test
     verdicts are symmetric in the two registers. Every pair of labels not in
-    ``pad_labels`` gets a record, with zero samples if no shot reached it.
+    ``pad_labels`` gets a row, with zero counts if no shot reached it.
+
+    Returns ``(pairs, t0, t1)``: the (P, 2) 1-based pairs i < j in
+    ``itertools.combinations`` order and their int64 verdict-0 and
+    verdict-1 counts.
     """
     expected = plan.measured_labels()
     if counts.labels != expected:
@@ -173,38 +196,23 @@ def tally(
         np.add.at(sampled, pair, shots)
         fails = np.bincount(group, weights=counts.counts * verdict, minlength=groups)
         np.add.at(failed, pair, fails)
-    pads = set(pad_labels)
-    real = [x for x in range(1, n + 1) if x not in pads]
-    pairs = list(itertools.combinations(real, 2))
-    index = [i * (n + 1) + j for i, j in pairs]
+    real = np.setdiff1d(np.arange(1, n + 1), pad_labels)
+    first, second = np.triu_indices(len(real), k=1)
+    pairs = np.stack([real[first], real[second]], axis=1)
+    index = pairs[:, 0] * (n + 1) + pairs[:, 1]
     t1 = failed[index].astype(np.int64)
     t0 = sampled[index].astype(np.int64) - t1
-    return [TallyRecord(*rec) for rec in zip(pairs, t0.tolist(), t1.tolist())]
+    return pairs, t0, t1
 
 
-def _overlap_lookup(ensemble: StateEnsemble) -> dict[tuple[int, int], float]:
-    return {
-        (i, j): ensemble.overlap(i, j)
-        for i, j in itertools.combinations(range(1, ensemble.n + 1), 2)
-    }
-
-
-def _pair_success(ensemble: StateEnsemble, plan: LayoutPlan) -> np.ndarray:
-    """P(verdict=0) = (1 + overlap)/2 for every label pair, 1-based, symmetric."""
+def _slot_success(ensemble: StateEnsemble, plan: LayoutPlan, outcomes) -> np.ndarray:
+    """P(verdict=0) = (1 + overlap)/2 per (ancilla outcome index, slot)."""
     if ensemble.n != plan.n:
         raise ValueError("ensemble size does not match the plan (pad first)")
-    p0 = np.ones((ensemble.n + 1, ensemble.n + 1))
-    for (i, j), overlap in _overlap_lookup(ensemble).items():
-        p0[i, j] = p0[j, i] = (1.0 + overlap) / 2.0
-    return p0
-
-
-def _slot_success(pair_p0: np.ndarray, plan: LayoutPlan, outcomes) -> np.ndarray:
-    """P(verdict=0) per (ancilla outcome index, slot)."""
     labels = decode(plan, _index_bits(outcomes, plan.ancilla_count))
     first = labels[[a - 1 for a, _ in plan.slots]]
     second = labels[[b - 1 for _, b in plan.slots]]
-    return pair_p0[first, second].T
+    return (1.0 + ensemble.overlaps[first - 1, second - 1].T) / 2.0
 
 
 def oracle_sample(
@@ -220,7 +228,6 @@ def oracle_sample(
     if shots < 1:
         raise ValueError("shots must be >= 1")
     d = plan.ancilla_count
-    pair_p0 = _pair_success(ensemble, plan)
     labels = replace(plan, final_variant="standard").measured_labels()
     rng = shot_rng(seed)
     chunks = []
@@ -228,7 +235,7 @@ def oracle_sample(
         m = min(_ORACLE_CHUNK, shots - start)
         anc = rng.integers(0, 1 << d, size=m)
         outcomes, which = np.unique(anc, return_inverse=True)
-        p0 = _slot_success(pair_p0, plan, outcomes)[which]
+        p0 = _slot_success(ensemble, plan, outcomes)[which]
         fails = rng.random((m, len(plan.slots))) >= p0
         rows = np.hstack([_index_bits(anc, d), fails.astype(np.uint8)])
         chunks.append(CountsTable(labels, plan.scheme, rows, np.ones(m, dtype=np.int64)))
@@ -246,7 +253,7 @@ def oracle_distribution(ensemble: StateEnsemble, plan: LayoutPlan) -> np.ndarray
     d, n_slots = plan.ancilla_count, len(plan.slots)
     if d + n_slots > 24:
         raise ValueError("analytic distribution too large to enumerate")
-    p0 = _slot_success(_pair_success(ensemble, plan), plan, np.arange(1 << d))
+    p0 = _slot_success(ensemble, plan, np.arange(1 << d))
     probs = np.full((1 << d, 1), 1.0 / (1 << d))
     for c in range(n_slots):
         verdict = np.stack([p0[:, c], 1.0 - p0[:, c]], axis=1)
@@ -259,7 +266,7 @@ class RunResult:
     """Everything a finished estimation run produced."""
 
     counts: CountsTable
-    estimates: tuple[OverlapEstimate, ...]
+    estimates: PairEstimates
     plan: LayoutPlan
     pad_labels: tuple[int, ...]
     engine: str
@@ -307,33 +314,51 @@ def estimate_all_overlaps(
         idx = sample_from_distribution(probs, shots, seed)
         values, cnts = np.unique(idx, return_counts=True)
         counts = CountsTable(labels, scheme, _index_bits(values, len(labels)), cnts)
-    records = tally(counts, plan, pad_labels)
-    overlaps = _overlap_lookup(padded)
-    estimates = tuple(estimate(rec, overlaps[rec.pair]) for rec in records)
+    estimates = _estimate_pairs(counts, plan, padded, pad_labels)
     return RunResult(counts, estimates, plan, pad_labels, engine)
 
 
-def analytic_estimates(ensemble: StateEnsemble) -> tuple[OverlapEstimate, ...]:
-    """Noise-free estimates from exact per-slot probabilities (no sampling).
-
-    Both schemes test every pair, so these do not depend on the scheme.
-    """
-    out = []
-    for pair, overlap in _overlap_lookup(ensemble).items():
-        p0 = (1.0 + overlap) / 2.0
-        out.append(OverlapEstimate(pair, overlap, 2.0 * p0 - 1.0, 0, None))
-    return tuple(out)
+def _estimate_pairs(
+    counts: CountsTable, plan: LayoutPlan, padded: StateEnsemble, pad_labels
+) -> PairEstimates:
+    pairs, t0, t1 = tally(counts, plan, pad_labels)
+    exact = padded.overlaps[pairs[:, 0] - 1, pairs[:, 1] - 1]
+    return PairEstimates.from_verdicts(pairs, t0, t1, exact)
 
 
 @dataclass(frozen=True)
 class ReplayReport:
-    """Re-derived estimates for recorded counts, with discrepancy flags."""
+    """Re-derived estimates for recorded counts, with discrepancy flags.
 
-    estimates: tuple[OverlapEstimate, ...]
-    reference: dict[tuple[int, int], float]
-    flags: dict[tuple[int, int], str]
+    ``reference`` and ``flags`` are aligned with ``estimates.pairs``;
+    ``reference`` is NaN for a pair the reference lacks.
+    """
+
+    estimates: PairEstimates
+    reference: np.ndarray
+    flags: np.ndarray
     total_shots: int
     tolerance: float
+
+    def columns(self) -> dict[str, np.ndarray]:
+        """The replay table, in ``replay.csv`` column order."""
+        return {
+            **self.estimates.columns(),
+            "reference": self.reference,
+            "abs_diff": np.abs(self.estimates.estimate - self.reference),
+            "flag": self.flags,
+        }
+
+
+def _aligned(reference: dict[tuple[int, int], float], pairs: np.ndarray) -> np.ndarray:
+    """Reference values at each row of ``pairs``; NaN where a pair is absent."""
+    n = int(pairs.max())
+    table = np.full((n + 1, n + 1), np.nan)
+    keys = np.array(list(reference), dtype=np.int64).reshape(-1, 2)
+    values = np.fromiter(reference.values(), dtype=float, count=len(reference))
+    known = ((keys >= 1) & (keys <= n)).all(axis=1)
+    table[keys[known, 0], keys[known, 1]] = values[known]
+    return table[pairs[:, 0], pairs[:, 1]]
 
 
 def replay(
@@ -359,18 +384,10 @@ def replay(
         raise ValueError(
             f"counts are for {plan.n} registers but states give {padded.n}"
         )
-    records = tally(counts, plan, pad_labels)
-    overlaps = _overlap_lookup(padded)
-    ref = reference if reference is not None else overlaps
-    estimates = []
-    flags = {}
-    for rec in records:
-        est = estimate(rec, overlaps[rec.pair])
-        estimates.append(est)
-        if est.estimate is None:
-            flags[rec.pair] = "unsampled"
-        elif rec.pair in ref and abs(est.estimate - ref[rec.pair]) > tolerance:
-            flags[rec.pair] = "deviates"
-        else:
-            flags[rec.pair] = "ok"
-    return ReplayReport(tuple(estimates), dict(ref), flags, counts.total_shots, tolerance)
+    estimates = _estimate_pairs(counts, plan, padded, pad_labels)
+    ref = estimates.exact if reference is None else _aligned(reference, estimates.pairs)
+    deviates = np.abs(estimates.estimate - ref) > tolerance
+    flags = np.where(
+        estimates.samples == 0, "unsampled", np.where(deviates, "deviates", "ok")
+    )
+    return ReplayReport(estimates, ref, flags, counts.total_shots, tolerance)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .builder import PermutationTable
-from .estimation import CountsTable, ReplayReport
+from .estimation import CountsTable
 from .states import INPUT_NORM_TOL, PureState, StateEnsemble, normalize
 
 
@@ -165,9 +165,6 @@ def table_to_dict(
     return doc
 
 
-ESTIMATE_COLUMNS = ("pair_i", "pair_j", "exact", "estimate", "samples", "stderr")
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -178,43 +175,29 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path, columns, rows) -> None:
-    """Write dict rows with a stable column order and float formatting."""
+def _cells(values) -> list[str]:
+    """One column's CSV text: ints with ``str``, floats with ``.10g`` and NaN
+    as an empty cell, anything else (None, bools, strings) by ``_fmt``."""
+    column = np.asarray(values)
+    if column.dtype.kind in "iu":
+        return list(map(str, column.tolist()))
+    if column.dtype.kind == "f":
+        text = np.array(list(map("{:.10g}".format, column.tolist())), dtype=object)
+        text[np.isnan(column)] = ""
+        return text.tolist()
+    return list(map(_fmt, column.tolist()))
+
+
+def write_csv(path, columns: dict) -> None:
+    """Write named, equal-length columns as CSV: a header row of the names,
+    then one row per index."""
+    cells = [_cells(values) for values in columns.values()]
+    if len({len(column) for column in cells}) > 1:
+        raise ValueError("CSV columns differ in length")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row.get(col)) for col in columns])
-
-
-def estimate_rows(estimates) -> list[dict]:
-    rows = []
-    for est in estimates:
-        rows.append(
-            {
-                "pair_i": est.pair[0],
-                "pair_j": est.pair[1],
-                "exact": est.exact,
-                "estimate": est.estimate,
-                "samples": est.samples,
-                "stderr": est.stderr,
-            }
-        )
-    return rows
-
-
-REPLAY_COLUMNS = ESTIMATE_COLUMNS + ("reference", "abs_diff", "flag")
-
-
-def replay_rows(report: ReplayReport) -> list[dict]:
-    rows = estimate_rows(report.estimates)
-    for row, est in zip(rows, report.estimates):
-        ref = report.reference.get(est.pair)
-        row["reference"] = ref
-        if ref is not None and est.estimate is not None:
-            row["abs_diff"] = abs(est.estimate - ref)
-        row["flag"] = report.flags[est.pair]
-    return rows
+        writer.writerows(zip(*cells))
 
 
 def read_reference_estimates(path) -> dict[tuple[int, int], float]:

@@ -17,7 +17,13 @@ from __future__ import annotations
 
 import itertools
 
-from .builder import LayoutPlan, assemble, derive_permutation_table, pair_coverage_map
+from .builder import (
+    LayoutPlan,
+    _require_pow2,
+    assemble,
+    derive_permutation_table,
+    pair_coverage_map,
+)
 from .circuits import CircuitIR
 
 #: the four-register block: (ancilla offset within the triple, position pair),
@@ -50,8 +56,7 @@ def _san_swaps(n: int) -> tuple[tuple[int, int, int], ...]:
 
 
 def _san_plan(n: int, width: int, final_variant: str | None) -> LayoutPlan:
-    if n < 4 or n & (n - 1):
-        raise ValueError(f"register count must be a power of two >= 4, got {n}")
+    _require_pow2(n)
     k = n.bit_length() - 1
     return LayoutPlan(
         scheme="san",

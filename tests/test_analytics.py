@@ -1,3 +1,6 @@
+import itertools
+
+import numpy as np
 import pytest
 
 from multiswap.analytics import (
@@ -6,7 +9,7 @@ from multiswap.analytics import (
     resource_report,
     scatter_data,
 )
-from multiswap.estimation import OverlapEstimate, analytic_estimates, estimate_all_overlaps
+from multiswap.estimation import PairEstimates, estimate_all_overlaps
 
 
 def test_precision_model_at_recorded_run_size():
@@ -80,33 +83,43 @@ def test_empirical_precision_ratio(d0):
     shots = 20000
     new = estimate_all_overlaps(d0, "new", shots=shots, seed=41)
     san = estimate_all_overlaps(d0, "san", shots=shots, seed=41)
-    avg_new = sum(est.samples for est in new.estimates) / 28
-    avg_san = sum(est.samples for est in san.estimates) / 28
+    avg_new = new.estimates.samples.sum() / 28
+    avg_san = san.estimates.samples.sum() / 28
     assert avg_new / avg_san == pytest.approx(4.0, rel=0.05)
 
 
 def test_scatter_rows_and_summary(d0):
     result = estimate_all_overlaps(d0, shots=8192, seed=1)
-    rows, summary = scatter_data(result.estimates)
-    assert len(rows) == 28
+    columns, summary = scatter_data(result.estimates)
+    assert list(columns) == ["estimate", "exact", "pair_i", "pair_j", "samples"]
+    assert all(len(column) == 28 for column in columns.values())
     assert summary.rows == 28
     assert summary.rmse <= 0.05
     assert summary.max_abs_error < 0.1
 
 
+def _estimates(exact, estimate, samples):
+    """The first len(exact) pairs of eight labels with the given columns."""
+    pairs = np.array(list(itertools.combinations(range(1, 9), 2))[: len(exact)])
+    return PairEstimates(pairs.reshape(-1, 2), np.asarray(exact), np.asarray(samples),
+                         np.asarray(estimate), np.full(len(exact), np.nan))
+
+
 def test_scatter_exact_mode_sits_on_diagonal(d0):
-    rows, summary = scatter_data(analytic_estimates(d0))
+    # noise-free estimates: 2 * P(verdict 0) - 1 with P = (1 + overlap) / 2
+    exact = d0.overlaps[np.triu_indices(8, k=1)]
+    columns, summary = scatter_data(_estimates(exact, 2.0 * (1.0 + exact) / 2.0 - 1.0,
+                                               np.ones(28)))
     assert summary.max_abs_error <= 1e-10
-    for row in rows:
-        assert row["estimate"] == pytest.approx(row["exact"], abs=1e-10)
+    assert np.allclose(columns["estimate"], columns["exact"], atol=1e-10)
 
 
 def test_scatter_empty_input():
-    rows, summary = scatter_data([])
-    assert rows == []
+    columns, summary = scatter_data(_estimates([], [], []))
+    assert all(len(column) == 0 for column in columns.values())
     assert summary.rows == 0
 
 
 def test_scatter_skips_unsampled_pairs():
-    rows, summary = scatter_data([OverlapEstimate((1, 2), 0.5, None, 0, None)])
-    assert rows == []
+    columns, summary = scatter_data(_estimates([0.5, 0.25], [np.nan, 0.5], [0, 4]))
+    assert columns["pair_j"].tolist() == [3]

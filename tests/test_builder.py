@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from multiswap import builder
 from multiswap.builder import (
     build_network,
     build_u4,
@@ -247,3 +248,12 @@ def test_decode_rejects_bad_input_and_a_moved_register_one():
     broken = replace(plan, controlled_swaps=((0, 1, 2),))
     with pytest.raises(AssertionError, match="register 1 moved"):
         decode(broken, np.ones((1, 4)))
+
+
+def test_permutation_table_refuses_tables_over_the_limit(monkeypatch):
+    _, plan = build_network(8)  # 2^4 outcomes x 8 registers = 128 labels
+    monkeypatch.setattr(builder, "MAX_TABLE_ENTRIES", 128)
+    assert len(derive_permutation_table(plan).rows) == 16
+    monkeypatch.setattr(builder, "MAX_TABLE_ENTRIES", 127)
+    with pytest.raises(ValueError, match=r"2\^4 outcomes x 8 registers \(128 entries\)"):
+        derive_permutation_table(plan)

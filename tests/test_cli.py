@@ -180,6 +180,15 @@ def test_export_table_rejects_bad_n(capsys):
     assert main(["export-table", "--n", "6"]) == 2
 
 
+@pytest.mark.parametrize("argv, size", [
+    (["--n", "1024"], "2^18 outcomes x 1024 registers"),
+    (["--n", "128", "--scheme", "san"], "2^18 outcomes x 128 registers"),
+])
+def test_export_table_refuses_tables_over_the_size_limit(argv, size, capsys):
+    assert main(["export-table", *argv]) == 2
+    assert size in capsys.readouterr().err
+
+
 def test_missing_states_file_is_data_error(capsys):
     assert main(["build", "/nonexistent/states.json"]) == 3
 

@@ -5,9 +5,7 @@ import pytest
 
 from multiswap.estimation import (
     CountsTable,
-    TallyRecord,
-    analytic_estimates,
-    estimate,
+    PairEstimates,
     estimate_all_overlaps,
     oracle_distribution,
     oracle_sample,
@@ -18,28 +16,39 @@ from multiswap.estimation import (
 from multiswap.fixtures import reference_counts, reference_estimates
 from multiswap.builder import initial_state
 from multiswap.sim import measured_distribution
-from multiswap.states import StateEnsemble, basis_state
+from multiswap.states import StateEnsemble, basis_state, exact_overlap
 
 from conftest import outcome_count, random_ensemble
 
 
+def _from_verdicts(t0, t1):
+    """Estimates for one pair (6, 7) per verdict split."""
+    pairs = np.tile([6, 7], (len(t0), 1))
+    return PairEstimates.from_verdicts(pairs, t0, t1, np.full(len(t0), np.nan))
+
+
 def test_estimate_worked_example():
-    est = estimate(TallyRecord((6, 7), t0=601, t1=403))
-    assert est.estimate == pytest.approx(0.1972, abs=1e-4)
-    assert est.samples == 1004
-    assert est.stderr == pytest.approx(1 / np.sqrt(1004))
+    est = _from_verdicts([601], [403])
+    assert est.estimate[0] == pytest.approx(0.1972, abs=1e-4)
+    assert est.samples[0] == 1004
+    assert est.stderr[0] == pytest.approx(1 / np.sqrt(1004))
 
 
 def test_estimate_extremes():
-    assert estimate(TallyRecord((1, 2), 500, 0)).estimate == 1.0
-    assert estimate(TallyRecord((1, 2), 250, 250)).estimate == 0.0
+    assert _from_verdicts([500, 250], [0, 250]).estimate.tolist() == [1.0, 0.0]
 
 
 def test_estimate_without_samples_is_marked_not_crashed():
-    est = estimate(TallyRecord((1, 2), 0, 0))
-    assert est.estimate is None
-    assert est.samples == 0
-    assert est.stderr is None
+    est = _from_verdicts([0], [0])
+    assert np.isnan(est.estimate[0])
+    assert est.samples[0] == 0
+    assert np.isnan(est.stderr[0])
+
+
+def test_estimates_outside_the_unit_range_are_rejected():
+    with pytest.raises(ValueError, match="outside"):
+        PairEstimates(np.array([[1, 2]]), np.ones(1), np.ones(1, dtype=np.int64),
+                      np.array([1.5]), np.ones(1))
 
 
 def test_tally_worked_example_from_recorded_counts(d0):
@@ -47,11 +56,11 @@ def test_tally_worked_example_from_recorded_counts(d0):
     assert counts.total_shots == 8192
     assert outcome_count(counts, "11111010") == 48  # duplicate rows merged
     _, _, _, plan = plan_for(d0, "new", "standard")
-    records = {rec.pair: rec for rec in tally(counts, plan)}
-    assert records[(6, 7)].t0 == 601
-    assert records[(6, 7)].t1 == 403
-    assert len(records) == 28
-    assert all(rec.samples > 0 for rec in records.values())
+    pairs, t0, t1 = tally(counts, plan)
+    row = pairs.tolist().index([6, 7])
+    assert (t0[row], t1[row]) == (601, 403)
+    assert pairs.tolist() == [list(p) for p in itertools.combinations(range(1, 9), 2)]
+    assert (t0 + t1 > 0).all()
 
 
 def test_tally_rejects_wrong_layout(d0):
@@ -67,9 +76,9 @@ def test_tally_uniform_synthetic_counts_cover_every_pair(d0):
     labels = plan.measured_labels()
     bits = np.array(list(itertools.product((0, 1), repeat=4)))
     counts = CountsTable(labels, "new", bits, np.full(16, 5))
-    records = tally(counts, plan)
-    assert len(records) == 6
-    assert all(rec.samples > 0 for rec in records)
+    pairs, t0, t1 = tally(counts, plan)
+    assert len(pairs) == 6
+    assert (t0 + t1 > 0).all()
 
 
 def _same_counts(a: CountsTable, b: CountsTable) -> bool:
@@ -134,38 +143,33 @@ def test_oracle_scales_past_the_statevector_cap():
     result = estimate_all_overlaps(ensemble, shots=20000, seed=2, engine="oracle")
     assert result.engine == "oracle"
     assert len(result.estimates) == 64 * 63 // 2
-    sampled = [est for est in result.estimates if est.samples > 0]
-    assert len(sampled) == len(result.estimates)
+    assert (result.estimates.samples > 0).all()
 
 
 def test_sample_bookkeeping_identities(d0):
     shots = 4096
     new = estimate_all_overlaps(d0, "new", shots=shots, seed=21)
-    assert sum(est.samples for est in new.estimates) == shots * 4
+    assert new.estimates.samples.sum() == shots * 4
     san = estimate_all_overlaps(d0, "san", shots=shots, seed=21)
-    assert sum(est.samples for est in san.estimates) == shots
+    assert san.estimates.samples.sum() == shots
 
 
 def test_padded_run_reports_only_real_pairs(d0):
     five = StateEnsemble(d0.states[:5])
     result = estimate_all_overlaps(five, shots=2048, seed=4)
-    assert {est.pair for est in result.estimates} == {
-        (i, j) for i in range(1, 6) for j in range(i + 1, 6)
-    }
+    assert result.estimates.pairs.tolist() == [
+        [i, j] for i in range(1, 6) for j in range(i + 1, 6)
+    ]
 
 
 def test_estimates_converge_with_shot_count(d0):
     worst = []
     for shots in (1000, 10000, 100000):
         result = estimate_all_overlaps(d0, shots=shots, seed=31)
-        worst.append(
-            max(abs(est.estimate - est.exact) for est in result.estimates)
-        )
+        est = result.estimates
+        worst.append(np.abs(est.estimate - est.exact).max())
         # every pair within its own 3 sigma band
-        assert all(
-            abs(est.estimate - est.exact) <= 3 * est.stderr
-            for est in result.estimates
-        )
+        assert (np.abs(est.estimate - est.exact) <= 3 * est.stderr).all()
     assert worst[-1] < worst[0]
 
 
@@ -174,32 +178,26 @@ def test_estimator_is_unbiased_across_seeds():
     ensemble = random_ensemble(rng, 4)
     _, _, _, plan = plan_for(ensemble, "new", "standard")
     shots, seeds = 2000, 60
-    sums = {pair: 0.0 for pair in ensemble.pairs()}
+    sums = np.zeros(6)
     for seed in range(seeds):
         counts = oracle_sample(ensemble, plan, shots, seed)
-        for rec in tally(counts, plan):
-            sums[rec.pair] += 2.0 * rec.t0 / rec.samples - 1.0
-    for (i, j), total in sums.items():
-        o = ensemble.overlap(i, j)
+        pairs, t0, t1 = tally(counts, plan)
+        sums += 2.0 * t0 / (t0 + t1) - 1.0
+    for (i, j), total in zip(pairs.tolist(), sums):
+        o = exact_overlap(ensemble.state(i), ensemble.state(j))
         mean = total / seeds
         # per-seed sd is at most 1/sqrt(m); the mean tightens by sqrt(seeds)
         m = shots / 2
         assert abs(mean - o) <= 3.0 / np.sqrt(m * seeds)
 
 
-def test_analytic_estimates_sit_on_the_diagonal(d0):
-    for est in analytic_estimates(d0):
-        assert est.estimate == pytest.approx(est.exact, abs=1e-10)
-
-
 def test_replay_round_trips_run_counts(d0):
     result = estimate_all_overlaps(d0, shots=4096, seed=13)
     report = replay(result.counts, result.plan, d0)
     assert report.total_shots == 4096
-    by_pair = {est.pair: est for est in report.estimates}
-    for est in result.estimates:
-        assert by_pair[est.pair].estimate == est.estimate
-        assert by_pair[est.pair].samples == est.samples
+    assert np.array_equal(report.estimates.pairs, result.estimates.pairs)
+    assert np.array_equal(report.estimates.estimate, result.estimates.estimate)
+    assert np.array_equal(report.estimates.samples, result.estimates.samples)
 
 
 def test_replay_recorded_run_against_published_estimates(d0):
@@ -210,9 +208,25 @@ def test_replay_recorded_run_against_published_estimates(d0):
     assert report.total_shots == 8192
     # most published estimates are reproduced from the published counts
     # bit-for-bit; the handful that are not get flagged, which is the point
-    agreeing = [p for p, f in report.flags.items() if f == "ok"]
-    assert len(agreeing) >= 25
-    assert report.flags[(6, 7)] == "ok"
+    assert (report.flags == "ok").sum() >= 25
+    assert report.flags[report.estimates.pairs.tolist().index([6, 7])] == "ok"
+
+
+def test_replay_aligns_reference_with_pairs(d0):
+    counts = reference_counts()
+    _, _, _, plan = plan_for(d0, "new", "standard")
+    # labels outside 1..8 and reversed pairs match no row
+    reference = {(6, 7): 0.5, (0, 1): 0.5, (8, 9): 0.5, (7, 6): 0.5}
+    report = replay(counts, plan, d0, reference=reference, tolerance=0.01)
+    pairs = report.estimates.pairs.tolist()
+    row = pairs.index([6, 7])
+    assert report.reference[row] == 0.5
+    assert np.isnan(np.delete(report.reference, row)).all()
+    assert report.flags.tolist() == ["deviates" if p == [6, 7] else "ok" for p in pairs]
+    columns = report.columns()
+    assert list(columns)[-3:] == ["reference", "abs_diff", "flag"]
+    assert columns["abs_diff"][row] == pytest.approx(abs(0.5 - report.estimates.estimate[row]))
+    assert np.isnan(np.delete(columns["abs_diff"], row)).all()
 
 
 def test_replay_size_mismatch(d0):
@@ -228,9 +242,9 @@ def test_destructive_final_variant_pipeline(d0):
     result = estimate_all_overlaps(
         ensemble, shots=200000, seed=19, final_variant="destructive"
     )
-    assert len(result.estimates) == 6
-    for est in result.estimates:
-        assert abs(est.estimate - est.exact) <= 4 * est.stderr
+    est = result.estimates
+    assert len(est) == 6
+    assert (np.abs(est.estimate - est.exact) <= 4 * est.stderr).all()
 
 
 @pytest.mark.parametrize("n", [128, 256])
@@ -241,10 +255,11 @@ def test_oracle_identical_states_at_scale(n):
     shots = 100_000
     result = estimate_all_overlaps(ensemble, shots=shots, seed=3, engine="oracle")
     assert result.engine == "oracle"
-    assert len(result.estimates) == n * (n - 1) // 2
-    assert all(est.samples > 0 for est in result.estimates)
-    assert sum(est.samples for est in result.estimates) == shots * n // 2
-    assert all(est.estimate == 1.0 for est in result.estimates)
+    est = result.estimates
+    assert len(est) == n * (n - 1) // 2
+    assert (est.samples > 0).all()
+    assert est.samples.sum() == shots * n // 2
+    assert (est.estimate == 1.0).all()
 
 
 def test_san_destructive_pipeline_and_replay(d0):
@@ -255,13 +270,12 @@ def test_san_destructive_pipeline_and_replay(d0):
         engine="statevector",
     )
     assert result.counts.labels == result.plan.measured_labels()
-    assert len(result.estimates) == 28
-    for est in result.estimates:
-        assert abs(est.estimate - est.exact) <= 4 * est.stderr
-    report = replay(result.counts, result.plan, d0)
-    assert [(e.pair, e.estimate, e.samples) for e in report.estimates] == [
-        (e.pair, e.estimate, e.samples) for e in result.estimates
-    ]
+    est = result.estimates
+    assert len(est) == 28
+    assert (np.abs(est.estimate - est.exact) <= 4 * est.stderr).all()
+    replayed = replay(result.counts, result.plan, d0).estimates
+    for column in ("pairs", "estimate", "samples"):
+        assert np.array_equal(getattr(replayed, column), getattr(est, column))
 
 
 def test_counts_table_merges_and_sorts_rows():
@@ -295,5 +309,5 @@ def test_destructive_verdict_is_parity_over_wide_registers():
         ensemble, shots=100_000, seed=29, final_variant="destructive",
         engine="statevector",
     )
-    for est in result.estimates:
-        assert abs(est.estimate - est.exact) <= 4 * est.stderr
+    est = result.estimates
+    assert (np.abs(est.estimate - est.exact) <= 4 * est.stderr).all()

@@ -13,6 +13,7 @@ from multiswap.fileio import (
     save_states,
     table_to_dict,
     write_counts,
+    write_csv,
 )
 from multiswap.fixtures import reference_table_rows
 
@@ -110,3 +111,19 @@ def test_reference_estimates_reader(tmp_path):
     path.write_text("pair_i,pair_j\n1,2\n")
     with pytest.raises(DataError):
         read_reference_estimates(path)
+
+
+def test_write_csv_formats_each_column_by_its_type(tmp_path):
+    path = tmp_path / "out.csv"
+    write_csv(path, {
+        "i": np.array([1, 22]),
+        "x": np.array([1 / 3, np.nan]),
+        "opt": [None, 7],
+        "flag": [True, False],
+        "text": np.array(["ok", "a,b"]),
+    })
+    assert path.read_bytes() == (
+        b"i,x,opt,flag,text\r\n1,0.3333333333,,true,ok\r\n22,,7,false,\"a,b\"\r\n"
+    )
+    with pytest.raises(ValueError, match="length"):
+        write_csv(path, {"a": [1, 2], "b": [1]})

@@ -11,6 +11,7 @@ import hashlib
 import pytest
 
 from multiswap.cli import main
+from multiswap.fixtures import reference_estimates
 
 RUNS = {
     "estimate_new": ["estimate", "bundled", "--engine", "statevector"],
@@ -41,6 +42,24 @@ DIGESTS = {
 }
 
 
+#: a one-shot oracle run samples 4 of the 28 pairs; the other 24 rows carry
+#: empty estimate and stderr cells, and their replay flags them "unsampled"
+SPARSE_DIGESTS = {
+    "counts.txt": "db092c2f87385745052c86e2437fb789fc0b800993903c93b9b274833db80e42",
+    "estimates.csv": "e82ce819009623f9c01fe4810b81a457901d2c0dc47fd34ff9205bdebbe7c586",
+    "scatter.csv": "2420bda259f133cadeaa0c5201e3954935179ac5dec85160a93e57c569c31ac3",
+    "replay.csv": "ee6b59fcfa4b52f2aa7c38989e1d0fd1dfe2792ab59a977b872f8261438882d0",
+    "replay stdout": "8530c2fccb147113791b61a43ae63ff1c3307b6a7ded96cc130df4a10faa2fec",
+}
+#: replay of the bundled counts against a reference lacking pair (3, 5),
+#: whose reference and abs_diff cells are therefore empty
+PARTIAL_REFERENCE_DIGEST = "e758884e93952afd9f6e80ee7cf3984723690884ddbf2f7a39b5d82308602ff5"
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 @pytest.mark.parametrize("run", sorted(RUNS))
 def test_cli_outputs_match_golden_digests(run, tmp_path, capsys):
     argv = RUNS[run]
@@ -49,8 +68,32 @@ def test_cli_outputs_match_golden_digests(run, tmp_path, capsys):
     else:
         argv = argv + ["--out-dir", str(tmp_path)]
     assert main(argv) == 0
-    produced = {
-        (run, path.name): hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(tmp_path.iterdir())
-    }
+    produced = {(run, path.name): _sha(path.read_bytes()) for path in tmp_path.iterdir()}
     assert produced == {key: digest for key, digest in DIGESTS.items() if key[0] == run}
+
+
+def test_unsampled_pairs_match_golden_digests(tmp_path, capsys):
+    est, rep = tmp_path / "estimate", tmp_path / "replay"
+    argv = ["estimate", "bundled", "--engine", "oracle", "--shots", "1", "--seed", "0"]
+    assert main(argv + ["--out-dir", str(est)]) == 0
+    counts = str(est / "counts.txt")
+    replay_argv = ["replay", counts, "bundled", "--reference", "bundled"]
+    assert main(replay_argv + ["--out-dir", str(rep)]) == 0
+    capsys.readouterr()
+    assert main(replay_argv) == 0
+    produced = {path.name: _sha(path.read_bytes()) for path in (*est.iterdir(), *rep.iterdir())}
+    produced["replay stdout"] = _sha(capsys.readouterr().out.encode())
+    assert produced == SPARSE_DIGESTS
+
+
+def test_partial_reference_matches_golden_digest(tmp_path):
+    reference = reference_estimates()
+    del reference[(3, 5)]
+    path = tmp_path / "reference.csv"
+    path.write_text("pair_i,pair_j,estimate\n" + "".join(
+        f"{i},{j},{value!r}\n" for (i, j), value in sorted(reference.items())
+    ))
+    out = tmp_path / "out"
+    assert main(["replay", "bundled", "bundled", "--reference", str(path),
+                 "--out-dir", str(out)]) == 0
+    assert _sha((out / "replay.csv").read_bytes()) == PARTIAL_REFERENCE_DIGEST

@@ -137,4 +137,21 @@ def test_ensemble_labels_are_one_based(d0):
     assert d0.state(1) is d0.states[0]
     with pytest.raises(ValueError, match="out of range"):
         d0.state(9)
-    assert len(d0.pairs()) == 28
+    assert d0.overlaps.shape == (8, 8)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 5])
+def test_overlap_matrix_matches_pairwise_overlaps(width):
+    rng = np.random.default_rng(width)
+    states = []
+    for _ in range(12):
+        v = rng.normal(size=2**width) + 1j * rng.normal(size=2**width)
+        states.append(PureState(v / np.linalg.norm(v), width))
+    ensemble = StateEnsemble(tuple(states))
+    matrix = ensemble.overlaps
+    expected = [[exact_overlap(a, b) for b in states] for a in states]
+    assert np.allclose(matrix, expected, rtol=0, atol=1e-14)
+    assert np.array_equal(matrix, matrix.T)
+    assert ensemble.overlaps is matrix  # computed once
+    with pytest.raises(ValueError):
+        matrix[0, 1] = 0.0
