@@ -6,13 +6,9 @@ bits leaves the registers holding a known permutation of the inputs, so the
 two final swap-test slots (q1,q2) and (q3,q4) reach every pair.
 """
 
-from multiswap.builder import (
-    build_u4,
-    build_un,
-    derive_permutation_table,
-    initial_state,
-    pair_coverage_map,
-)
+from itertools import combinations
+
+from multiswap.builder import build_u4, build_un, decode_all, input_factors
 from multiswap.fixtures import load_ensemble
 from multiswap.qasm import to_qasm
 from multiswap.sim import project_qubits, run_statevector
@@ -21,20 +17,28 @@ from multiswap.states import StateEnsemble, exact_overlap, tensor_product
 ensemble = StateEnsemble(load_ensemble(0).states[:4])
 
 circuit, plan = build_u4()
-table = derive_permutation_table(plan)
+# column r of the decoder table is ancilla outcome r, s1 most significant
+rows = decode_all(plan).T.tolist()
+outcomes = [format(r, f"0{plan.ancilla_count}b") for r in range(len(rows))]
+slot_pairs = [tuple((row[a - 1], row[b - 1]) for a, b in plan.slots) for row in rows]
 
 print("outcome  registers      slot pairs")
-for outcome in table.outcomes():
-    row = "".join(str(i) for i in table.rows[outcome])
-    print(f"  {outcome}     {row}          {table.slot_map[outcome]}")
+for outcome, row, pairs in zip(outcomes, rows, slot_pairs):
+    print(f"  {outcome}     {''.join(map(str, row))}          {pairs}")
 
 print("\npair coverage over (outcome, slot):")
-for pair, entries in pair_coverage_map(table).items():
+for pair in combinations(range(1, plan.n + 1), 2):
+    entries = [
+        (outcome, slot)
+        for outcome, pairs in zip(outcomes, slot_pairs)
+        for slot, (a, b) in enumerate(pairs)
+        if (min(a, b), max(a, b)) == pair
+    ]
     print(f"  {pair}: {entries}")
 
 print("\nstatevector check: conditioning on each outcome yields the permuted inputs")
-output = run_statevector(circuit, initial_state(ensemble, plan))
-for outcome, row in table.rows.items():
+output = run_statevector(circuit, input_factors(ensemble, plan))
+for outcome, row in zip(outcomes, rows):
     prob, conditioned = project_qubits(output, range(plan.ancilla_count), outcome)
     expected = tensor_product([ensemble.state(i) for i in row])
     fidelity = exact_overlap(conditioned, expected)

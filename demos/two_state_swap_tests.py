@@ -9,7 +9,8 @@ parity of per-qubit-pair AND bits.
 
 import numpy as np
 
-from multiswap.sim import sample_shots
+from multiswap.circuits import index_bits
+from multiswap.sim import measured_distribution, sample_from_distribution
 from multiswap.states import exact_overlap, normalize
 from multiswap.swaptest import (
     VARIANTS,
@@ -33,12 +34,11 @@ for variant in VARIANTS:
 print("\nSampling the standard and destructive variants at 8192 shots:")
 for variant in ("standard", "destructive"):
     circuit = build_swap_test(variant, a.width)
-    counts = sample_shots(circuit, pair_input(variant, a, b), 8192, seed=42)
-    if variant == "standard":
-        t0 = counts.get("0", 0)
-    else:
-        t0 = sum(c for bits, c in counts.items() if destructive_decode(bits, 1) == 0)
-    m = sum(counts.values())
+    labels, probs = measured_distribution(circuit, pair_input(variant, a, b))
+    bits = index_bits(sample_from_distribution(probs, 8192, seed=42), len(labels))
+    verdicts = bits[:, 0] if variant == "standard" else destructive_decode(bits, 1)
+    t0 = int((verdicts == 0).sum())
+    m = len(bits)
     estimate = 2 * t0 / m - 1
     print(
         f"  {variant:<12} t0={t0:<5} m={m}  estimate {estimate:+.4f} "

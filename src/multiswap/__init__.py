@@ -7,16 +7,14 @@ outcomes into register permutations, and estimate every |<phi_i|phi_j>|**2.
 
 from .builder import (
     LayoutPlan,
-    PermutationTable,
     build_network,
     build_u4,
     build_un,
     decode,
-    derive_permutation_table,
-    initial_state,
+    decode_all,
     input_factors,
     pad_inputs,
-    pair_coverage_map,
+    pair_coverage,
 )
 from .circuits import CircuitIR, Gate, ResourceProfile, count_resources
 from .estimation import (
@@ -29,8 +27,8 @@ from .estimation import (
     replay,
     tally,
 )
-from .san import build_san_u4, build_san_un, san_pair_coverage
-from .sim import measure_probabilities, run_statevector, sample_shots
+from .san import build_san_u4, build_san_un
+from .sim import measured_distribution, run_statevector, sample_from_distribution
 from .states import (
     PureState,
     StateEnsemble,

@@ -17,13 +17,12 @@ only.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuits import CircuitIR, Gate
-from .states import PureState, StateEnsemble, basis_state, tensor_product
+from .circuits import CircuitIR, Gate, index_bits
+from .states import PureState, StateEnsemble, basis_state
 
 #: swap rule kinds: rule1 exchanges groups 2 and 3, rule2 exchanges 2 and 4
 SWAP_RULES = ("rule1", "rule2")
@@ -31,7 +30,7 @@ SWAP_RULES = ("rule1", "rule2")
 #: final swap-test variants a full circuit can end with
 FINAL_VARIANTS = ("standard", "destructive")
 
-#: largest decoder table ``derive_permutation_table`` builds, in labels
+#: largest decoder table ``decode_all`` builds, in labels
 #: (2**d ancilla outcomes times n registers): n = 256 for the new scheme
 MAX_TABLE_ENTRIES = 1 << 22
 
@@ -116,28 +115,6 @@ class LayoutPlan:
                 else:
                     labels += [f"q{reg}.{k}" for k in range(self.width)]
         return tuple(labels)
-
-
-@dataclass(frozen=True)
-class PermutationTable:
-    """Map from ancilla outcomes to the register permutation they select.
-
-    ``rows[outcome][p]`` is the 1-based input label sitting in register p+1
-    after the controlled swaps; ``slot_map[outcome]`` lists the ordered label
-    pairs tested at each slot.
-    """
-
-    ancilla_count: int
-    slots: tuple[tuple[int, int], ...]
-    rows: dict[str, tuple[int, ...]]
-    slot_map: dict[str, tuple[tuple[int, int], ...]]
-
-    @property
-    def n(self) -> int:
-        return len(next(iter(self.rows.values())))
-
-    def outcomes(self) -> list[str]:
-        return sorted(self.rows)
 
 
 def pad_inputs(ensemble: StateEnsemble) -> tuple[StateEnsemble, tuple[int, ...]]:
@@ -270,11 +247,6 @@ def input_factors(ensemble: StateEnsemble, plan: LayoutPlan) -> list[PureState]:
     return [zero] * plan.ancilla_count + list(ensemble.states) + [zero] * extra
 
 
-def initial_state(ensemble: StateEnsemble, plan: LayoutPlan) -> PureState:
-    """The dense input state: the tensor product of ``input_factors``."""
-    return tensor_product(input_factors(ensemble, plan))
-
-
 def decode(plan: LayoutPlan, ancilla_bits) -> np.ndarray:
     """Input label held by every register under every given ancilla outcome.
 
@@ -302,48 +274,27 @@ def decode(plan: LayoutPlan, ancilla_bits) -> np.ndarray:
     return labels
 
 
-def derive_permutation_table(plan: LayoutPlan) -> PermutationTable:
-    """Audit view of the decoder: ``decode`` applied to every ancilla outcome,
-    keyed by outcome bitstring. Tables above ``MAX_TABLE_ENTRIES`` labels
-    (2**d outcomes times n registers) are refused before any is built."""
+def decode_all(plan: LayoutPlan) -> np.ndarray:
+    """``decode`` of every ancilla outcome: the (n, 2**d) label array whose
+    column r is outcome r, s1 being its most significant bit. Tables above
+    ``MAX_TABLE_ENTRIES`` labels are refused before any is built."""
     entries = plan.n << plan.ancilla_count
     if entries > MAX_TABLE_ENTRIES:
         raise ValueError(
             f"decoder table of 2^{plan.ancilla_count} outcomes x {plan.n} registers "
             f"({entries} entries) exceeds the limit of {MAX_TABLE_ENTRIES} entries"
         )
-    bits = np.array(list(itertools.product((0, 1), repeat=plan.ancilla_count)))
-    columns = decode(plan, bits).T.tolist()
-    rows: dict[str, tuple[int, ...]] = {}
-    slot_map: dict[str, tuple[tuple[int, int], ...]] = {}
-    for outcome_bits, labels in zip(bits.tolist(), columns):
-        outcome = "".join(map(str, outcome_bits))
-        rows[outcome] = tuple(labels)
-        slot_map[outcome] = tuple((labels[a - 1], labels[b - 1]) for a, b in plan.slots)
-    return PermutationTable(plan.ancilla_count, plan.slots, rows, slot_map)
+    d = plan.ancilla_count
+    return decode(plan, index_bits(np.arange(1 << d), d))
 
 
-def pair_coverage_map(
-    table: PermutationTable, pad_labels: tuple[int, ...] = ()
-) -> dict[tuple[int, int], list[tuple[str, int]]]:
-    """For every real unordered pair, the (outcome, slot) entries that test it.
-
-    Pairs touching padded labels are excluded. A real pair with no coverage
-    is a construction bug and raises.
+def pair_coverage(plan: LayoutPlan) -> np.ndarray:
+    """(n, n) int64 matrix whose entry [i-1, j-1], i < j, counts the
+    (ancilla outcome, slot) entries that test the unordered pair (i, j);
+    every other entry is 0, so the matrix sums to 2**d times the slot count.
     """
-    padded = set(pad_labels)
-    n = table.n
-    real = [x for x in range(1, n + 1) if x not in padded]
-    coverage: dict[tuple[int, int], list[tuple[str, int]]] = {
-        (i, j): [] for i, j in itertools.combinations(real, 2)
-    }
-    for outcome in table.outcomes():
-        for slot_idx, (a, b) in enumerate(table.slot_map[outcome]):
-            if a in padded or b in padded:
-                continue
-            key = (min(a, b), max(a, b))
-            coverage[key].append((outcome, slot_idx))
-    missing = [pair for pair, entries in coverage.items() if not entries]
-    if missing:
-        raise AssertionError(f"uncovered real pairs {missing[:6]}: construction bug")
-    return coverage
+    labels = decode_all(plan).astype(np.intp) - 1
+    first = labels[[a - 1 for a, _ in plan.slots]]
+    second = labels[[b - 1 for _, b in plan.slots]]
+    index = np.minimum(first, second) * plan.n + np.maximum(first, second)
+    return np.bincount(index.ravel(), minlength=plan.n**2).reshape(plan.n, plan.n)

@@ -41,6 +41,13 @@ _MATRICES["CSWAP"] = _cswap
 del _cswap
 
 
+def index_bits(values, nbits: int) -> np.ndarray:
+    """(len(values), nbits) uint8 binary expansions, most significant bit
+    first: row r holds the outcome bits of distribution index values[r]."""
+    shifts = np.arange(nbits - 1, -1, -1, dtype=np.int64)
+    return ((np.asarray(values, dtype=np.int64)[:, None] >> shifts) & 1).astype(np.uint8)
+
+
 @dataclass(frozen=True)
 class Gate:
     """One gate application; qubit order is (controls..., targets...)."""

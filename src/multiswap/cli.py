@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analytics, fixtures
-from .builder import FINAL_VARIANTS, derive_permutation_table
+from .builder import FINAL_VARIANTS, decode_all
 from .circuits import count_resources
 from .estimation import ENGINES, SCHEMES, build_circuit, estimate_all_overlaps, plan_for, replay
 from .fileio import (
@@ -146,7 +146,7 @@ def cmd_estimate(args) -> int:
         result.counts,
         comments=(
             f"engine={result.engine} shots={args.shots} seed={args.seed} "
-            f"final={args.final}",
+            f"final={result.plan.final_variant}",
         ),
     )
     print(f"{len(result.estimates)} pair estimates written to {out / 'estimates.csv'}")
@@ -238,9 +238,8 @@ def cmd_export_table(args) -> int:
     ref_name = {("new", 4): "new_n4", ("new", 8): "new_n8", ("san", 4): "san_n4"}.get(
         (args.scheme, n)
     )
-    table = derive_permutation_table(plan)
     reference = fixtures.reference_table_rows(ref_name) if ref_name else None
-    doc = table_to_dict(table, scheme=args.scheme, reference_rows=reference)
+    doc = table_to_dict(plan, decode_all(plan), reference_rows=reference)
     text = json.dumps(doc, indent=1)
     if args.output:
         Path(args.output).write_text(text + "\n")

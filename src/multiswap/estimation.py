@@ -21,20 +21,15 @@ import numpy as np
 
 from . import san as san_mod
 from .builder import FINAL_VARIANTS, LayoutPlan, build_un, decode, input_factors, pad_inputs
-from .circuits import CircuitIR
+from .circuits import CircuitIR, index_bits
 from .sim import MAX_QUBITS, measured_distribution, sample_from_distribution, shot_rng
 from .states import StateEnsemble
+from .swaptest import destructive_decode
 
 SCHEMES = ("new", "san")
 ENGINES = ("statevector", "oracle", "auto")
 
 _ORACLE_CHUNK = 1 << 15
-
-
-def _index_bits(values, nbits: int) -> np.ndarray:
-    """(len(values), nbits) uint8 binary expansions, most significant bit first."""
-    shifts = np.arange(nbits - 1, -1, -1, dtype=np.int64)
-    return ((np.asarray(values, dtype=np.int64)[:, None] >> shifts) & 1).astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -158,7 +153,7 @@ def tally(
     Each distinct ancilla prefix is decoded once into the pair sitting in
     every slot; the slot's verdict then increments t0 or t1 of that pair. A
     standard-variant verdict is the slot's result bit; a destructive-variant
-    verdict is the parity of the bitwise AND of the slot's two registers.
+    verdict is ``swaptest.destructive_decode`` of the slot's two registers.
     Ordered duplicates such as (1,4) and (4,1) pool together: swap-test
     verdicts are symmetric in the two registers. Every pair of labels not in
     ``pad_labels`` gets a row, with zero counts if no shot reached it.
@@ -188,9 +183,8 @@ def tally(
         if plan.final_variant == "standard":
             verdict = data[:, s]
         else:
-            reg_a = data[:, (ra - 1) * w : ra * w]
-            reg_b = data[:, (rb - 1) * w : rb * w]
-            verdict = np.bitwise_xor.reduce(reg_a & reg_b, axis=1)
+            registers = [data[:, (r - 1) * w : r * w] for r in (ra, rb)]
+            verdict = destructive_decode(np.hstack(registers), w)
         a, b = labels[ra - 1].astype(np.intp), labels[rb - 1].astype(np.intp)
         pair = np.minimum(a, b) * (n + 1) + np.maximum(a, b)
         np.add.at(sampled, pair, shots)
@@ -209,7 +203,7 @@ def _slot_success(ensemble: StateEnsemble, plan: LayoutPlan, outcomes) -> np.nda
     """P(verdict=0) = (1 + overlap)/2 per (ancilla outcome index, slot)."""
     if ensemble.n != plan.n:
         raise ValueError("ensemble size does not match the plan (pad first)")
-    labels = decode(plan, _index_bits(outcomes, plan.ancilla_count))
+    labels = decode(plan, index_bits(outcomes, plan.ancilla_count))
     first = labels[[a - 1 for a, _ in plan.slots]]
     second = labels[[b - 1 for _, b in plan.slots]]
     return (1.0 + ensemble.overlaps[first - 1, second - 1].T) / 2.0
@@ -237,7 +231,7 @@ def oracle_sample(
         outcomes, which = np.unique(anc, return_inverse=True)
         p0 = _slot_success(ensemble, plan, outcomes)[which]
         fails = rng.random((m, len(plan.slots))) >= p0
-        rows = np.hstack([_index_bits(anc, d), fails.astype(np.uint8)])
+        rows = np.hstack([index_bits(anc, d), fails.astype(np.uint8)])
         chunks.append(CountsTable(labels, plan.scheme, rows, np.ones(m, dtype=np.int64)))
     bits = np.concatenate([c.bits for c in chunks])
     return CountsTable(labels, plan.scheme, bits, np.concatenate([c.counts for c in chunks]))
@@ -313,7 +307,7 @@ def estimate_all_overlaps(
         )
         idx = sample_from_distribution(probs, shots, seed)
         values, cnts = np.unique(idx, return_counts=True)
-        counts = CountsTable(labels, scheme, _index_bits(values, len(labels)), cnts)
+        counts = CountsTable(labels, scheme, index_bits(values, len(labels)), cnts)
     estimates = _estimate_pairs(counts, plan, padded, pad_labels)
     return RunResult(counts, estimates, plan, pad_labels, engine)
 

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
-from .builder import PermutationTable
-from .estimation import CountsTable
+from .builder import LayoutPlan
+from .estimation import SCHEMES, CountsTable
 from .states import INPUT_NORM_TOL, PureState, StateEnsemble, normalize
 
 
@@ -99,6 +100,8 @@ def read_counts(path) -> CountsTable:
         values.append(int(parts[1]))
     if not labels:
         raise DataError(f"{path}: missing or empty 'layout:' header")
+    if scheme and scheme not in SCHEMES:
+        raise DataError(f"{path}: unknown scheme {scheme!r}; expected one of {SCHEMES}")
     bad = [key for key in keys if len(key) != len(labels)]
     if bad:
         raise DataError(
@@ -125,43 +128,39 @@ def write_counts(path, counts: CountsTable, *, comments: tuple[str, ...] = ()) -
 
 
 def table_to_dict(
-    table: PermutationTable,
+    plan: LayoutPlan,
+    labels,
     *,
-    scheme: str,
     reference_rows: dict[str, tuple[int, ...]] | None = None,
 ) -> dict:
-    """JSON-ready audit view of a decoder table.
+    """JSON-ready audit view of a decoder table, keyed by outcome bitstring.
 
-    When ``reference_rows`` is given, outcomes whose derived permutation
-    differs are listed under ``reference_mismatches`` (the derived rows stay
-    authoritative).
+    ``labels`` is ``builder.decode_all(plan)``: column r is the permutation
+    of outcome r. When ``reference_rows`` is given, outcomes whose derived
+    permutation differs are listed under ``reference_mismatches`` (the
+    derived rows stay authoritative).
     """
+    d = plan.ancilla_count
+    rows = {format(r, f"0{d}b"): column for r, column in enumerate(labels.T.tolist())}
     doc = {
-        "scheme": scheme,
-        "n": table.n,
-        "ancilla_count": table.ancilla_count,
-        "slots": [list(s) for s in table.slots],
+        "scheme": plan.scheme,
+        "n": plan.n,
+        "ancilla_count": d,
+        "slots": [list(s) for s in plan.slots],
         "rows": {
             outcome: {
-                "permutation": list(table.rows[outcome]),
-                "slot_pairs": [list(p) for p in table.slot_map[outcome]],
+                "permutation": row,
+                "slot_pairs": [[row[a - 1], row[b - 1]] for a, b in plan.slots],
             }
-            for outcome in table.outcomes()
+            for outcome, row in rows.items()
         },
     }
     if reference_rows is not None:
-        mismatches = []
-        for outcome in table.outcomes():
-            ref = reference_rows.get(outcome)
-            if ref is not None and tuple(ref) != table.rows[outcome]:
-                mismatches.append(
-                    {
-                        "outcome": outcome,
-                        "derived": list(table.rows[outcome]),
-                        "reference": list(ref),
-                    }
-                )
-        doc["reference_mismatches"] = mismatches
+        doc["reference_mismatches"] = [
+            {"outcome": outcome, "derived": row, "reference": list(reference_rows[outcome])}
+            for outcome, row in rows.items()
+            if outcome in reference_rows and list(reference_rows[outcome]) != row
+        ]
     return doc
 
 
@@ -203,7 +202,8 @@ def write_csv(path, columns: dict) -> None:
 def read_reference_estimates(path) -> dict[tuple[int, int], float]:
     """Reference values keyed by pair from a CSV with pair_i,pair_j columns.
 
-    Uses the ``estimate`` column if present, else ``value``.
+    Uses the ``estimate`` column if present, else ``value``; a value that
+    is not a finite number is a data error.
     """
     out: dict[tuple[int, int], float] = {}
     with open(path, newline="") as fh:
@@ -211,8 +211,9 @@ def read_reference_estimates(path) -> dict[tuple[int, int], float]:
         for row in reader:
             try:
                 pair = (int(row["pair_i"]), int(row["pair_j"]))
-                value = row.get("estimate") or row["value"]
-                out[pair] = float(value)
+                out[pair] = float(row.get("estimate") or row["value"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"{path}: bad reference row {row!r}") from exc
+            if not math.isfinite(out[pair]):
+                raise DataError(f"{path}: non-finite reference value in row {row!r}")
     return out

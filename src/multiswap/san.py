@@ -17,13 +17,7 @@ from __future__ import annotations
 
 import itertools
 
-from .builder import (
-    LayoutPlan,
-    _require_pow2,
-    assemble,
-    derive_permutation_table,
-    pair_coverage_map,
-)
+from .builder import LayoutPlan, _require_pow2, assemble
 from .circuits import CircuitIR
 
 #: the four-register block: (ancilla offset within the triple, position pair),
@@ -86,12 +80,6 @@ def build_san_un(
     """Baseline circuit with its single final swap test on registers (1, 2)."""
     plan = _san_plan(n, width, final_variant)
     return assemble(plan), plan
-
-
-def san_pair_coverage(n: int) -> dict[tuple[int, int], list[tuple[str, int]]]:
-    """Outcomes bringing each unordered pair to the measured slot (1, 2)."""
-    table = derive_permutation_table(_san_plan(n, 1, None))
-    return pair_coverage_map(table)
 
 
 def _block_rows(wiring) -> dict[str, tuple[int, int, int, int]]:

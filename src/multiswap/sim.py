@@ -33,7 +33,6 @@ workers by shot index reproduces the serial result exactly.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Sequence
 
 import numpy as np
@@ -256,8 +255,9 @@ def measured_distribution(
     """Exact marginal over the measured qubits, in declared label order.
 
     ``input_state`` is a state or its factors in qubit order. Returns
-    (labels, p) where p[i] is the probability of the bitstring whose
-    leftmost bit (first label) is the most significant bit of i.
+    (labels, p) where p[i] is the probability of the outcome whose bits are
+    row i of ``circuits.index_bits``: the first label's bit is the most
+    significant bit of i.
     """
     if not circuit.measured:
         raise ValueError("circuit declares no measured qubits")
@@ -284,19 +284,6 @@ def measured_distribution(
     return circuit.labels, probs
 
 
-def bitstring(index: int, nbits: int) -> str:
-    return format(index, f"0{nbits}b")
-
-
-def measure_probabilities(
-    circuit: CircuitIR, input_state: InputState, *, max_qubits: int = MAX_QUBITS
-) -> dict[str, float]:
-    """Outcome distribution over measured bits as {bitstring: probability}."""
-    labels, probs = measured_distribution(circuit, input_state, max_qubits=max_qubits)
-    n = len(labels)
-    return {bitstring(i, n): float(p) for i, p in enumerate(probs) if p > 0.0}
-
-
 def shot_rng(seed: int) -> np.random.Generator:
     """The run's named generator: counter-based Philox keyed by the seed."""
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
@@ -315,26 +302,9 @@ def sample_from_distribution(probs: np.ndarray, shots: int, seed: int) -> np.nda
     return np.searchsorted(cdf, u, side="right")
 
 
-def sample_shots(
-    circuit: CircuitIR,
-    input_state: InputState,
-    shots: int,
-    seed: int,
-    *,
-    max_qubits: int = MAX_QUBITS,
-) -> Counter:
-    """Multiset of measured bitstrings drawn i.i.d. from the exact marginal."""
-    labels, probs = measured_distribution(circuit, input_state, max_qubits=max_qubits)
-    idx = sample_from_distribution(probs, shots, seed)
-    values, counts = np.unique(idx, return_counts=True)
-    n = len(labels)
-    return Counter({bitstring(int(v), n): int(c) for v, c in zip(values, counts)})
-
-
-def project_qubits(
-    state: PureState, qubits, bits: str
-) -> tuple[float, PureState | None]:
-    """Condition on measuring ``qubits`` (in the given order) as ``bits``.
+def project_qubits(state: PureState, qubits, bits) -> tuple[float, PureState | None]:
+    """Condition on measuring ``qubits`` (in the given order) as ``bits``,
+    one 0/1 value per qubit (a row of ``circuits.index_bits``).
 
     Returns (probability, normalized post-measurement state on the remaining
     qubits in their original order), or (0.0, None) for an impossible outcome.

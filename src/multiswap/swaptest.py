@@ -9,14 +9,13 @@ as the parity of per-qubit-pair AND bits.
 
 from __future__ import annotations
 
-from .circuits import CircuitIR, Gate
-from .sim import measure_probabilities
+import numpy as np
+
+from .circuits import CircuitIR, Gate, index_bits
+from .sim import measured_distribution
 from .states import PureState, basis_state, exact_overlap, tensor_product
 
 VARIANTS = ("standard", "ccz", "deferred", "destructive")
-
-# variants whose circuit carries a dedicated verdict ancilla
-ANCILLA_VARIANTS = ("standard", "ccz", "deferred")
 
 
 def overlap_from_prob(p0: float) -> float:
@@ -26,19 +25,17 @@ def overlap_from_prob(p0: float) -> float:
     return 2.0 * p0 - 1.0
 
 
-def destructive_decode(bits, width: int) -> int:
-    """Verdict for 2*width measured bits laid out as register A then B.
+def destructive_decode(bits, width: int) -> np.ndarray:
+    """Verdicts of an (R, 2*width) 0/1 array, one per row; a row holds the
+    measured bits of register A, then those of register B.
 
-    Returns 1 ("fail") iff the parity of per-pair AND bits is odd, which is
-    calibrated so that P(verdict=0) = (1 + overlap) / 2.
+    A verdict is 1 ("fail") iff the parity of per-pair AND bits is odd,
+    which is calibrated so that P(verdict=0) = (1 + overlap) / 2.
     """
-    bits = [int(b) for b in bits]
-    if len(bits) != 2 * width:
-        raise ValueError(f"expected {2 * width} bits, got {len(bits)}")
-    verdict = 0
-    for k in range(width):
-        verdict ^= bits[k] & bits[width + k]
-    return verdict
+    bits = np.asarray(bits, dtype=np.uint8)
+    if bits.ndim != 2 or bits.shape[1] != 2 * width:
+        raise ValueError(f"expected {2 * width} bits per row, got shape {bits.shape}")
+    return np.bitwise_xor.reduce(bits[:, :width] & bits[:, width:], axis=1)
 
 
 def build_swap_test(variant: str, width: int) -> CircuitIR:
@@ -103,11 +100,11 @@ def pair_input(variant: str, a: PureState, b: PureState) -> PureState:
 def verdict_probability(variant: str, a: PureState, b: PureState) -> float:
     """Exact P(verdict = 0) for the given variant and state pair."""
     circuit = build_swap_test(variant, a.width)
-    probs = measure_probabilities(circuit, pair_input(variant, a, b))
+    _, probs = measured_distribution(circuit, pair_input(variant, a, b))
     if variant in ("standard", "ccz"):
-        return probs.get("0", 0.0)
-    w = a.width
-    return sum(p for bits, p in probs.items() if destructive_decode(bits, w) == 0)
+        return float(probs[0])
+    verdicts = destructive_decode(index_bits(np.arange(len(probs)), 2 * a.width), a.width)
+    return float(probs[verdicts == 0].sum())
 
 
 def estimated_overlap(variant: str, a: PureState, b: PureState) -> float:

@@ -11,14 +11,8 @@ import numpy as np
 import pytest
 
 from multiswap.analytics import precision
-from multiswap.builder import (
-    build_network,
-    decode,
-    derive_permutation_table,
-    initial_state,
-    pair_coverage_map,
-)
-from multiswap.circuits import count_resources
+from multiswap.builder import build_network, decode_all, input_factors
+from multiswap.circuits import count_resources, index_bits
 from multiswap.cli import main
 from multiswap.estimation import (
     PairEstimates,
@@ -32,14 +26,20 @@ from multiswap.fixtures import (
     reference_counts,
     reference_estimates,
     reference_exact_overlaps,
-    reference_table_rows,
 )
-from multiswap.san import build_san_network, san_pair_coverage
+from multiswap.san import build_san_network
 from multiswap.sim import measured_distribution, project_qubits, run_statevector
 from multiswap.states import exact_overlap, tensor_product
 from multiswap.swaptest import VARIANTS, verdict_probability
 
-from conftest import outcome_count, random_ensemble, random_state
+from conftest import (
+    outcome_count,
+    random_ensemble,
+    random_state,
+    real_pair_coverage,
+    reference_labels,
+    slot_pairs,
+)
 
 
 def _ok(name: str, detail: str = ""):
@@ -122,23 +122,24 @@ def test_c05_decoder_correctness_against_statevector():
     rng = np.random.default_rng(2025)
     for n in (4, 8):
         circuit, plan = build_network(n)
-        table = derive_permutation_table(plan)
+        d = plan.ancilla_count
+        outcomes = index_bits(np.arange(1 << d), d)
+        rows = decode_all(plan).T.tolist()
         for _ in range(20):
             ensemble = random_ensemble(rng, n)
-            out = run_statevector(circuit, initial_state(ensemble, plan))
-            for outcome, row in table.rows.items():
-                _, conditioned = project_qubits(out, range(plan.ancilla_count), outcome)
+            out = run_statevector(circuit, input_factors(ensemble, plan))
+            for outcome, row in zip(outcomes, rows):
+                _, conditioned = project_qubits(out, range(d), outcome)
                 expected = tensor_product([ensemble.state(i) for i in row])
                 assert exact_overlap(conditioned, expected) >= 1 - 1e-10
     _, plan4 = build_network(4)
     slot_multiset = {
         frozenset(map(frozenset, slots))
-        for slots in derive_permutation_table(plan4).slot_map.values()
+        for slots in slot_pairs(plan4, decode_all(plan4)).tolist()
     }
-    reference = reference_table_rows("new_n4")
     ref_multiset = {
-        frozenset(frozenset(p) for p in zip(*[iter(row)] * 2))
-        for row in reference.values()
+        frozenset(frozenset(p) for p in row.reshape(-1, 2).tolist())
+        for row in reference_labels("new_n4").T
     }
     assert slot_multiset == ref_multiset
     _ok("C5", "(20 random ensembles x all outcomes, fidelity >= 1 - 1e-10)")
@@ -150,7 +151,7 @@ def test_c06_oracle_equivalence():
     for n in (4, 8):
         ensemble = random_ensemble(rng, n)
         padded, _, circuit, plan = plan_for(ensemble, "new", "standard")
-        _, full = measured_distribution(circuit, initial_state(padded, plan))
+        _, full = measured_distribution(circuit, tensor_product(input_factors(padded, plan)))
         model = oracle_distribution(padded, plan)
         tv = 0.5 * np.abs(full - model).sum()
         assert tv <= 1e-9, n
@@ -160,28 +161,17 @@ def test_c06_oracle_equivalence():
 
 
 def test_c07_pair_coverage_all_sizes():
-    for n in (4, 8, 16, 32):
-        table = derive_permutation_table(build_network(n)[1])
-        coverage = pair_coverage_map(table)
-        assert len(coverage) == n * (n - 1) // 2
-        assert all(coverage.values())
-    for n in (4, 8, 16):
-        coverage = san_pair_coverage(n)
-        assert len(coverage) == n * (n - 1) // 2
-        assert all(coverage.values())
     # the run path does not re-check coverage, so pin it up to the sizes the
     # oracle engine is used at, over every ancilla outcome via the decoder
-    for network, sizes in ((build_network, (64, 128, 256)), (build_san_network, (32, 64))):
-        for n in sizes:
+    sizes = ((build_network, (4, 8, 16, 32, 64, 128, 256)), (build_san_network, (4, 8, 16, 32, 64)))
+    for network, ns in sizes:
+        for n in ns:
             plan = network(n)[1]
-            d = plan.ancilla_count
-            outcomes = (np.arange(1 << d)[:, None] >> np.arange(d - 1, -1, -1)) & 1
-            labels = decode(plan, outcomes).astype(np.int64)
-            a = labels[[r - 1 for r, _ in plan.slots]]
-            b = labels[[r - 1 for _, r in plan.slots]]
-            pairs = np.unique(np.minimum(a, b) * (n + 1) + np.maximum(a, b))
-            assert len(pairs) == n * (n - 1) // 2, n
-            assert (a != b).all()
+            _, coverage = real_pair_coverage(plan)
+            assert len(coverage) == n * (n - 1) // 2, n
+            assert (coverage > 0).all(), n
+            # every (outcome, slot) entry tests a pair of distinct registers
+            assert coverage.sum() == len(plan.slots) << plan.ancilla_count, n
     _ok("C7", "(zero uncovered pairs, new n<=256 and baseline n<=64)")
 
 

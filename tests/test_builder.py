@@ -10,18 +10,17 @@ from multiswap.builder import (
     build_u4,
     build_un,
     decode,
-    derive_permutation_table,
-    initial_state,
+    decode_all,
+    input_factors,
     pad_inputs,
-    pair_coverage_map,
+    pair_coverage,
 )
-from multiswap.circuits import count_resources
-from multiswap.fixtures import reference_table_rows
+from multiswap.circuits import count_resources, index_bits
 from multiswap.san import build_san_network
-from multiswap.sim import measure_probabilities, project_qubits, run_statevector
+from multiswap.sim import measured_distribution, project_qubits, run_statevector
 from multiswap.states import StateEnsemble, exact_overlap, tensor_product
 
-from conftest import random_ensemble
+from conftest import random_ensemble, real_pair_coverage, reference_labels, slot_pairs
 
 
 def test_padding_noop_at_power_of_two(d0):
@@ -71,10 +70,10 @@ def test_u4_statevector_routes_per_outcome(d0):
     # force each ancilla outcome with X gates is unnecessary: project instead
     ensemble = StateEnsemble(d0.states[:4])
     circuit, plan = build_u4()
-    out = run_statevector(circuit, initial_state(ensemble, plan))
-    table = derive_permutation_table(plan)
-    for outcome, row in table.rows.items():
-        prob, rest = project_qubits(out, range(plan.ancilla_count), outcome)
+    out = run_statevector(circuit, input_factors(ensemble, plan))
+    d = plan.ancilla_count
+    for outcome, row in zip(index_bits(np.arange(1 << d), d), decode_all(plan).T.tolist()):
+        prob, rest = project_qubits(out, range(d), outcome)
         assert prob == pytest.approx(0.25, abs=1e-10)
         expected = tensor_product([ensemble.state(i) for i in row])
         assert exact_overlap(rest, expected) == pytest.approx(1.0, abs=1e-10)
@@ -82,98 +81,99 @@ def test_u4_statevector_routes_per_outcome(d0):
 
 def test_u4_table_matches_reference_exactly():
     _, plan = build_u4()
-    table = derive_permutation_table(plan)
-    assert table.rows == reference_table_rows("new_n4")
+    assert np.array_equal(decode_all(plan), reference_labels("new_n4"))
 
 
 def test_u4_slot_pairs(d0):
     _, plan = build_u4()
-    table = derive_permutation_table(plan)
-    assert table.slot_map["00"] == ((1, 2), (3, 4))
-    assert table.slot_map["01"] == ((1, 3), (2, 4))
-    assert table.slot_map["10"] == ((1, 4), (3, 2))
-    assert table.slot_map["11"] == ((1, 4), (2, 3))
+    pairs = slot_pairs(plan, decode_all(plan))
+    assert pairs[0b00].tolist() == [[1, 2], [3, 4]]
+    assert pairs[0b01].tolist() == [[1, 3], [2, 4]]
+    assert pairs[0b10].tolist() == [[1, 4], [3, 2]]
+    assert pairs[0b11].tolist() == [[1, 4], [2, 3]]
 
 
 def test_u8_table_matches_reference_except_flagged_row():
     _, plan = build_network(8)
-    derived = derive_permutation_table(plan).rows
-    reference = reference_table_rows("new_n8")
-    mismatches = [o for o in reference if derived[o] != reference[o]]
+    derived = decode_all(plan)
+    reference = reference_labels("new_n8")
+    mismatches = np.flatnonzero((derived != reference).any(axis=0)).tolist()
     # the reference prints 0011 as a duplicate of 0010; the circuit disagrees
     # there and only there, and even that row has the same unordered pairs
-    assert mismatches == ["0011"]
-    assert derived["0011"] == (1, 4, 2, 3, 5, 8, 6, 7)
-    ref_pairs = {frozenset(p) for p in zip(*[iter(reference["0011"])] * 2)}
-    drv_pairs = {frozenset(p) for p in zip(*[iter(derived["0011"])] * 2)}
+    assert mismatches == [0b0011]
+    assert derived[:, 0b0011].tolist() == [1, 4, 2, 3, 5, 8, 6, 7]
+    ref_pairs = {frozenset(p) for p in reference[:, 0b0011].reshape(-1, 2).tolist()}
+    drv_pairs = {frozenset(p) for p in derived[:, 0b0011].reshape(-1, 2).tolist()}
     assert ref_pairs == drv_pairs
 
 
 def test_u8_slot_pair_multisets_match_reference_per_outcome():
     _, plan = build_network(8)
-    table = derive_permutation_table(plan)
-    reference = reference_table_rows("new_n8")
-    for outcome, ref_row in reference.items():
-        ref_pairs = Counter(frozenset(p) for p in zip(*[iter(ref_row)] * 2))
-        drv_pairs = Counter(frozenset(p) for p in table.slot_map[outcome])
+    derived = slot_pairs(plan, decode_all(plan))
+    reference = reference_labels("new_n8")
+    for outcome, ref_row in enumerate(reference.T):
+        ref_pairs = Counter(frozenset(p) for p in ref_row.reshape(-1, 2).tolist())
+        drv_pairs = Counter(frozenset(p) for p in derived[outcome].tolist())
         assert drv_pairs == ref_pairs, outcome
 
 
 @pytest.mark.parametrize("n", [4, 8, 16, 32])
 def test_rows_are_bijections_fixing_register_one(n):
     _, plan = build_network(n)
-    table = derive_permutation_table(plan)
-    assert len(table.rows) == 2 ** (2 * (plan.k - 1))
-    for row in table.rows.values():
-        assert sorted(row) == list(range(1, n + 1))
-        assert row[0] == 1
+    labels = decode_all(plan)
+    assert labels.shape == (n, 2 ** (2 * (plan.k - 1)))
+    assert (np.sort(labels, axis=0) == np.arange(1, n + 1)[:, None]).all()
+    assert (labels[0] == 1).all()
 
 
 @pytest.mark.parametrize("n", [4, 8, 16, 32])
 def test_pair_coverage_complete(n):
     _, plan = build_network(n)
-    coverage = pair_coverage_map(derive_permutation_table(plan))
+    _, coverage = real_pair_coverage(plan)
     assert len(coverage) == n * (n - 1) // 2
-    assert all(coverage.values())
+    assert (coverage > 0).all()
 
 
 def test_identity_outcome_and_worked_slot_example():
     _, plan = build_network(8)
-    table = derive_permutation_table(plan)
-    assert table.rows["0000"] == (1, 2, 3, 4, 5, 6, 7, 8)
+    labels = decode_all(plan)
+    assert labels[:, 0b0000].tolist() == [1, 2, 3, 4, 5, 6, 7, 8]
     # the recorded run pools these two outcomes for pair (6,7) at slot 4
-    assert table.slot_map["0010"][3] == (7, 6)
-    assert table.slot_map["0011"][3] == (6, 7)
+    pairs = slot_pairs(plan, labels)
+    assert pairs[0b0010, 3].tolist() == [7, 6]
+    assert pairs[0b0011, 3].tolist() == [6, 7]
 
 
 def test_padded_coverage_excludes_pad_labels(d0):
     three = StateEnsemble(d0.states[:3])
     padded, mask = pad_inputs(three)
     _, plan = build_network(padded.n)
-    coverage = pair_coverage_map(derive_permutation_table(plan), mask)
-    assert sorted(coverage) == [(1, 2), (1, 3), (2, 3)]
+    pairs, coverage = real_pair_coverage(plan, mask)
+    assert pairs.tolist() == [[1, 2], [1, 3], [2, 3]]
+    assert (coverage > 0).all()
 
 
 @pytest.mark.parametrize("n", [4, 8])
 def test_statevector_agrees_with_decoder_on_random_ensembles(n):
     rng = np.random.default_rng(50 + n)
     circuit, plan = build_network(n)
-    table = derive_permutation_table(plan)
+    d = plan.ancilla_count
+    rows = decode_all(plan).T.tolist()
     for _ in range(3):
         ensemble = random_ensemble(rng, n)
-        out = run_statevector(circuit, initial_state(ensemble, plan))
-        for outcome, row in table.rows.items():
-            prob, rest = project_qubits(out, range(plan.ancilla_count), outcome)
-            assert prob == pytest.approx(2.0 ** -plan.ancilla_count, abs=1e-10)
+        out = run_statevector(circuit, input_factors(ensemble, plan))
+        for outcome, row in zip(index_bits(np.arange(1 << d), d), rows):
+            prob, rest = project_qubits(out, range(d), outcome)
+            assert prob == pytest.approx(2.0 ** -d, abs=1e-10)
             expected = tensor_product([ensemble.state(i) for i in row])
             assert exact_overlap(rest, expected) >= 1 - 1e-10
 
 
 def test_ancilla_marginal_is_uniform(d0):
     circuit, plan = build_network(8)
-    probs = measure_probabilities(circuit, initial_state(d0, plan))
+    _, probs = measured_distribution(circuit, input_factors(d0, plan))
     assert len(probs) == 16
-    assert all(p == pytest.approx(1 / 16, abs=1e-12) for p in probs.values())
+    assert probs == pytest.approx(np.full(16, 1 / 16), abs=1e-12)
 
 
 def test_full_circuit_layout_counts(d0):
@@ -253,7 +253,30 @@ def test_decode_rejects_bad_input_and_a_moved_register_one():
 def test_permutation_table_refuses_tables_over_the_limit(monkeypatch):
     _, plan = build_network(8)  # 2^4 outcomes x 8 registers = 128 labels
     monkeypatch.setattr(builder, "MAX_TABLE_ENTRIES", 128)
-    assert len(derive_permutation_table(plan).rows) == 16
+    assert decode_all(plan).shape == (8, 16)
     monkeypatch.setattr(builder, "MAX_TABLE_ENTRIES", 127)
     with pytest.raises(ValueError, match=r"2\^4 outcomes x 8 registers \(128 entries\)"):
-        derive_permutation_table(plan)
+        decode_all(plan)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        pair_coverage(plan)
+
+
+@pytest.mark.parametrize(
+    "network,n",
+    [(build_network, 2**k) for k in range(2, 6)]
+    + [(build_san_network, 2**k) for k in range(2, 5)],
+)
+def test_pair_coverage_counts_every_outcome_and_slot(network, n):
+    plan = network(n)[1]
+    d = plan.ancilla_count
+    expected = np.zeros((n, n), dtype=np.int64)
+    for bits in index_bits(np.arange(1 << d), d).tolist():
+        labels = _replay_outcome(plan, bits)
+        for a, b in plan.slots:
+            i, j = sorted((labels[a - 1], labels[b - 1]))
+            expected[i - 1, j - 1] += 1
+    coverage = pair_coverage(plan)
+    assert coverage.dtype == np.int64
+    assert np.array_equal(coverage, expected)
+    # n/2 slots per outcome in the new scheme, one in the baseline
+    assert coverage.sum() == (n // 2 if network is build_network else 1) << d

@@ -251,3 +251,40 @@ def test_replay_rejects_bad_tolerance(tolerance, capsys):
 def test_export_table_rejects_bad_width(width, capsys):
     assert main(["export-table", "--n", "8", "--width", width]) == 2
     assert "--width must be >= 1" in capsys.readouterr().err
+
+
+def test_counts_header_names_the_variant_the_counts_hold(tmp_path, capsys):
+    # the oracle engine emits standard-variant verdict bits whatever --final says
+    out = tmp_path / "run"
+    assert main(
+        ["estimate", "bundled", "--engine", "oracle", "--final", "destructive",
+         "--shots", "256", "--out-dir", str(out)]
+    ) == 0
+    lines = (out / "counts.txt").read_text().splitlines()
+    assert lines[0] == "# engine=oracle shots=256 seed=0 final=standard"
+    assert lines[1] == "layout: s1 s2 s3 s4 r1 r2 r3 r4"
+    replay_out = tmp_path / "replayed"
+    assert main(
+        ["replay", str(out / "counts.txt"), "bundled", "--out-dir", str(replay_out)]
+    ) == 0
+    est_rows = (out / "estimates.csv").read_text().splitlines()[1:]
+    rep_rows = (replay_out / "replay.csv").read_text().splitlines()[1:]
+    assert len(est_rows) == len(rep_rows) == 28
+    for est, rep in zip(est_rows, rep_rows):
+        assert rep.startswith(est)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_replay_rejects_non_finite_reference_values(value, tmp_path, capsys):
+    path = tmp_path / "reference.csv"
+    path.write_text(f"pair_i,pair_j,estimate\n1,2,0.4\n1,3,{value}\n")
+    assert main(["replay", "bundled", "bundled", "--reference", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "non-finite" in err and f"'{value}'" in err
+
+
+def test_replay_unknown_scheme_is_data_error(tmp_path, capsys):
+    bad = tmp_path / "counts.txt"
+    bad.write_text("layout: s1 s2 s3 s4 r1 r2 r3 r4\nscheme: bogus\n00000000 4\n")
+    assert main(["replay", str(bad), "bundled"]) == 3
+    assert "data error" in capsys.readouterr().err

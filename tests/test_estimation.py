@@ -14,9 +14,9 @@ from multiswap.estimation import (
     tally,
 )
 from multiswap.fixtures import reference_counts, reference_estimates
-from multiswap.builder import initial_state
+from multiswap.builder import input_factors
 from multiswap.sim import measured_distribution
-from multiswap.states import StateEnsemble, basis_state, exact_overlap
+from multiswap.states import StateEnsemble, basis_state, exact_overlap, tensor_product
 
 from conftest import outcome_count, random_ensemble
 
@@ -123,7 +123,7 @@ def test_oracle_distribution_matches_full_circuit(n):
     rng = np.random.default_rng(60 + n)
     ensemble = random_ensemble(rng, n)
     padded, _, circuit, plan = plan_for(ensemble, "new", "standard")
-    _, full = measured_distribution(circuit, initial_state(padded, plan))
+    _, full = measured_distribution(circuit, tensor_product(input_factors(padded, plan)))
     model = oracle_distribution(padded, plan)
     tv = 0.5 * np.abs(full - model).sum()
     assert tv <= 1e-9

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from multiswap.builder import build_u4, derive_permutation_table
+from multiswap.builder import build_u4, decode_all
 from multiswap.estimation import CountsTable
 from multiswap.fileio import (
     DataError,
@@ -85,6 +85,15 @@ def test_counts_wrong_bitstring_length(tmp_path):
         read_counts(path)
 
 
+def test_counts_unknown_scheme_is_data_error(tmp_path):
+    path = tmp_path / "counts.txt"
+    path.write_text("layout: a b\nscheme: bogus\n10 4\n")
+    with pytest.raises(DataError, match="unknown scheme 'bogus'"):
+        read_counts(path)
+    path.write_text("layout: a b\nscheme:\n10 4\n")
+    assert read_counts(path).scheme == ""
+
+
 def test_counts_malformed_line(tmp_path):
     path = tmp_path / "counts.txt"
     path.write_text("layout: a\nscheme: new\n2 4\n")
@@ -94,10 +103,8 @@ def test_counts_malformed_line(tmp_path):
 
 def test_table_export_includes_reference_mismatches():
     _, plan = build_u4()
-    table = derive_permutation_table(plan)
-    doc = table_to_dict(
-        table, scheme="new", reference_rows=reference_table_rows("new_n4")
-    )
+    doc = table_to_dict(plan, decode_all(plan), reference_rows=reference_table_rows("new_n4"))
+    assert doc["scheme"] == "new"
     assert doc["n"] == 4
     assert doc["rows"]["01"]["permutation"] == [1, 3, 2, 4]
     assert doc["rows"]["01"]["slot_pairs"] == [[1, 3], [2, 4]]

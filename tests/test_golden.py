@@ -22,6 +22,10 @@ RUNS = {
     "estimate_oracle": ["estimate", "bundled", "--engine", "oracle"],
     "replay_bundled": ["replay", "bundled", "bundled", "--reference", "bundled"],
     "export_table_n8": ["export-table", "--n", "8"],
+    # the san n=4 table differs from its bundled reference in row 010, so its
+    # reference_mismatches list is non-empty; n=16 has no reference at all
+    "export_table_san_n4": ["export-table", "--n", "4", "--scheme", "san"],
+    "export_table_n16": ["export-table", "--n", "16"],
 }
 
 DIGESTS = {
@@ -39,6 +43,8 @@ DIGESTS = {
     ("estimate_oracle", "scatter.csv"): "7acde1bae1322eae5fdd9bb295859460aa97986acf224761bd73b95dce33c68e",
     ("replay_bundled", "replay.csv"): "c97ba0997df39beb7cabf417fb3efa4a70bdac3aadf3b9d0409ae22473bbf793",
     ("export_table_n8", "table.json"): "71909173008d53e56b80680bac35761080d6c2d884a6f63cb673e2a27752738c",
+    ("export_table_san_n4", "table.json"): "0a58bc06ecbfec6b5b3a1ed5b4c5eae4e043a588123aa271b2339c1bfaa77836",
+    ("export_table_n16", "table.json"): "c54aa2613c2d0a1859d57497c0e0be0ffc2f49ab2c2be7771538a0b57f4e2852",
 }
 
 

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from multiswap.builder import derive_permutation_table, pair_coverage_map
+from multiswap.builder import decode_all, pair_coverage
 from multiswap.circuits import count_resources
 from multiswap.fixtures import reference_table_rows
 from multiswap.san import (
@@ -9,9 +10,10 @@ from multiswap.san import (
     build_san_network,
     build_san_u4,
     build_san_un,
-    san_pair_coverage,
     search_u4_wirings,
 )
+
+from conftest import real_pair_coverage
 
 
 def test_block_anchor_rows():
@@ -53,14 +55,15 @@ def test_u8_explicit_counts():
 
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_every_pair_reaches_the_measured_slot(n):
-    coverage = san_pair_coverage(n)
+    _, coverage = real_pair_coverage(build_san_network(n)[1])
     assert len(coverage) == n * (n - 1) // 2
-    assert all(coverage.values())
+    assert (coverage > 0).all()
 
 
 def test_pair_one_two_has_single_covering_outcome():
-    coverage = san_pair_coverage(4)
-    assert coverage[(1, 2)] == [("000", 0)]
+    _, plan = build_san_network(4)
+    assert pair_coverage(plan)[0, 1] == 1
+    assert decode_all(plan)[:2, 0b000].tolist() == [1, 2]
 
 
 def test_single_slot_one_verdict_per_shot():
@@ -72,10 +75,9 @@ def test_single_slot_one_verdict_per_shot():
 
 def test_rows_are_bijections():
     _, plan = build_san_network(8)
-    table = derive_permutation_table(plan)
-    assert len(table.rows) == 64
-    for row in table.rows.values():
-        assert sorted(row) == list(range(1, 9))
+    labels = decode_all(plan)
+    assert labels.shape == (8, 64)
+    assert (np.sort(labels, axis=0) == np.arange(1, 9)[:, None]).all()
 
 
 def test_u4_builder_shape():
@@ -89,6 +91,6 @@ def test_u4_builder_shape():
 
 def test_padded_coverage_excludes_pads():
     _, plan = build_san_network(8)
-    coverage = pair_coverage_map(derive_permutation_table(plan), (7, 8))
+    _, coverage = real_pair_coverage(plan, (7, 8))
     assert len(coverage) == 15
-    assert all(coverage.values())
+    assert (coverage > 0).all()

@@ -14,10 +14,9 @@ from multiswap.builder import build_un, input_factors
 from multiswap.circuits import GATE_ARITY, CircuitIR, Gate
 from multiswap.sim import (
     measured_distribution,
-    measure_probabilities,
     project_qubits,
     run_statevector,
-    sample_shots,
+    sample_from_distribution,
 )
 from multiswap.san import build_san_un
 from multiswap.states import PureState, basis_state, normalize, tensor_product
@@ -92,26 +91,28 @@ def test_unitarity_on_random_circuits():
         assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_measure_probabilities_identical_states():
+def test_measured_distribution_identical_states():
     circuit = build_swap_test("standard", 1)
     rng = np.random.default_rng(5)
     s = random_state(rng, 1)
-    probs = measure_probabilities(circuit, pair_input("standard", s, s))
-    assert probs["0"] == pytest.approx(1.0, abs=1e-10)
+    _, probs = measured_distribution(circuit, pair_input("standard", s, s))
+    assert probs[0] == pytest.approx(1.0, abs=1e-10)
 
 
-def test_measure_probabilities_recorded_pair():
+def test_measured_distribution_recorded_pair():
     a = normalize([0.0864, 0.9963])
     b = normalize([0.8391, 0.5440])
     circuit = build_swap_test("standard", 1)
-    probs = measure_probabilities(circuit, pair_input("standard", a, b))
-    assert probs["0"] == pytest.approx((1 + 0.3774) / 2, abs=5e-4)
+    _, probs = measured_distribution(circuit, pair_input("standard", a, b))
+    assert probs[0] == pytest.approx((1 + 0.3774) / 2, abs=5e-4)
 
 
-def test_measure_probabilities_orthogonal():
+def test_measured_distribution_orthogonal():
     circuit = build_swap_test("standard", 1)
-    probs = measure_probabilities(circuit, pair_input("standard", basis_state(1, 0), basis_state(1, 1)))
-    assert probs["0"] == pytest.approx(0.5, abs=1e-12)
+    _, probs = measured_distribution(
+        circuit, pair_input("standard", basis_state(1, 0), basis_state(1, 1))
+    )
+    assert probs[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_probabilities_sum_to_one():
@@ -121,42 +122,51 @@ def test_probabilities_sum_to_one():
         [Gate("H", (0,)), Gate("CNOT", (0, 1)), Gate("CCZ", (0, 1, 2))],
         [(0, "a"), (1, "b"), (2, "c")],
     )
-    probs = measure_probabilities(circuit, random_state(rng, 3))
-    assert sum(probs.values()) == pytest.approx(1.0, abs=1e-10)
+    _, probs = measured_distribution(circuit, random_state(rng, 3))
+    assert probs.sum() == pytest.approx(1.0, abs=1e-10)
 
 
 def test_empty_measurement_set_rejected():
     with pytest.raises(ValueError, match="no measured"):
-        measure_probabilities(_circuit(1, []), basis_state(1))
+        measured_distribution(_circuit(1, []), basis_state(1))
 
 
 def test_label_order_defines_bit_order():
     # measure in reversed qubit order: first label takes the leftmost bit
     circuit = _circuit(2, [Gate("X", (1,))], [(1, "b"), (0, "a")])
-    probs = measure_probabilities(circuit, basis_state(2))
-    assert probs == {"10": pytest.approx(1.0)}
+    labels, probs = measured_distribution(circuit, basis_state(2))
+    assert labels == ("b", "a")
+    assert np.flatnonzero(probs).tolist() == [0b10]
+    assert probs[0b10] == pytest.approx(1.0)
+
+
+def _sample_counts(circuit, state, shots, seed) -> np.ndarray:
+    """Shots per outcome index, drawn the way the estimation path draws."""
+    labels, probs = measured_distribution(circuit, state)
+    idx = sample_from_distribution(probs, shots, seed)
+    return np.bincount(idx, minlength=1 << len(labels))
 
 
 def test_sampling_frequency_tracks_probability():
     circuit = _circuit(1, [Gate("H", (0,))], [(0, "m")])
-    counts = sample_shots(circuit, basis_state(1), 10**6, seed=123)
-    freq = counts["0"] / 10**6
+    counts = _sample_counts(circuit, basis_state(1), 10**6, seed=123)
+    freq = counts[0] / 10**6
     assert 0.497 <= freq <= 0.503  # 3 sigma around 0.5
 
 
 def test_sampling_deterministic_circuit():
     circuit = _circuit(2, [Gate("X", (0,))], [(0, "a"), (1, "b")])
-    counts = sample_shots(circuit, basis_state(2), 500, seed=9)
-    assert counts == {"10": 500}
+    counts = _sample_counts(circuit, basis_state(2), 500, seed=9)
+    assert counts.tolist() == [0, 0, 500, 0]
 
 
 def test_sampling_same_seed_same_multiset():
     circuit = _circuit(2, [Gate("H", (0,)), Gate("CNOT", (0, 1))], [(0, "a"), (1, "b")])
-    first = sample_shots(circuit, basis_state(2), 4096, seed=77)
-    second = sample_shots(circuit, basis_state(2), 4096, seed=77)
-    assert first == second
-    third = sample_shots(circuit, basis_state(2), 4096, seed=78)
-    assert first != third
+    first = _sample_counts(circuit, basis_state(2), 4096, seed=77)
+    second = _sample_counts(circuit, basis_state(2), 4096, seed=77)
+    assert np.array_equal(first, second)
+    third = _sample_counts(circuit, basis_state(2), 4096, seed=78)
+    assert not np.array_equal(first, third)
 
 
 def test_project_qubits_conditions_and_normalizes():

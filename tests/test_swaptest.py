@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from multiswap.sim import measure_probabilities
+from multiswap.circuits import index_bits
+from multiswap.sim import measured_distribution
 from multiswap.states import basis_state, normalize
 from multiswap.swaptest import (
     VARIANTS,
@@ -60,26 +61,29 @@ def test_standard_recorded_pair_success_probability():
 def test_destructive_orthogonal_inputs():
     # brute-force check on basis states: both-ones outcome has probability 1/2
     circuit = build_swap_test("destructive", 1)
-    probs = measure_probabilities(
+    _, probs = measured_distribution(
         circuit, pair_input("destructive", basis_state(1, 0), basis_state(1, 1))
     )
-    assert probs.get("11", 0.0) == pytest.approx(0.5, abs=1e-12)
+    assert probs[0b11] == pytest.approx(0.5, abs=1e-12)
     assert verdict_probability("destructive", basis_state(1, 0), basis_state(1, 1)) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_destructive_decode_layout():
-    assert destructive_decode("0000", 2) == 0
-    assert destructive_decode("1101", 2) == 1  # pairs (1,0) and (1,1): one AND fires
-    assert destructive_decode("1111", 2) == 0  # two ANDs cancel under parity
+    rows = [
+        [0, 0, 0, 0],
+        [1, 1, 0, 1],  # pairs (1,0) and (1,1): one AND fires
+        [1, 1, 1, 1],  # two ANDs cancel under parity
+    ]
+    assert destructive_decode(rows, 2).tolist() == [0, 1, 0]
     with pytest.raises(ValueError, match="expected 4 bits"):
-        destructive_decode("111", 2)
+        destructive_decode([[1, 1, 1]], 2)
 
 
 def test_destructive_decode_identical_basis_states():
     circuit = build_swap_test("destructive", 2)
     s = basis_state(2, 3)
-    probs = measure_probabilities(circuit, pair_input("destructive", s, s))
-    fail = sum(p for bits, p in probs.items() if destructive_decode(bits, 2) == 1)
+    _, probs = measured_distribution(circuit, pair_input("destructive", s, s))
+    fail = probs[destructive_decode(index_bits(np.arange(16), 4), 2) == 1].sum()
     assert fail == pytest.approx(0.0, abs=1e-12)
 
 
