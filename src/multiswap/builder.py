@@ -256,18 +256,27 @@ def decode(plan: LayoutPlan, ancilla_bits) -> np.ndarray:
     the authoritative decoder: a classical replay of
     ``plan.controlled_swaps``, the same wiring that generates the gates,
     never transcribed from any reference table.
+
+    Each controlled swap exchanges two label rows in place by masked XOR,
+    the mask being all ones in the columns whose ancilla fired.
     """
     fire = np.asarray(ancilla_bits, dtype=bool)
     if fire.ndim != 2 or fire.shape[1] != plan.ancilla_count:
         raise ValueError(
             f"ancilla bits must have {plan.ancilla_count} columns, got shape {fire.shape}"
         )
-    fire = np.ascontiguousarray(fire.T)
-    labels = np.arange(1, plan.n + 1, dtype=np.min_scalar_type(plan.n))
-    labels = np.repeat(labels[:, None], fire.shape[1], axis=1)
+    dtype = np.min_scalar_type(plan.n)
+    masks = fire.T.astype(dtype, order="C")
+    masks *= np.iinfo(dtype).max
+    labels = np.arange(1, plan.n + 1, dtype=dtype)
+    labels = np.repeat(labels[:, None], fire.shape[0], axis=1)
+    scratch = np.empty(fire.shape[0], dtype=dtype)
     for anc, ra, rb in plan.controlled_swaps:
         a, b = labels[ra - 1], labels[rb - 1]
-        labels[ra - 1], labels[rb - 1] = np.where(fire[anc], b, a), np.where(fire[anc], a, b)
+        np.bitwise_xor(a, b, out=scratch)
+        scratch &= masks[anc]
+        a ^= scratch
+        b ^= scratch
     if plan.scheme == "new" and (labels[0] != 1).any():
         moved = np.flatnonzero(labels[0] != 1)[:4]
         raise AssertionError(f"register 1 moved under outcome rows {moved.tolist()}")

@@ -58,12 +58,21 @@ class CountsTable:
             raise ValueError("counts need one entry per outcome row")
         if (counts < 0).any():
             raise ValueError("counts must be non-negative")
-        packed = np.packbits(bits, axis=1)
-        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-        distinct, inverse = np.unique(keys, return_inverse=True)
-        merged = np.zeros(len(distinct), dtype=np.int64)
-        np.add.at(merged, inverse, counts)
-        rows = distinct.view(np.uint8).reshape(len(distinct), packed.shape[1])
+        # each row as big-endian 64-bit words: comparing words compares bitstrings
+        nbytes = -(-width // 64) * 8
+        packed = np.zeros((len(bits), nbytes), dtype=np.uint8)
+        packed[:, : -(-width // 8)] = np.packbits(bits, axis=1)
+        words = packed.view(">u8").astype(np.uint64)
+        if words.shape[1] == 1:
+            order = np.argsort(words[:, 0])
+        else:
+            order = np.lexsort(words.T[::-1])
+        words = words[order]
+        starts = np.ones(len(words), dtype=bool)
+        starts[1:] = (words[1:] != words[:-1]).any(axis=1)
+        first = np.flatnonzero(starts)
+        merged = np.add.reduceat(counts[order], first)
+        rows = packed[order[first]]
         object.__setattr__(self, "bits", np.unpackbits(rows, axis=1, count=width))
         object.__setattr__(self, "counts", merged)
 
@@ -174,28 +183,34 @@ def tally(
     starts = np.ones(len(ancilla), dtype=bool)
     starts[1:] = np.any(ancilla[1:] != ancilla[:-1], axis=1)
     group = np.cumsum(starts) - 1
-    groups = int(starts.sum())
-    labels = decode(plan, ancilla[starts])
-    shots = np.bincount(group, weights=counts.counts, minlength=groups)
-    sampled = np.zeros((n + 1) ** 2)
-    failed = np.zeros((n + 1) ** 2)
+    heads = np.flatnonzero(starts)
+    labels = decode(plan, ancilla[heads])
+    shots = np.add.reduceat(counts.counts, heads)
+    if plan.final_variant == "standard":
+        verdicts = data
+    else:
+        registers = [[(r - 1) * w + k for r in slot for k in range(w)] for slot in plan.slots]
+        verdicts = destructive_decode(data[:, registers].reshape(-1, 2 * w), w)
+        verdicts = verdicts.reshape(len(data), len(plan.slots))
+    failing = np.ascontiguousarray(verdicts.T)  # one row of verdicts per slot
+    # totals per ordered label pair (a, b) at index a * (n + 1) + b
+    sampled = np.zeros((n + 1) ** 2, dtype=np.int64)
+    failed = np.zeros((n + 1) ** 2, dtype=np.int64)
     for s, (ra, rb) in enumerate(plan.slots):
-        if plan.final_variant == "standard":
-            verdict = data[:, s]
-        else:
-            registers = [data[:, (r - 1) * w : r * w] for r in (ra, rb)]
-            verdict = destructive_decode(np.hstack(registers), w)
-        a, b = labels[ra - 1].astype(np.intp), labels[rb - 1].astype(np.intp)
-        pair = np.minimum(a, b) * (n + 1) + np.maximum(a, b)
+        pair = labels[ra - 1].astype(np.intp)
+        pair *= n + 1
+        pair += labels[rb - 1]
         np.add.at(sampled, pair, shots)
-        fails = np.bincount(group, weights=counts.counts * verdict, minlength=groups)
-        np.add.at(failed, pair, fails)
+        rows = np.flatnonzero(failing[s])
+        np.add.at(failed, pair[group[rows]], counts.counts[rows])
+    # a pair counts in either order
+    sampled = sampled.reshape(n + 1, n + 1) + sampled.reshape(n + 1, n + 1).T
+    failed = failed.reshape(n + 1, n + 1) + failed.reshape(n + 1, n + 1).T
     real = np.setdiff1d(np.arange(1, n + 1), pad_labels)
     first, second = np.triu_indices(len(real), k=1)
     pairs = np.stack([real[first], real[second]], axis=1)
-    index = pairs[:, 0] * (n + 1) + pairs[:, 1]
-    t1 = failed[index].astype(np.int64)
-    t0 = sampled[index].astype(np.int64) - t1
+    t1 = failed[pairs[:, 0], pairs[:, 1]]
+    t0 = sampled[pairs[:, 0], pairs[:, 1]] - t1
     return pairs, t0, t1
 
 
@@ -224,17 +239,15 @@ def oracle_sample(
     d = plan.ancilla_count
     labels = replace(plan, final_variant="standard").measured_labels()
     rng = shot_rng(seed)
-    chunks = []
+    rows = np.empty((shots, len(labels)), dtype=np.uint8)
     for start in range(0, shots, _ORACLE_CHUNK):
-        m = min(_ORACLE_CHUNK, shots - start)
-        anc = rng.integers(0, 1 << d, size=m)
+        chunk = rows[start : start + _ORACLE_CHUNK]
+        anc = rng.integers(0, 1 << d, size=len(chunk))
         outcomes, which = np.unique(anc, return_inverse=True)
         p0 = _slot_success(ensemble, plan, outcomes)[which]
-        fails = rng.random((m, len(plan.slots))) >= p0
-        rows = np.hstack([index_bits(anc, d), fails.astype(np.uint8)])
-        chunks.append(CountsTable(labels, plan.scheme, rows, np.ones(m, dtype=np.int64)))
-    bits = np.concatenate([c.bits for c in chunks])
-    return CountsTable(labels, plan.scheme, bits, np.concatenate([c.counts for c in chunks]))
+        chunk[:, :d] = index_bits(anc, d)
+        chunk[:, d:] = rng.random(p0.shape) >= p0
+    return CountsTable(labels, plan.scheme, rows, np.ones(shots, dtype=np.int64))
 
 
 def oracle_distribution(ensemble: StateEnsemble, plan: LayoutPlan) -> np.ndarray:
@@ -345,10 +358,16 @@ class ReplayReport:
 
 
 def _aligned(reference: dict[tuple[int, int], float], pairs: np.ndarray) -> np.ndarray:
-    """Reference values at each row of ``pairs``; NaN where a pair is absent."""
+    """Reference values at each row of ``pairs``; NaN where a pair is absent.
+
+    A key (i, j) names the unordered pair, so (2, 1) stands for (1, 2); a
+    pair keyed both ways round is an error.
+    """
     n = int(pairs.max())
     table = np.full((n + 1, n + 1), np.nan)
-    keys = np.array(list(reference), dtype=np.int64).reshape(-1, 2)
+    keys = np.sort(np.array(list(reference), dtype=np.int64).reshape(-1, 2), axis=1)
+    if len(np.unique(keys, axis=0)) < len(keys):
+        raise ValueError("reference lists a pair in both orders")
     values = np.fromiter(reference.values(), dtype=float, count=len(reference))
     known = ((keys >= 1) & (keys <= n)).all(axis=1)
     table[keys[known, 0], keys[known, 1]] = values[known]

@@ -77,54 +77,101 @@ def save_states(path, ensemble: StateEnsemble, **extra) -> None:
 
 
 def read_counts(path) -> CountsTable:
-    """Parse a counts file; duplicate bitstring lines merge by summation."""
+    """Parse a counts file; duplicate bitstring lines merge by summation.
+
+    Data lines are gathered in one pass and checked in bulk: a bitstring
+    holds only 0s and 1s and a count only ASCII digits. The line number of
+    a malformed line is looked up only to report it.
+    """
     path = Path(path)
+    lines = path.read_text().splitlines()
     labels: tuple[str, ...] | None = None
     scheme = ""
-    keys: list[str] = []
-    values: list[int] = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    fields: list[list[str]] = []
+    for raw in lines:
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
-        if line.startswith("layout:"):
-            labels = tuple(line[len("layout:") :].split())
-            continue
-        if line.startswith("scheme:"):
-            scheme = line[len("scheme:") :].strip()
-            continue
-        parts = line.split()
-        if len(parts) != 2 or set(parts[0]) - {"0", "1"} or not parts[1].isdigit():
-            raise DataError(f"{path}:{lineno}: expected '<bitstring> <count>', got {raw!r}")
-        keys.append(parts[0])
-        values.append(int(parts[1]))
+        if parts[0].startswith("layout:"):
+            labels = tuple(raw.strip()[len("layout:") :].split())
+        elif parts[0].startswith("scheme:"):
+            scheme = raw.strip()[len("scheme:") :].strip()
+        else:
+            fields.append(parts)
+    shaped = not set(map(len, fields)) - {2}
+    keys, values = zip(*fields) if fields and shaped else ((), ())
+    text, digits = "".join(keys), "".join(values)
+    codes = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8) - ord("0")
+    if not shaped or (codes > 1).any() or digits and not (digits.isascii() and digits.isdigit()):
+        lineno, raw = _first_malformed(lines)
+        raise DataError(f"{path}:{lineno}: expected '<bitstring> <count>', got {raw!r}")
     if not labels:
         raise DataError(f"{path}: missing or empty 'layout:' header")
     if scheme and scheme not in SCHEMES:
         raise DataError(f"{path}: unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    bad = [key for key in keys if len(key) != len(labels)]
-    if bad:
+    if set(map(len, keys)) - {len(labels)}:
+        length = next(len(key) for key in keys if len(key) != len(labels))
         raise DataError(
-            f"{path}: bitstring length {len(bad[0])} does not match the "
+            f"{path}: bitstring length {length} does not match the "
             f"{len(labels)}-bit layout ({' '.join(labels)})"
         )
-    if any(v >= 1 << 63 for v in values):
-        raise DataError(f"{path}: a count exceeds the 64-bit range")
-    text = np.frombuffer("".join(keys).encode("ascii"), dtype=np.uint8)
-    bits = text.reshape(len(keys), len(labels)) - ord("0")
-    return CountsTable(labels, scheme, bits, np.array(values, dtype=np.int64))
+    try:
+        counts = np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise DataError(f"{path}: a count exceeds the 64-bit range") from None
+    return CountsTable(labels, scheme, codes.reshape(len(keys), len(labels)), counts)
+
+
+def _first_malformed(lines: list[str]) -> tuple[int, str]:
+    """1-based number and text of the first data line that is not one
+    bitstring of 0s and 1s and one count of ASCII digits."""
+    for lineno, raw in enumerate(lines, start=1):
+        parts = raw.split()
+        if not parts or parts[0].startswith(("#", "layout:", "scheme:")):
+            continue
+        if (
+            len(parts) != 2 or parts[0].strip("01")
+            or not (parts[1].isascii() and parts[1].isdigit())
+        ):
+            return lineno, raw
+    raise ValueError("no malformed data line")
+
+
+#: bytes of counts-file lines ``write_counts`` formats at once
+_WRITE_BLOCK = 1 << 22
 
 
 def write_counts(path, counts: CountsTable, *, comments: tuple[str, ...] = ()) -> None:
-    """Write counts as ``<bitstring> <count>`` lines in the table's row order."""
-    lines = [f"# {c}" for c in comments]
-    lines.append("layout: " + " ".join(counts.labels))
-    lines.append(f"scheme: {counts.scheme}")
+    """Write counts as ``<bitstring> <count>`` lines in the table's row order.
+
+    Rows go out in blocks, each one byte matrix of bits, a space, the
+    right-aligned count digits and a newline, from which the digits' leading
+    padding is dropped.
+    """
+    header = [f"# {c}" for c in comments]
+    header += ["layout: " + " ".join(counts.labels), f"scheme: {counts.scheme}"]
     width = len(counts.labels)
-    text = (counts.bits + ord("0")).tobytes().decode("ascii")
-    for row, count in enumerate(counts.counts.tolist()):
-        lines.append(f"{text[row * width : (row + 1) * width]} {count}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    # a line is at most the bits, a space, 19 digits and a newline
+    rows = max(1, _WRITE_BLOCK // (width + 21))
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(header) + "\n").encode())
+        for start in range(0, len(counts.counts), rows):
+            bits = counts.bits[start : start + rows]
+            values = counts.counts[start : start + rows]
+            places = len(str(values.max()))
+            line = np.empty((len(values), width + places + 2), dtype=np.uint8)
+            line[:, :width] = bits + ord("0")
+            line[:, width] = ord(" ")
+            rest = values.copy()
+            for place in range(width + places, width, -1):
+                line[:, place] = rest % 10 + ord("0")
+                rest //= 10
+            line[:, -1] = ord("\n")
+            # keep a count's digits from its most significant one on
+            keep = np.ones(line.shape, dtype=bool)
+            powers = 10 ** np.arange(places - 1, 0, -1, dtype=np.int64)
+            keep[:, width + 1 : width + places] = values[:, None] >= powers
+            fh.write(line[keep].tobytes())
 
 
 def table_to_dict(
@@ -174,38 +221,78 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _cells(values) -> list[str]:
+def _quote(text: str) -> str:
+    """csv's QUOTE_MINIMAL rule: quote a cell holding a comma, a double
+    quote or a line break, doubling its double quotes."""
+    if any(char in text for char in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _cells(column: np.ndarray) -> list[str]:
     """One column's CSV text: ints with ``str``, floats with ``.10g`` and NaN
-    as an empty cell, anything else (None, bools, strings) by ``_fmt``."""
-    column = np.asarray(values)
-    if column.dtype.kind in "iu":
-        return list(map(str, column.tolist()))
-    if column.dtype.kind == "f":
-        text = np.array(list(map("{:.10g}".format, column.tolist())), dtype=object)
-        text[np.isnan(column)] = ""
-        return text.tolist()
-    return list(map(_fmt, column.tolist()))
+    as an empty cell, anything else (None, bools, strings) by ``_fmt`` and
+    quoted. Each distinct value is formatted once, numbers in one ``%``
+    call per column."""
+    kind = column.dtype.kind
+    if kind in "iu":
+        distinct, where = np.unique(column, return_inverse=True)
+        text = "%d\n" * len(distinct) % tuple(distinct.tolist())
+    elif kind == "f":
+        # distinct bit patterns keep 0.0 and -0.0 apart; only NaN gives "nan"
+        bits = column.astype(np.float64, copy=False).view(np.uint64)
+        distinct, where = np.unique(bits, return_inverse=True)
+        values = tuple(distinct.view(np.float64).tolist())
+        text = ("%.10g\n" * len(values) % values).replace("nan", "")
+    else:
+        if kind == "U":
+            cells = column.tolist()
+        elif kind == "b":
+            cells = np.where(column, "true", "false").tolist()
+        else:
+            cells = list(map(_fmt, column.tolist()))
+        quoted = {cell: _quote(cell) for cell in set(cells)}
+        return list(map(quoted.__getitem__, cells))
+    return np.array(text.split("\n")[:-1], dtype=object)[where].tolist()
+
+
+def _csv_lines(cells: list[list[str]]) -> list[str]:
+    """Rows of cell columns joined by commas; like csv, a record that is one
+    empty field is written as ``""``."""
+    lines = list(map(",".join, zip(*cells)))
+    if len(cells) == 1:
+        lines = [line or '""' for line in lines]
+    return lines
+
+
+#: rows ``write_csv`` formats at once
+_CSV_BLOCK = 1 << 16
 
 
 def write_csv(path, columns: dict) -> None:
     """Write named, equal-length columns as CSV: a header row of the names,
-    then one row per index."""
-    cells = [_cells(values) for values in columns.values()]
-    if len({len(column) for column in cells}) > 1:
+    then one row per index, each ended by CRLF as ``csv.writer`` does."""
+    data = [np.asarray(values) for values in columns.values()]
+    if len({len(column) for column in data}) > 1:
         raise ValueError("CSV columns differ in length")
+    rows = len(data[0]) if data else 0
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(zip(*cells))
+        header = _csv_lines([[_quote(str(name))] for name in columns]) or [""]
+        fh.write(header[0] + "\r\n")
+        for start in range(0, rows, _CSV_BLOCK):
+            block = [_cells(column[start : start + _CSV_BLOCK]) for column in data]
+            fh.write("\r\n".join(_csv_lines(block)) + "\r\n")
 
 
 def read_reference_estimates(path) -> dict[tuple[int, int], float]:
     """Reference values keyed by pair from a CSV with pair_i,pair_j columns.
 
-    Uses the ``estimate`` column if present, else ``value``; a value that
-    is not a finite number is a data error.
+    Uses the ``estimate`` column if present, else ``value``. A row names an
+    unordered pair, so ``2,1`` stands for (1, 2). A value that is not a
+    finite number, or a pair listed twice in either order, is a data error.
     """
     out: dict[tuple[int, int], float] = {}
+    seen: set[tuple[int, int]] = set()
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
@@ -216,4 +303,8 @@ def read_reference_estimates(path) -> dict[tuple[int, int], float]:
                 raise DataError(f"{path}: bad reference row {row!r}") from exc
             if not math.isfinite(out[pair]):
                 raise DataError(f"{path}: non-finite reference value in row {row!r}")
+            unordered = (min(pair), max(pair))
+            if unordered in seen:
+                raise DataError(f"{path}: pair {unordered} listed twice, in row {row!r}")
+            seen.add(unordered)
     return out

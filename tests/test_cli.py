@@ -288,3 +288,39 @@ def test_replay_unknown_scheme_is_data_error(tmp_path, capsys):
     bad.write_text("layout: s1 s2 s3 s4 r1 r2 r3 r4\nscheme: bogus\n00000000 4\n")
     assert main(["replay", str(bad), "bundled"]) == 3
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", ["²", "١٢"], ids=["superscript", "arabic_indic"])
+def test_replay_non_ascii_count_is_data_error(count, tmp_path, capsys):
+    bad = tmp_path / "counts.txt"
+    bad.write_text(
+        f"layout: s1 s2 s3 s4 r1 r2 r3 r4\nscheme: new\n00000000 4\n00000000 {count}\n",
+        encoding="utf-8",
+    )
+    assert main(["replay", str(bad), "bundled"]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and f"{bad}:4: expected '<bitstring> <count>'" in err
+
+
+def test_replay_reads_reversed_reference_pairs(tmp_path, capsys):
+    reversed_ref, ordered_ref = tmp_path / "reversed.csv", tmp_path / "ordered.csv"
+    reversed_ref.write_text("pair_i,pair_j,estimate\n2,1,0.9\n")
+    ordered_ref.write_text("pair_i,pair_j,estimate\n1,2,0.9\n")
+    for path in (reversed_ref, ordered_ref):
+        out = tmp_path / path.stem
+        assert main(["replay", "bundled", "bundled", "--reference", str(path),
+                     "--out-dir", str(out)]) == 0
+    assert (tmp_path / "reversed" / "replay.csv").read_bytes() == (
+        tmp_path / "ordered" / "replay.csv"
+    ).read_bytes()
+    row = (tmp_path / "reversed" / "replay.csv").read_text().splitlines()[1]
+    assert row.startswith("1,2,") and row.endswith(",0.9,0.5040856031,deviates")
+
+
+@pytest.mark.parametrize("second", ["1,2", "2,1"], ids=["same_order", "reversed"])
+def test_replay_rejects_a_reference_pair_listed_twice(second, tmp_path, capsys):
+    path = tmp_path / "reference.csv"
+    path.write_text(f"pair_i,pair_j,estimate\n1,2,0.4\n{second},0.4\n")
+    assert main(["replay", "bundled", "bundled", "--reference", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "pair (1, 2) listed twice" in err

@@ -215,8 +215,8 @@ def test_replay_recorded_run_against_published_estimates(d0):
 def test_replay_aligns_reference_with_pairs(d0):
     counts = reference_counts()
     _, _, _, plan = plan_for(d0, "new", "standard")
-    # labels outside 1..8 and reversed pairs match no row
-    reference = {(6, 7): 0.5, (0, 1): 0.5, (8, 9): 0.5, (7, 6): 0.5}
+    # labels outside 1..8 match no row; a reversed key names the same pair
+    reference = {(7, 6): 0.5, (0, 1): 0.5, (8, 9): 0.5}
     report = replay(counts, plan, d0, reference=reference, tolerance=0.01)
     pairs = report.estimates.pairs.tolist()
     row = pairs.index([6, 7])
@@ -227,6 +227,8 @@ def test_replay_aligns_reference_with_pairs(d0):
     assert list(columns)[-3:] == ["reference", "abs_diff", "flag"]
     assert columns["abs_diff"][row] == pytest.approx(abs(0.5 - report.estimates.estimate[row]))
     assert np.isnan(np.delete(columns["abs_diff"], row)).all()
+    with pytest.raises(ValueError, match="both orders"):
+        replay(counts, plan, d0, reference={(6, 7): 0.5, (7, 6): 0.5})
 
 
 def test_replay_size_mismatch(d0):

@@ -101,6 +101,15 @@ def test_counts_malformed_line(tmp_path):
         read_counts(path)
 
 
+def test_counts_must_fit_in_64_bits(tmp_path):
+    path = tmp_path / "counts.txt"
+    path.write_text(f"layout: a\nscheme: new\n1 {2**63 - 1}\n")
+    assert read_counts(path).counts.tolist() == [2**63 - 1]
+    path.write_text(f"layout: a\nscheme: new\n1 {2**63}\n")
+    with pytest.raises(DataError, match="exceeds the 64-bit range"):
+        read_counts(path)
+
+
 def test_table_export_includes_reference_mismatches():
     _, plan = build_u4()
     doc = table_to_dict(plan, decode_all(plan), reference_rows=reference_table_rows("new_n4"))

@@ -7,7 +7,9 @@ digests and say why in the change log.
 """
 
 import hashlib
+import json
 
+import numpy as np
 import pytest
 
 from multiswap.cli import main
@@ -103,3 +105,40 @@ def test_partial_reference_matches_golden_digest(tmp_path):
     assert main(["replay", "bundled", "bundled", "--reference", str(path),
                  "--out-dir", str(out)]) == 0
     assert _sha((out / "replay.csv").read_bytes()) == PARTIAL_REFERENCE_DIGEST
+
+
+#: an oracle run at n=128: 12 ancilla bits and 64 verdict bits make 76-bit
+#: counts rows, so outcome keys span two 64-bit words; recorded before the
+#: shot path moved to packed-word sorting, bulk counts parsing and the
+#: column-batched CSV writer
+WIDE_DIGESTS = {
+    "counts.txt": "1b7798a1676792cdd88d8023f3931583eae2f1ec89b7ef2d0fa64c3bb52f8e92",
+    "estimates.csv": "eab6c0382b02b36252e3074500b0ffaecc1b3e14a2a73bfdc49d7562405fcfef",
+    "scatter.csv": "3ce6684c07fd07d2f506917195cb3ff8beacb79348c1a495a806250ea3734d52",
+    "replay.csv": "145fc27dbe7bf3b0cd551c6096cae5fdd7c7b9cb8d745f8f314c74ff0abb9d67",
+    "replay stdout": "ec33d7ee0e5729f401e9152b2240252af83d460b5c3c7f059c459389d65340f8",
+}
+
+
+def _wide_states(path):
+    rng = np.random.default_rng(128)
+    v = rng.normal(size=(128, 2)) + 1j * rng.normal(size=(128, 2))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    path.write_text(json.dumps({
+        "width": 1,
+        "states": [[[float(a.real), float(a.imag)] for a in row] for row in v],
+    }) + "\n")
+
+
+def test_wide_oracle_outputs_match_golden_digests(tmp_path, capsys):
+    states, est, rep = tmp_path / "states.json", tmp_path / "estimate", tmp_path / "replay"
+    _wide_states(states)
+    argv = ["estimate", str(states), "--engine", "oracle", "--shots", "3000", "--seed", "11"]
+    assert main(argv + ["--out-dir", str(est)]) == 0
+    replay_argv = ["replay", str(est / "counts.txt"), str(states)]
+    assert main(replay_argv + ["--out-dir", str(rep)]) == 0
+    capsys.readouterr()
+    assert main(replay_argv) == 0
+    produced = {path.name: _sha(path.read_bytes()) for path in (*est.iterdir(), *rep.iterdir())}
+    produced["replay stdout"] = _sha(capsys.readouterr().out.encode())
+    assert produced == WIDE_DIGESTS
