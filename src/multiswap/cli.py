@@ -27,6 +27,9 @@ from .fileio import (
 )
 from .qasm import to_qasm
 
+# flagged pairs ``replay`` prints when it also writes them to replay.csv
+_REPLAY_SHOWN = 20
+
 
 class ConfigError(ValueError):
     """Invalid configuration (bad flag values, impossible engine choice)."""
@@ -190,12 +193,16 @@ def cmd_replay(args) -> int:
     flagged = np.flatnonzero(report.flags != "ok")
     print(f"total shots: {report.total_shots}")
     print(f"pairs: {len(est)}, flagged: {len(flagged)}")
-    for (i, j), flag in zip(est.pairs[flagged].tolist(), report.flags[flagged].tolist()):
+    # with a report file the printout names only the first flagged pairs
+    shown = flagged[:_REPLAY_SHOWN] if args.out_dir else flagged
+    for (i, j), flag in zip(est.pairs[shown].tolist(), report.flags[shown].tolist()):
         print(f"  {(i, j)}: {flag}")
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         write_csv(out / "replay.csv", report.columns())
+        if len(flagged) > len(shown):
+            print(f"  ... and {len(flagged) - len(shown)} more in {out / 'replay.csv'}")
         print(f"report written to {out / 'replay.csv'}")
     else:
         rows = zip(est.pairs.tolist(), est.exact.tolist(), est.estimate.tolist(),

@@ -30,6 +30,8 @@ SCHEMES = ("new", "san")
 ENGINES = ("statevector", "oracle", "auto")
 
 _ORACLE_CHUNK = 1 << 15
+# verdict uniforms drawn (and success probabilities gathered) at once
+_VERDICT_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -221,7 +223,10 @@ def _slot_success(ensemble: StateEnsemble, plan: LayoutPlan, outcomes) -> np.nda
     labels = decode(plan, index_bits(outcomes, plan.ancilla_count))
     first = labels[[a - 1 for a, _ in plan.slots]]
     second = labels[[b - 1 for _, b in plan.slots]]
-    return (1.0 + ensemble.overlaps[first - 1, second - 1].T) / 2.0
+    p0 = ensemble.overlaps[first - 1, second - 1].T
+    p0 += 1.0
+    p0 /= 2.0
+    return p0
 
 
 def oracle_sample(
@@ -233,6 +238,8 @@ def oracle_sample(
 
     Draws come in fixed chunks of ``_ORACLE_CHUNK`` shots, each taking its
     ancilla outcomes and then its verdict uniforms from the seed's stream.
+    The uniforms are drawn and compared in row blocks of at most
+    ``_VERDICT_BLOCK`` values, in the order one draw would give them.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -240,13 +247,16 @@ def oracle_sample(
     labels = replace(plan, final_variant="standard").measured_labels()
     rng = shot_rng(seed)
     rows = np.empty((shots, len(labels)), dtype=np.uint8)
+    step = max(1, _VERDICT_BLOCK // len(plan.slots))
     for start in range(0, shots, _ORACLE_CHUNK):
         chunk = rows[start : start + _ORACLE_CHUNK]
         anc = rng.integers(0, 1 << d, size=len(chunk))
         outcomes, which = np.unique(anc, return_inverse=True)
-        p0 = _slot_success(ensemble, plan, outcomes)[which]
+        p0 = _slot_success(ensemble, plan, outcomes)
         chunk[:, :d] = index_bits(anc, d)
-        chunk[:, d:] = rng.random(p0.shape) >= p0
+        for lo in range(0, len(chunk), step):
+            block = p0[which[lo : lo + step]]
+            chunk[lo : lo + step, d:] = rng.random(block.shape) >= block
     return CountsTable(labels, plan.scheme, rows, np.ones(shots, dtype=np.int64))
 
 

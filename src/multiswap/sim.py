@@ -5,26 +5,53 @@ registers listed in order is their Kronecker product in that order.
 
 The input is a state or a product of factor states in qubit order (the
 paper's circuit starts with |0> ancillas and result qubits next to the input
-registers). A run allocates one zeroed buffer of 16 * 2**Q bytes, plus a
-scratch buffer of two ``_BLOCK``-amplitude blocks, and never builds the dense
-input. A factor is merged in just before the first gate that touches it, as
+registers).
+
+``measured_distribution`` never holds the 2**Q state. It works in three
+steps:
+
+- Branches. A classical qubit is a width-1 factor that gets only one-qubit
+  gates U and is then only ever a control (each ancilla of the paper's
+  circuit: one H, then CSWAP controls). By deferred measurement the marginal
+  is the sum, over the values b of such qubits, of the marginal of the
+  branch in which each holds its b, weighted by |(U phi)[b]|^2. A measured
+  classical qubit fixes its outcome bit; an unmeasured one is summed over.
+  A branch of weight 0 is skipped. Only the first classical qubits (in
+  qubit order) are branched on, at most 2**Q / (_BRANCH_BLOCKS * _BLOCK)
+  branches in all, so their Python work stays small next to the
+  amplitudes; the rest are evolved as ordinary qubits.
+- Wire map. In a branch, a gate such a qubit controls is dropped at 0 and
+  loses its control at 1 (CSWAP becomes SWAP, CNOT becomes X). Every SWAP,
+  rewritten or written, exchanges two entries of a wire map (qubit q ends
+  in storage qubit wire[q]), so no amplitude moves.
+- Components. The branch's gates and input factors link its qubits into
+  independent components. A component no measurement reads is skipped; each
+  other one is evolved on its own buffer, reduced to its marginal, checked
+  to sum to 1, and the branch marginal is their outer product.
+
+``run_statevector`` returns the whole state, so it evolves every qubit on one
+buffer. Its SWAPs go into the wire map too, and each factor's qubits enter
+the buffer in the order the wire map gives the output, so a dense input
+needs no output transpose.
+
+A buffer is one zeroed array of 16 * 2**k bytes for its k qubits, plus a
+scratch buffer of two ``_BLOCK``-amplitude blocks; the dense input is never
+built. A factor is merged in just before the first gate that touches it, as
 the new most significant axes of the active prefix, so qubits sit in the
 order gates first reach them: a |0> factor costs nothing, and pages past the
-active prefix stay untouched until a gate first writes them. A factor that no
-gate touches is merged only if it is measured (``measured_distribution``) or
-the full output is asked for (``run_statevector``, which then transposes to
-qubit order unless the buffer already holds it). On the estimation path
-nothing is copied; a dense input fed to ``run_statevector`` is held once as
-the input and once in the buffer.
+active prefix stay untouched until a gate first writes them. A factor that
+no gate touches is merged at the end (``run_statevector`` then
+transposes to qubit order unless the buffer already holds it). A dense input
+fed to ``run_statevector`` is held once as the input and once in the buffer.
 
-Gates act in place on the active prefix. Every gate kind the builders emit
-is a basis permutation (X, CNOT, SWAP, CSWAP: two strided views of the
+Gates act in place on the active prefix. Every gate kind left after the
+rewrite is a basis permutation (X, CNOT, CSWAP: two strided views of the
 ``[2]*k`` tensor exchange contents), a diagonal sign (Z, CCZ: one view is
 negated) or H (a butterfly on the two half-views, done as a batched 2x2
 matmul where the target's stride allows). Each kernel walks its views in
 blocks small enough to stay in cache, so no gate allocates a state-sized
-array; the measured marginal is reduced block by block the same way and
-checked to sum to 1 in place of re-validating the state-sized output.
+array; a marginal is reduced block by block the same way and checked in
+place of re-validating the state-sized output.
 
 Shot sampling uses the counter-based Philox generator keyed by the run seed;
 shot i consumes the i-th uniform of the stream, so a run partitioned across
@@ -33,6 +60,8 @@ workers by shot index reproduces the serial result exactly.
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -53,16 +82,21 @@ _BLOCK = 1 << 14
 # A view whose contiguous last axis is at most this long is walked one column
 # at a time, so numpy's inner loop runs down the long strided axis instead.
 _NARROW = 4
+# Python work of one branch's pass over the gates, in kernel blocks per gate:
+# a gate call costs about as much as walking four blocks
+_BRANCH_BLOCKS = 4
 
 # kind -> (bits of one view, bits of the other), in the gate's qubit order
 _EXCHANGES = {
     "X": ((0,), (1,)),
     "CNOT": ((1, 0), (1, 1)),
-    "SWAP": ((0, 1), (1, 0)),
     "CSWAP": ((1, 0, 1), (1, 1, 0)),
 }
 # kind -> bits of the view whose sign flips
 _SIGNS = {"Z": (1,), "CCZ": (1, 1, 1)}
+# controlled kind -> what it does with its control at 1, on its targets
+_UNCONTROLLED = {"CNOT": "X", "CSWAP": "SWAP"}
+_HADAMARD = Gate("H", (0,)).matrix.real
 
 
 def _state_bytes(qubit_count: int) -> str:
@@ -98,6 +132,9 @@ def _split(psi: np.ndarray, qubits, qubit_count: int) -> np.ndarray:
 def _blocks(shape):
     """Slice tuples cutting an array of ``shape`` into C-order slabs of at
     most ``_BLOCK`` elements; every axis keeps its place."""
+    if math.prod(shape) <= _BLOCK:
+        yield (slice(None),) * len(shape)
+        return
     axis, tail = len(shape) - 1, 1
     while axis > 0 and tail * shape[axis] <= _BLOCK:
         tail *= shape[axis]
@@ -147,29 +184,29 @@ def _hadamard(t: np.ndarray, h: np.ndarray, buf: np.ndarray):
             np.multiply(b, scale, out=b)
 
 
-def _apply_gate(psi: np.ndarray, gate: Gate, qubit_count: int, buf: np.ndarray):
-    """Apply ``gate`` in place to the flat state ``psi``; ``buf`` is scratch
-    of shape (2, _BLOCK)."""
-    order = sorted(gate.qubits)
+def _apply_gate(psi: np.ndarray, kind: str, qubits, qubit_count: int, buf: np.ndarray):
+    """Apply gate ``kind`` on ``qubits`` in place to the flat state ``psi``;
+    ``buf`` is scratch of shape (2, _BLOCK)."""
+    order = sorted(qubits)
     t = _split(psi, order, qubit_count)
-    if gate.kind == "H":
-        _hadamard(t, gate.matrix.real, buf)
+    if kind == "H":
+        _hadamard(t, _HADAMARD, buf)
         return
 
     def view(bits):
         ix = [slice(None)] * t.ndim
-        for qb, bit in zip(gate.qubits, bits):
+        for qb, bit in zip(qubits, bits):
             ix[2 * order.index(qb) + 1] = bit
         v = t[tuple(ix)]
         # dropping unit axes is always a view; one axis stays when the gate
         # covers every qubit, so the result is never a scalar
         return v.reshape([n for n in v.shape if n > 1] or [1])
 
-    if gate.kind in _SIGNS:
-        for (a,) in _pieces(view(_SIGNS[gate.kind])):
+    if kind in _SIGNS:
+        for (a,) in _pieces(view(_SIGNS[kind])):
             np.negative(a, out=a)
         return
-    first, second = _EXCHANGES[gate.kind]
+    first, second = _EXCHANGES[kind]
     for a, b in _pieces(view(first), view(second)):
         # both sides go through the buffer: numpy first copies a source whose
         # address range overlaps the destination's into a fresh temporary
@@ -181,55 +218,177 @@ def _apply_gate(psi: np.ndarray, gate: Gate, qubit_count: int, buf: np.ndarray):
         np.copyto(b, ta)
 
 
-def _evolve(
-    circuit: CircuitIR, state: InputState, max_qubits: int, keep
-) -> tuple[np.ndarray, dict[int, int]]:
-    """Run every gate on one zeroed buffer that the input factors enter lazily.
-
-    Returns the active state (flat, 2**k amplitudes over the k merged
-    qubits) and each merged qubit's position in it, 0 most significant.
-    A factor is merged just before the first gate touching it; factors
-    holding a qubit of ``keep`` that no gate touched are merged afterwards,
-    last factor first; any other factor never enters the buffer.
-    """
+def _factors(circuit: CircuitIR, state: InputState) -> list[tuple[int, PureState]]:
+    """The input's factors as (first qubit, state) pairs, in qubit order."""
     factors = [state] if isinstance(state, PureState) else list(state)
     total = sum(f.width for f in factors)
     if total != circuit.qubit_count:
         raise ValueError(f"input width {total} != circuit qubits {circuit.qubit_count}")
-    _check_size(circuit.qubit_count, max_qubits)
-    owner, first = [], []
-    for i, f in enumerate(factors):
-        first.append(len(owner))
-        owner += [i] * f.width
-    psi = np.zeros(1 << circuit.qubit_count, dtype=np.complex128)
+    firsts = itertools.accumulate([f.width for f in factors[:-1]], initial=0)
+    return list(zip(firsts, factors))
+
+
+def _classical(circuit: CircuitIR, factors) -> list[tuple[int, np.ndarray]]:
+    """Control-only qubits in qubit order, each with its branch weights.
+
+    A qubit qualifies if it is a width-1 factor, only one-qubit gates U act
+    on it before its first use as the control of a CNOT or CSWAP, and it is
+    only a control from then on. Its weights are |(U phi)[b]|^2.
+    """
+    amps = {first: f.amplitudes for first, f in factors if f.width == 1}
+    controls = set()
+    for gate in circuit.gates:
+        for i, q in enumerate(gate.qubits):
+            if q not in amps:
+                continue
+            if len(gate.qubits) == 1 and q not in controls:
+                amps[q] = gate.matrix @ amps[q]
+            elif i == 0 and gate.kind in _UNCONTROLLED:
+                controls.add(q)
+            else:
+                del amps[q]
+    return [(q, np.abs(amps[q]) ** 2) for q in sorted(controls & amps.keys())]
+
+
+def _rewrite(circuit: CircuitIR, fixed: dict[int, int]) -> tuple[list, list[int]]:
+    """The gates left once each qubit in ``fixed`` holds its bit, as (kind,
+    storage qubits) pairs, and the wire map: qubit q ends in storage qubit
+    wire[q].
+
+    A fixed qubit's one-qubit prefix is dropped (its branch weight covers
+    it); a gate it controls is dropped at 0 and loses its control at 1.
+    Every SWAP exchanges two entries of the wire map, so no amplitude moves.
+    """
+    wire = list(range(circuit.qubit_count))
+    gates = []
+    for gate in circuit.gates:
+        kind, qubits = gate.kind, gate.qubits
+        if qubits[0] in fixed:
+            if len(qubits) == 1 or not fixed[qubits[0]]:
+                continue
+            kind, qubits = _UNCONTROLLED[kind], qubits[1:]
+        if kind == "SWAP":
+            a, b = qubits
+            wire[a], wire[b] = wire[b], wire[a]
+        else:
+            gates.append((kind, tuple(wire[q] for q in qubits)))
+    return gates, wire
+
+
+def _evolve(gates, factors, rank=None) -> tuple[np.ndarray, dict[int, int]]:
+    """Run ``gates`` ((kind, qubits) pairs) on one zeroed buffer that the
+    input factors enter lazily.
+
+    ``factors`` are (first qubit, state) pairs in qubit order covering every
+    qubit the gates touch. Returns the state over all their qubits (flat,
+    2**k amplitudes) and each qubit's position in it, 0 most significant.
+    A factor is merged just before the first gate touching it; factors no
+    gate touched are merged afterwards, last factor first. A merged
+    factor's qubits keep their order unless ``rank`` (qubit -> sort key)
+    reorders them.
+    """
+    owner = {}
+    for i, (first, f) in enumerate(factors):
+        owner.update(dict.fromkeys(range(first, first + f.width), i))
+    psi = np.zeros(1 << len(owner), dtype=np.complex128)
     psi[0] = 1.0
     low: dict[int, int] = {}  # merged qubit -> bit, counted from the least significant
 
     def merge(i: int):
         # psi[:n] -> f (x) psi[:n]: the factor becomes the most significant
         # axes; the tail is written before the head it reads is scaled
-        f, base, width = factors[i].amplitudes, len(low), factors[i].width
+        first, factor = factors[i]
+        f, base, width = factor.amplitudes, len(low), factor.width
         n = 1 << base
-        if f[1:].any():
-            np.multiply(f[1:, None], psi[:n], out=psi[n : f.size * n].reshape(-1, n))
-        if f[0] != 1:
-            psi[:n] *= f[0]
-        for j in range(width):
-            low[first[i] + j] = base + width - 1 - j
+        qubits = sorted(range(first, first + width), key=rank)
+        if qubits != sorted(qubits):
+            # written whole from a strided view of the factor, so a reordered
+            # dense input is never copied; the head it overwrites is read
+            # from a copy (numpy would copy the whole output instead)
+            t = f.reshape((2,) * width).transpose([q - first for q in qubits])
+            head = psi[:n].copy()
+            np.multiply(t[..., None], head, out=psi[: f.size * n].reshape(t.shape + (n,)))
+        else:
+            if f[1:].any():
+                np.multiply(f[1:, None], psi[:n], out=psi[n : f.size * n].reshape(-1, n))
+            if f[0] != 1:
+                psi[:n] *= f[0]
+        for j, q in enumerate(qubits):
+            low[q] = base + width - 1 - j
 
     buf = np.empty((2, _BLOCK), dtype=np.complex128)
-    for gate in circuit.gates:
-        for q in gate.qubits:
+    for kind, qubits in gates:
+        for q in qubits:
             if q not in low:
                 merge(owner[q])
         k = len(low)
-        inner = Gate(gate.kind, tuple(k - 1 - low[q] for q in gate.qubits))
-        _apply_gate(psi[: 1 << k], inner, k, buf)
-    for q in sorted(keep, reverse=True):
-        if q not in low:
-            merge(owner[q])
+        _apply_gate(psi[: 1 << k], kind, tuple(k - 1 - low[q] for q in qubits), k, buf)
+    for i in reversed(range(len(factors))):
+        if factors[i][0] not in low:
+            merge(i)
     k = len(low)
-    return psi[: 1 << k], {q: k - 1 - b for q, b in low.items()}
+    return psi, {q: k - 1 - b for q, b in low.items()}
+
+
+def _marginal(psi: np.ndarray, keep, qubit_count: int) -> np.ndarray:
+    """|psi|^2 summed over every axis but ``keep``, shaped (2,) * len(keep)
+    in ``keep`` order, reduced block by block and checked to sum to 1."""
+    order = sorted(keep)
+    # kept qubits sit on the odd axes, the unmeasured runs on the even ones;
+    # each block's |psi|^2 is written with the kept axes first, so its sum
+    # runs along contiguous rows
+    psi = _split(psi, order, qubit_count)
+    axes = list(range(1, psi.ndim, 2)) + list(range(0, psi.ndim, 2))
+    probs = np.zeros((2,) * len(keep))
+    buf = np.empty(_BLOCK)
+    for ix in _blocks(psi.shape):
+        block = psi[ix].transpose(axes)
+        p = buf[: block.size].reshape(block.shape)
+        np.abs(block, out=p)
+        np.square(p, out=p)
+        kept = block.shape[: len(keep)]
+        probs[ix[1::2]] += p.reshape(math.prod(kept), -1).sum(axis=1).reshape(kept)
+    # the state is never wrapped in a validated PureState, so the marginal
+    # is checked in its place
+    total = probs.sum()
+    if not np.isfinite(total) or abs(total - 1.0) > 2 * NORM_ATOL:
+        raise ValueError(f"measured marginal sums to {total!r}, not 1")
+    return np.transpose(probs, [order.index(i) for i in keep])
+
+
+def _branch_marginal(gates, wire, factors, reads, qubit_count: int) -> np.ndarray:
+    """Marginal over the qubits ``reads`` (in that order) of one branch: the
+    outer product of its components, each evolved on its own buffer."""
+    parent = list(range(qubit_count))
+
+    def root(q: int) -> int:
+        while parent[q] != q:
+            parent[q] = q = parent[parent[q]]
+        return q
+
+    groups = [range(first, first + f.width) for first, f in factors]
+    for group in groups + [qubits for _, qubits in gates]:
+        r = root(group[0])
+        for q in group[1:]:
+            parent[root(q)] = r
+    # a component no measurement reads is never evolved
+    read_by: dict[int, list[int]] = {}
+    for q in reads:
+        read_by.setdefault(root(wire[q]), []).append(q)
+    parts = {r: ([], []) for r in read_by}
+    for first, f in factors:
+        if root(first) in parts:
+            parts[root(first)][1].append((first, f))
+    for gate in gates:
+        if root(gate[1][0]) in parts:
+            parts[root(gate[1][0])][0].append(gate)
+    marginal, order = np.ones(()), []
+    for r, qs in read_by.items():
+        psi, pos = _evolve(*parts[r])
+        p = _marginal(psi, [pos[wire[q]] for q in qs], len(pos))
+        marginal = np.multiply.outer(marginal, p)
+        order += qs
+    return np.transpose(marginal, [order.index(q) for q in reads])
 
 
 def run_statevector(
@@ -241,9 +400,13 @@ def run_statevector(
     ``input_state`` is a state or its factors in qubit order. The input is
     left unchanged; the output is a new buffer.
     """
+    factors = _factors(circuit, input_state)
     q = circuit.qubit_count
-    psi, pos = _evolve(circuit, input_state, max_qubits, range(q))
-    axes = [pos[qb] for qb in range(q)]
+    _check_size(q, max_qubits)
+    gates, wire = _rewrite(circuit, {})
+    # each factor's qubits enter the buffer in output order
+    psi, pos = _evolve(gates, factors, {s: qb for qb, s in enumerate(wire)}.get)
+    axes = [pos[wire[qb]] for qb in range(q)]
     if axes != list(range(q)):
         psi = psi.reshape((2,) * q).transpose(axes).reshape(-1)
     return PureState(psi, q)
@@ -261,27 +424,26 @@ def measured_distribution(
     """
     if not circuit.measured:
         raise ValueError("circuit declares no measured qubits")
-    psi, pos = _evolve(circuit, input_state, max_qubits, circuit.measured_qubits)
-    keep = [pos[qb] for qb in circuit.measured_qubits]
-    order = sorted(keep)
-    # kept qubits sit on the odd axes, the unmeasured runs on the even ones
-    psi = _split(psi, order, len(pos))
-    drop = tuple(range(0, psi.ndim, 2))
-    probs = np.zeros((2,) * len(keep))
-    buf = np.empty(_BLOCK)
-    for ix in _blocks(psi.shape):
-        block = psi[ix]
-        p = buf[: block.size].reshape(block.shape)
-        np.abs(block, out=p)
-        np.square(p, out=p)
-        probs[ix[1::2]] += p.sum(axis=drop)
-    probs = np.transpose(probs, [order.index(i) for i in keep]).reshape(-1)
-    # the state-sized output is never wrapped in a validated PureState, so
-    # the marginal is checked in its place
-    total = probs.sum()
-    if not np.isfinite(total) or abs(total - 1.0) > 2 * NORM_ATOL:
-        raise ValueError(f"measured marginal sums to {total!r}, not 1")
-    return circuit.labels, probs
+    factors = _factors(circuit, input_state)
+    q = circuit.qubit_count
+    _check_size(q, max_qubits)
+    # at most 2**q / (_BRANCH_BLOCKS * _BLOCK) branches, so their Python work
+    # stays below that of walking the full state in blocks
+    cap = max(0, ((1 << q) // (_BRANCH_BLOCKS * _BLOCK)).bit_length() - 1)
+    branched = _classical(circuit, factors)[:cap] if cap else []
+    qubits = [qb for qb, _ in branched]
+    measured = circuit.measured_qubits
+    reads = [qb for qb in measured if qb not in qubits]
+    probs = np.zeros((2,) * len(measured))
+    for bits in np.ndindex(*(2,) * len(branched)):
+        weight = math.prod(w[b] for (_, w), b in zip(branched, bits))
+        if weight == 0:
+            continue
+        fixed = dict(zip(qubits, bits))
+        gates, wire = _rewrite(circuit, fixed)
+        at = tuple(fixed.get(qb, slice(None)) for qb in measured)
+        probs[at] += weight * _branch_marginal(gates, wire, factors, reads, q)
+    return circuit.labels, probs.reshape(-1)
 
 
 def shot_rng(seed: int) -> np.random.Generator:

@@ -1,10 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
+from multiswap import cli
 from multiswap.cli import main
 from multiswap.fileio import save_states
-from multiswap.states import StateEnsemble
+from multiswap.states import PureState, StateEnsemble
 
 
 @pytest.fixture()
@@ -324,3 +326,40 @@ def test_replay_rejects_a_reference_pair_listed_twice(second, tmp_path, capsys):
     assert main(["replay", "bundled", "bundled", "--reference", str(path)]) == 3
     err = capsys.readouterr().err
     assert "data error" in err and "pair (1, 2) listed twice" in err
+
+
+def test_replay_with_report_file_prints_only_the_first_flagged_pairs(tmp_path, capsys,
+                                                                     monkeypatch):
+    # 32 random states and 64 shots leave most of the 496 pairs unsampled or
+    # off their exact value, so far more than 20 are flagged
+    rng = np.random.default_rng(32)
+    v = rng.normal(size=(32, 2)) + 1j * rng.normal(size=(32, 2))
+    states = tmp_path / "states.json"
+    save_states(states, StateEnsemble(tuple(PureState(row / np.linalg.norm(row), 1) for row in v)))
+    run = tmp_path / "run"
+    assert main(["estimate", str(states), "--engine", "oracle", "--shots", "64",
+                 "--out-dir", str(run)]) == 0
+    argv = ["replay", str(run / "counts.txt"), str(states)]
+    capsys.readouterr()
+    assert main(argv) == 0
+    full = capsys.readouterr().out.splitlines()
+    report = tmp_path / "rep" / "replay.csv"
+    assert main(argv + ["--out-dir", str(report.parent)]) == 0
+    short = capsys.readouterr().out.splitlines()
+
+    flagged = int(full[1].rsplit(" ", 1)[1])
+    assert flagged > 20
+    pair_lines = [line for line in full if line.startswith("  (")]
+    assert len(pair_lines) == flagged
+    assert short == full[:2] + pair_lines[:20] + [
+        f"  ... and {flagged - 20} more in {report}",
+        f"report written to {report}",
+    ]
+    rows = [r.split(",") for r in report.read_text().splitlines()[1:]]
+    assert sum(r[-1] != "ok" for r in rows) == flagged
+    # one pair over the limit is named as one more; none over, no such line
+    for limit, tail in ((flagged - 1, [f"  ... and 1 more in {report}"]), (flagged, [])):
+        monkeypatch.setattr(cli, "_REPLAY_SHOWN", limit)
+        assert main(argv + ["--out-dir", str(report.parent)]) == 0
+        assert capsys.readouterr().out.splitlines() == full[:2 + limit] + tail + [
+            f"report written to {report}"]

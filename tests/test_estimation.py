@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from multiswap import estimation
 from multiswap.estimation import (
     CountsTable,
     PairEstimates,
@@ -313,3 +314,17 @@ def test_destructive_verdict_is_parity_over_wide_registers():
     )
     est = result.estimates
     assert (np.abs(est.estimate - est.exact) <= 4 * est.stderr).all()
+
+
+@pytest.mark.parametrize("block", [1, 7 * 8, 1000])
+def test_oracle_verdict_blocks_keep_the_draw(block, monkeypatch):
+    # row blocks of 1, 7 and 125 rows (8 slots) across a chunk boundary give
+    # the rows that one draw per chunk gives
+    ensemble = random_ensemble(np.random.default_rng(16), 16)
+    _, _, _, plan = plan_for(ensemble, "new", "standard")
+    shots = estimation._ORACLE_CHUNK + 1000
+    whole = oracle_sample(ensemble, plan, shots, seed=4)
+    monkeypatch.setattr(estimation, "_VERDICT_BLOCK", block)
+    blocked = oracle_sample(ensemble, plan, shots, seed=4)
+    assert np.array_equal(blocked.bits, whole.bits)
+    assert np.array_equal(blocked.counts, whole.counts)

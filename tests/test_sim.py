@@ -314,6 +314,98 @@ def test_product_input_matches_dense_on_built_circuits(build, final):
     _assert_product_matches_dense(circuit, input_factors(random_ensemble(rng, 4), plan))
 
 
+def _total_variation(p, q) -> float:
+    return 0.5 * float(np.abs(p - q).sum())
+
+
+_BUILT = [(build, n, width, final)
+          for build in (build_un, build_san_un) for final in ("standard", "destructive")
+          for n in (4, 8) for width in (1, 2)]
+
+
+@pytest.mark.parametrize("block", [1, 64])
+@pytest.mark.parametrize("build,n,width,final", [
+    case for case in _BUILT if case[0](case[1], case[2], case[3])[1].total_qubits <= 22
+])
+def test_branched_marginal_matches_full_state_on_built_circuits(build, n, width, final, block,
+                                                                monkeypatch):
+    # a small _BLOCK lets the cap branch at these sizes: every ancilla at
+    # block 1, the first few (or none) at block 64
+    rng = np.random.default_rng(n + width)
+    circuit, plan = build(n, width, final)
+    factors = input_factors(random_ensemble(rng, n, width), plan)
+    expected = _reference_marginal(circuit, factors)
+    monkeypatch.setattr(sim, "_BLOCK", block)
+    labels, probs = measured_distribution(circuit, factors)
+    assert labels == circuit.labels
+    assert _total_variation(probs, expected) <= 1e-12
+
+
+def _control_circuit(rng):
+    """A random circuit over five control qubits (0-4) and 3-5 data qubits.
+
+    Controls 0, 2, 3 and 4 get random one-qubit prefixes. Controls 0-3 are
+    then used only as controls of CNOTs and CSWAPs (each at least once), so
+    they are classical. Control 1 stays in |1> with no prefix, so its 0
+    branch has weight 0. Control 0 is measured and control 3 is not.
+    Control 4 is a target after its first control use, so it is not
+    classical."""
+    data = int(rng.integers(3, 6))
+    q = 5 + data
+    kinds = ["H", "X", "Z", "CNOT", "CCZ", "CSWAP"]
+    prefix = [Gate(kinds[rng.integers(3)], (c,))
+              for c in (0, 2, 3, 4) for _ in range(int(rng.integers(0, 3)))]
+    gates = []
+    for c in [0, 1, 2, 3, 4] + list(rng.integers(5, size=6)):
+        kind = ("CNOT", "CSWAP")[rng.integers(2)]
+        gates.append(Gate(kind, (c, *rng.choice(data, size=GATE_ARITY[kind] - 1, replace=False) + 5)))
+    for _ in range(10):
+        kind = kinds[rng.integers(len(kinds))]
+        gates.append(Gate(kind, rng.choice(data, size=GATE_ARITY[kind], replace=False) + 5))
+    gates = prefix + [gates[i] for i in rng.permutation(len(gates))] + [Gate("CNOT", (5, 4))]
+    measured = [0] + [qb for qb in (1, 2, 4, *range(5, q)) if rng.random() < 0.6]
+    circuit = _circuit(q, gates, [(int(qb), f"m{qb}") for qb in rng.permutation(measured)])
+    controls = [random_state(rng, 1), basis_state(1, 1), basis_state(1, 0),
+                random_state(rng, 1), random_state(rng, 1)]
+    return circuit, controls + _random_factors(rng, data)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_branched_marginal_matches_full_state_on_random_circuits(seed, monkeypatch):
+    rng = np.random.default_rng(200 + seed)
+    for _ in range(4):
+        circuit, factors = _control_circuit(rng)
+        found = sim._classical(circuit, sim._factors(circuit, factors))
+        assert [qb for qb, _ in found if qb < 5] == [0, 1, 2, 3]
+        expected = _reference_marginal(circuit, factors)
+        for block in (1, 4, sim._BLOCK):
+            monkeypatch.setattr(sim, "_BLOCK", block)
+            labels, probs = measured_distribution(circuit, factors)
+            assert labels == circuit.labels
+            assert _total_variation(probs, expected) <= 1e-12
+        monkeypatch.undo()
+
+
+def test_branch_count_is_capped(monkeypatch):
+    # 12 control-only qubits over 2 data qubits could split into 4096
+    # branches; the cap allows 2**14 / (_BRANCH_BLOCKS * _BLOCK) of them
+    gates = [Gate("H", (c,)) for c in range(12)]
+    gates += [Gate("CSWAP", (c, 12, 13)) if c % 2 else Gate("CNOT", (c, 13)) for c in range(12)]
+    circuit = _circuit(14, gates, [(qb, f"m{qb}") for qb in range(14)])
+    factors = [basis_state(1)] * 12 + [random_state(np.random.default_rng(9), 2)]
+    expected = _reference_marginal(circuit, factors)
+    calls = []
+    rewrite = sim._rewrite
+    monkeypatch.setattr(sim, "_rewrite", lambda *args: calls.append(1) or rewrite(*args))
+    for block in (sim._BLOCK, 64, 16, 1):
+        monkeypatch.setattr(sim, "_BLOCK", block)
+        calls.clear()
+        _, probs = measured_distribution(circuit, factors)
+        assert _total_variation(probs, expected) <= 1e-12
+        cap = 2**14 // (sim._BRANCH_BLOCKS * block)
+        assert len(calls) == min(max(cap, 1), 2**12) <= max(2**14 // block, 1)
+
+
 def test_product_output_is_in_qubit_order():
     # qubit 0 enters the buffer first, so it is least significant inside;
     # qubit 1 enters afterwards and the output is transposed back
@@ -352,7 +444,10 @@ def test_merge_edge_cases():
 
 def test_untouched_unmeasured_factor_is_never_merged(monkeypatch):
     # a 20-qubit factor that no gate touches and no measurement reads: the
-    # gates and the marginal only ever see the other two qubits
+    # gates and the marginals only ever see one qubit. Qubit 0 is
+    # control-only, so each of its two branches evolves qubit 1 alone: at 0
+    # the CNOT is dropped and only the marginal splits the state, at 1 it is
+    # an X on qubit 1
     sizes = []
     split = sim._split
     monkeypatch.setattr(sim, "_split",
@@ -361,28 +456,35 @@ def test_untouched_unmeasured_factor_is_never_merged(monkeypatch):
     factors = [basis_state(1), basis_state(1), basis_state(20, 5)]
     labels, probs = measured_distribution(circuit, factors)
     np.testing.assert_allclose(probs, [0.5, 0, 0, 0.5], atol=1e-15)
-    assert sizes == [2, 4, 4]
+    assert sizes == [2, 2, 2]
 
 
 @pytest.mark.parametrize("scale", [1.001, np.nan])
 def test_marginal_norm_is_checked(scale, monkeypatch):
     # the output is not re-validated as a PureState, so a kernel that lost
-    # the norm or produced NaN must be caught at the marginal
+    # the norm or produced NaN must be caught at the marginal; the gated
+    # qubit is measured, or its component would never be evolved
     monkeypatch.setattr(sim, "_apply_gate", lambda psi, *rest: np.multiply(psi, scale, out=psi))
-    circuit = _circuit(3, [Gate("H", (1,))], [(0, "a")])
+    circuit = _circuit(3, [Gate("H", (1,))], [(1, "a")])
     with pytest.raises(ValueError, match="marginal sums to"):
         measured_distribution(circuit, [basis_state(1)] * 3)
 
 
 def _child_peak_bytes(code: str) -> int:
-    """Run ``code`` in a fresh interpreter and return its peak RSS in bytes."""
-    code += "\nimport resource\nprint(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    """Run ``code`` in a fresh interpreter and return its peak RSS in bytes.
+
+    The peak is the child's own VmHWM: its ru_maxrss also takes in the
+    resident set of the test process it was spawned from."""
+    code += textwrap.dedent("""
+        with open("/proc/self/status") as fh:
+            print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+    """)
     src = str(Path(multiswap.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return int(proc.stdout.split()[-1]) * 1024  # ru_maxrss is in KiB on Linux
+    return int(proc.stdout.split()[-1]) * 1024  # VmHWM is in KiB
 
 
 def test_26_qubit_statevector_holds_one_working_copy():
@@ -419,9 +521,10 @@ def test_26_qubit_statevector_holds_one_working_copy():
     assert peak_bytes < 2.5 * 2**30, f"peak RSS {peak_bytes / 2**30:.2f} GiB"
 
 
-def test_estimation_run_holds_one_state_buffer():
-    """The statevector engine at 24 qubits (n=8, width 2) holds one 256 MiB
-    buffer, not a dense input plus a working copy (over 512 MiB)."""
+def test_24_qubit_estimation_run_stays_under_100_mib():
+    """The statevector engine at 24 qubits (n=8, width 2) never holds the
+    256 MiB state: it branches on the ancillas and evolves each slot's
+    qubits on their own buffer."""
     child = textwrap.dedent("""
         import numpy as np
         from multiswap.estimation import estimate_all_overlaps
@@ -435,4 +538,4 @@ def test_estimation_run_holds_one_state_buffer():
         assert result.engine == "statevector" and result.plan.total_qubits == 24
     """)
     peak_mib = _child_peak_bytes(child) / 2**20
-    assert peak_mib < 400, f"peak RSS {peak_mib:.0f} MiB"
+    assert peak_mib < 100, f"peak RSS {peak_mib:.0f} MiB"
