@@ -17,7 +17,7 @@ only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -206,11 +206,12 @@ def assemble(plan: LayoutPlan) -> CircuitIR:
     return CircuitIR(len(roles), tuple(roles), tuple(gates), tuple(measured))
 
 
-def build_network(n: int, width: int = 1) -> tuple[CircuitIR, LayoutPlan]:
-    """The bare n-input swap network: ancilla prep plus controlled swaps."""
+def network_plan(n: int, width: int = 1, final_variant: str | None = None) -> LayoutPlan:
+    """Layout plan of the n-input network, ending in the final swap tests
+    ``final_variant`` names (none for the bare network); no gates are built."""
     _require_pow2(n)
     k = n.bit_length() - 1
-    plan = LayoutPlan(
+    return LayoutPlan(
         scheme="new",
         n=n,
         k=k,
@@ -218,8 +219,13 @@ def build_network(n: int, width: int = 1) -> tuple[CircuitIR, LayoutPlan]:
         ancilla_count=2 * (k - 1),
         controlled_swaps=_network_swaps(n),
         slots=tuple((2 * i + 1, 2 * i + 2) for i in range(n // 2)),
-        final_variant=None,
+        final_variant=final_variant,
     )
+
+
+def build_network(n: int, width: int = 1) -> tuple[CircuitIR, LayoutPlan]:
+    """The bare n-input swap network: ancilla prep plus controlled swaps."""
+    plan = network_plan(n, width)
     return assemble(plan), plan
 
 
@@ -232,8 +238,7 @@ def build_un(
     n: int, width: int = 1, final_variant: str = "standard"
 ) -> tuple[CircuitIR, LayoutPlan]:
     """Full circuit: swap network followed by a swap test on every slot."""
-    _, plan = build_network(n, width)
-    plan = replace(plan, final_variant=final_variant)
+    plan = network_plan(n, width, final_variant)
     return assemble(plan), plan
 
 

@@ -43,9 +43,14 @@ del _cswap
 
 def index_bits(values, nbits: int) -> np.ndarray:
     """(len(values), nbits) uint8 binary expansions, most significant bit
-    first: row r holds the outcome bits of distribution index values[r]."""
-    shifts = np.arange(nbits - 1, -1, -1, dtype=np.int64)
-    return ((np.asarray(values, dtype=np.int64)[:, None] >> shifts) & 1).astype(np.uint8)
+    first: row r holds the outcome bits of distribution index values[r].
+
+    Each value is shifted so its nbits end a whole number of bytes, and
+    those big-endian bytes are unpacked."""
+    nbytes = -(-nbits // 8)
+    words = np.asarray(values).astype(np.uint64) << np.uint64(8 * nbytes - nbits)
+    octets = words.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - nbytes :]
+    return np.unpackbits(octets, axis=1, count=nbits)
 
 
 @dataclass(frozen=True)

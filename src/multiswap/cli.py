@@ -15,7 +15,15 @@ import numpy as np
 from . import analytics, fixtures
 from .builder import FINAL_VARIANTS, decode_all
 from .circuits import count_resources
-from .estimation import ENGINES, SCHEMES, build_circuit, estimate_all_overlaps, plan_for, replay
+from .estimation import (
+    ENGINES,
+    SCHEMES,
+    estimate_all_overlaps,
+    layout_for,
+    layout_plan,
+    plan_for,
+    replay,
+)
 from .fileio import (
     DataError,
     load_states,
@@ -133,14 +141,17 @@ def cmd_estimate(args) -> int:
     # an unusable output path fails here, not after the simulation
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    result = estimate_all_overlaps(
-        ensemble,
-        scheme=args.scheme,
-        shots=args.shots,
-        seed=args.seed,
-        final_variant=args.final,
-        engine=args.engine,
-    )
+    try:
+        result = estimate_all_overlaps(
+            ensemble,
+            scheme=args.scheme,
+            shots=args.shots,
+            seed=args.seed,
+            final_variant=args.final,
+            engine=args.engine,
+        )
+    except MemoryError as exc:  # numpy names the size it could not allocate
+        raise ConfigError(f"--shots {args.shots} does not fit in memory: {exc}") from None
     write_csv(out / "estimates.csv", result.estimates.columns())
     scatter, summary = analytics.scatter_data(result.estimates)
     write_csv(out / "scatter.csv", scatter)
@@ -165,10 +176,10 @@ def cmd_replay(args) -> int:
     else:
         counts = read_counts(args.counts)
     scheme = counts.scheme or "new"
-    _, pad_labels, _, plan = plan_for(ensemble, scheme, "standard")
+    _, pad_labels, plan = layout_for(ensemble, scheme, "standard")
     expected = plan.measured_labels()
     if counts.labels != expected:
-        _, _, _, plan = plan_for(ensemble, scheme, "destructive")
+        _, _, plan = layout_for(ensemble, scheme, "destructive")
         if counts.labels != plan.measured_labels():
             raise DataError(
                 "counts layout does not match the states: expected "
@@ -241,7 +252,7 @@ def cmd_export_table(args) -> int:
     n, width = args.n, args.width
     if width < 1:
         raise ConfigError(f"--width must be >= 1, got {width}")
-    _, plan = build_circuit(args.scheme, n, width)
+    plan = layout_plan(args.scheme, n, width)
     ref_name = {("new", 4): "new_n4", ("new", 8): "new_n8", ("san", 4): "san_n4"}.get(
         (args.scheme, n)
     )

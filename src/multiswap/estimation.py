@@ -11,27 +11,57 @@ which the test suite checks to machine precision.
 Shots stay integer and bit arrays throughout: an ancilla outcome is decoded
 into its slot pairs by ``builder.decode`` straight from the layout plan, and
 bitstrings appear only in ``fileio``.
+
+The oracle sampler and ``tally`` split their rows into contiguous shards,
+one thread each, once every shard gets ``_MIN_SHARD_ROWS`` rows. Shard
+workers call only private names: ``benchmarks/traced.py`` rebinds every
+public function to a span recorder with a single span stack, which is not
+thread-safe.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from . import san as san_mod
-from .builder import FINAL_VARIANTS, LayoutPlan, build_un, decode, input_factors, pad_inputs
+from .builder import (
+    FINAL_VARIANTS,
+    LayoutPlan,
+    build_un,
+    decode,
+    input_factors,
+    network_plan,
+    pad_inputs,
+)
 from .circuits import CircuitIR, index_bits
-from .sim import MAX_QUBITS, measured_distribution, sample_from_distribution, shot_rng
+from .sim import MAX_QUBITS, measured_distribution, sample_from_distribution
 from .states import StateEnsemble
 from .swaptest import destructive_decode
 
 SCHEMES = ("new", "san")
 ENGINES = ("statevector", "oracle", "auto")
 
-_ORACLE_CHUNK = 1 << 15
-# verdict uniforms drawn (and success probabilities gathered) at once
-_VERDICT_BLOCK = 1 << 18
+# the functions shard workers call, bound where no tracer rebinds them
+_decode, _index_bits = decode, index_bits
+
+#: threads a run's rows are split across at most: the CPUs it may run on
+_SHARDS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+#: rows every shard gets at least; fewer rows stay on one shard
+_MIN_SHARD_ROWS = 1 << 15
+#: Philox counter at which the verdict stream starts; the ancilla stream
+#: starts at 0, and 4 raw words come from each counter value
+_VERDICT_STREAM = 1 << 192
+#: (distinct outcome, slot) verdict thresholds an oracle shard holds at once
+_TABLE_ENTRIES = 1 << 22
+#: verdict words drawn (and thresholds gathered) at once
+_VERDICT_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -147,6 +177,15 @@ def build_circuit(
     return build(n, width, final_variant)
 
 
+def layout_plan(
+    scheme: str, n: int, width: int = 1, final_variant: str = "standard"
+) -> LayoutPlan:
+    """The layout plan of ``scheme`` on n registers, without its gate list."""
+    _check_choice("scheme", scheme, SCHEMES)
+    plan = network_plan if scheme == "new" else san_mod.san_plan
+    return plan(n, width, final_variant)
+
+
 def plan_for(
     ensemble: StateEnsemble, scheme: str = "new", final_variant: str = "standard"
 ) -> tuple[StateEnsemble, tuple[int, ...], CircuitIR, LayoutPlan]:
@@ -154,6 +193,43 @@ def plan_for(
     padded, pad_labels = pad_inputs(ensemble)
     circuit, plan = build_circuit(scheme, padded.n, padded.width, final_variant)
     return padded, pad_labels, circuit, plan
+
+
+def layout_for(
+    ensemble: StateEnsemble, scheme: str = "new", final_variant: str = "standard"
+) -> tuple[StateEnsemble, tuple[int, ...], LayoutPlan]:
+    """Pad the ensemble and build its layout plan only, with no gate list."""
+    padded, pad_labels = pad_inputs(ensemble)
+    return padded, pad_labels, layout_plan(scheme, padded.n, padded.width, final_variant)
+
+
+def _in_shards(rows: int, work) -> list:
+    """``work(lo, hi)`` on contiguous shards of ``rows`` rows, each but the
+    first on a thread of its own; the results in shard order.
+
+    A run gets at most ``_SHARDS`` shards of at least ``_MIN_SHARD_ROWS``
+    rows each, so small runs start no thread.
+    """
+    shards = max(1, min(_SHARDS, rows // _MIN_SHARD_ROWS))
+    bounds = [rows * i // shards for i in range(shards + 1)]
+    results = [None] * shards
+    errors = []
+
+    def run(i):
+        try:
+            results[i] = work(bounds[i], bounds[i + 1])
+        except BaseException as exc:  # re-raised once every shard is done
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, shards)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def tally(
@@ -194,21 +270,17 @@ def tally(
         registers = [[(r - 1) * w + k for r in slot for k in range(w)] for slot in plan.slots]
         verdicts = destructive_decode(data[:, registers].reshape(-1, 2 * w), w)
         verdicts = verdicts.reshape(len(data), len(plan.slots))
-    failing = np.ascontiguousarray(verdicts.T)  # one row of verdicts per slot
-    # totals per ordered label pair (a, b) at index a * (n + 1) + b
-    sampled = np.zeros((n + 1) ** 2, dtype=np.int64)
-    failed = np.zeros((n + 1) ** 2, dtype=np.int64)
-    for s, (ra, rb) in enumerate(plan.slots):
-        pair = labels[ra - 1].astype(np.intp)
-        pair *= n + 1
-        pair += labels[rb - 1]
-        np.add.at(sampled, pair, shots)
-        rows = np.flatnonzero(failing[s])
-        np.add.at(failed, pair[group[rows]], counts.counts[rows])
+    work = partial(_tally_rows, plan, counts.counts, group, heads, labels, shots, verdicts)
+    sampled, failed = sum(_in_shards(len(group), work))
     # a pair counts in either order
     sampled = sampled.reshape(n + 1, n + 1) + sampled.reshape(n + 1, n + 1).T
     failed = failed.reshape(n + 1, n + 1) + failed.reshape(n + 1, n + 1).T
-    real = np.setdiff1d(np.arange(1, n + 1), pad_labels)
+    # a boolean mask, not np.setdiff1d: np.unique imports numpy.ma on first use
+    pads = np.asarray(pad_labels, dtype=np.intp)
+    real = np.ones(n + 1, dtype=bool)
+    real[0] = False
+    real[pads[(pads >= 1) & (pads <= n)]] = False
+    real = np.flatnonzero(real)
     first, second = np.triu_indices(len(real), k=1)
     pairs = np.stack([real[first], real[second]], axis=1)
     t1 = failed[pairs[:, 0], pairs[:, 1]]
@@ -216,17 +288,82 @@ def tally(
     return pairs, t0, t1
 
 
-def _slot_success(ensemble: StateEnsemble, plan: LayoutPlan, outcomes) -> np.ndarray:
-    """P(verdict=0) = (1 + overlap)/2 per (ancilla outcome index, slot)."""
-    if ensemble.n != plan.n:
-        raise ValueError("ensemble size does not match the plan (pad first)")
-    labels = decode(plan, index_bits(outcomes, plan.ancilla_count))
-    first = labels[[a - 1 for a, _ in plan.slots]]
-    second = labels[[b - 1 for _, b in plan.slots]]
-    p0 = ensemble.overlaps[first - 1, second - 1].T
-    p0 += 1.0
+def _tally_rows(plan, counts, group, heads, labels, shots, verdicts, lo, hi) -> np.ndarray:
+    """``tally``'s totals over rows lo..hi of a sorted table: a (2, (n+1)**2)
+    array of sampled and failed counts per ordered label pair (a, b) at
+    index a * (n + 1) + b. A shard counts the shots of the ancilla groups
+    whose first row it holds, and the failed verdicts of its own rows."""
+    n = plan.n
+    touched = slice(group[lo], group[hi - 1] + 1)
+    own = slice(np.searchsorted(heads, lo) - touched.start, touched.stop - touched.start)
+    rows_group = group[lo:hi] - touched.start
+    failing = np.ascontiguousarray(verdicts[lo:hi].T, dtype=bool)  # one row per slot
+    totals = np.zeros((2, (n + 1) ** 2), dtype=np.int64)
+    sampled, failed = totals
+    for s, (ra, rb) in enumerate(plan.slots):
+        pair = labels[ra - 1, touched].astype(np.intp)
+        pair *= n + 1
+        pair += labels[rb - 1, touched]
+        np.add.at(sampled, pair[own], shots[touched][own])
+        rows = np.flatnonzero(failing[s])
+        np.add.at(failed, pair[rows_group[rows]], counts[lo:hi][rows])
+    return totals
+
+
+def _slot_pairs(plan: LayoutPlan, outcomes) -> np.ndarray:
+    """The input labels i, j in each slot's two registers as the flat index
+    (i - 1) * n + (j - 1) of an (n, n) matrix: a (len(outcomes), slots)
+    array for the given ancilla outcome indices."""
+    n = plan.n
+    labels = _decode(plan, _index_bits(outcomes, plan.ancilla_count))
+    pairs = labels[[a - 1 for a, _ in plan.slots]].astype(np.min_scalar_type(n * n + n))
+    pairs *= n
+    pairs += labels[[b - 1 for _, b in plan.slots]]
+    pairs -= n + 1
+    return pairs.T
+
+
+def _stream(seed: int, base: int, word: int) -> np.random.Philox:
+    """Philox keyed by ``seed``, at raw word ``word`` of the stream whose
+    counter starts at ``base``."""
+    bits = np.random.Philox(key=np.uint64(seed), counter=base + word // 4)
+    bits.random_raw(word % 4)
+    return bits
+
+
+def _oracle_rows(rows, plan, thresholds, seed, lo, hi) -> None:
+    """Draw shots lo..hi of an oracle run into their rows."""
+    d, n_slots = plan.ancilla_count, len(plan.slots)
+    ancillas = _stream(seed, 0, lo)
+    verdicts = _stream(seed, _VERDICT_STREAM, lo * n_slots)
+    chunk = max(1, _TABLE_ENTRIES // n_slots)
+    step = max(1, _VERDICT_BLOCK // n_slots)
+    for start in range(lo, hi, chunk):
+        out = rows[start : min(hi, start + chunk)]
+        anc = ancillas.random_raw(len(out)) >> np.uint64(64 - d)
+        outcomes, which = np.unique(anc, return_inverse=True)
+        table = thresholds.ravel()[_slot_pairs(plan, outcomes)]
+        out[:, :d] = _index_bits(anc, d)
+        for b in range(0, len(out), step):
+            block = out[b : b + step]
+            words = verdicts.random_raw((len(block), n_slots))
+            words >>= np.uint64(11)
+            np.greater_equal(words, table[which[b : b + step]], out=block[:, d:])
+
+
+def _verdict_thresholds(overlaps: np.ndarray) -> np.ndarray:
+    """ceil(p0 * 2**53) as uint64 for every overlap, p0 = (1 + overlap)/2
+    being the probability that the pair's swap test gives verdict 0.
+
+    A raw 64-bit word w gives verdict 1 exactly when ``w >> 11`` reaches the
+    threshold: numpy's uniform double from w is ``(w >> 11) * 2**-53``, and
+    an integer u satisfies u * 2**-53 >= p0 exactly when u >= ceil(p0 * 2**53).
+    (For p0 in [1/2, 1], p0 * 2**53 is already an integer.)
+    """
+    p0 = overlaps + 1.0
     p0 /= 2.0
-    return p0
+    p0 *= 2.0**53
+    return np.ceil(p0).astype(np.uint64)
 
 
 def oracle_sample(
@@ -236,27 +373,24 @@ def oracle_sample(
     then one Bernoulli verdict per slot. Scales to register counts far beyond
     the dense statevector cap; emits standard-variant verdict bits.
 
-    Draws come in fixed chunks of ``_ORACLE_CHUNK`` shots, each taking its
-    ancilla outcomes and then its verdict uniforms from the seed's stream.
-    The uniforms are drawn and compared in row blocks of at most
-    ``_VERDICT_BLOCK`` values, in the order one draw would give them.
+    Shot i's draws depend only on the seed and i. Two Philox streams keyed
+    by the seed supply raw 64-bit words: shot i's ancilla outcome is the top
+    d bits of word i of the ancilla stream, and its verdict in slot s is 1
+    exactly when word i*S + s of the verdict stream (S slots), shifted right
+    by 11, reaches ceil(p0 * 2**53), p0 = (1 + overlap)/2 for the slot's
+    pair; that is numpy's ``random() >= p0`` on the same word, compared
+    without floats. A shard of shots opens both streams at its own first
+    word, so the rows do not depend on how the shots are split across
+    shards, chunks or blocks.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    d = plan.ancilla_count
+    if ensemble.n != plan.n:
+        raise ValueError("ensemble size does not match the plan (pad first)")
     labels = replace(plan, final_variant="standard").measured_labels()
-    rng = shot_rng(seed)
     rows = np.empty((shots, len(labels)), dtype=np.uint8)
-    step = max(1, _VERDICT_BLOCK // len(plan.slots))
-    for start in range(0, shots, _ORACLE_CHUNK):
-        chunk = rows[start : start + _ORACLE_CHUNK]
-        anc = rng.integers(0, 1 << d, size=len(chunk))
-        outcomes, which = np.unique(anc, return_inverse=True)
-        p0 = _slot_success(ensemble, plan, outcomes)
-        chunk[:, :d] = index_bits(anc, d)
-        for lo in range(0, len(chunk), step):
-            block = p0[which[lo : lo + step]]
-            chunk[lo : lo + step, d:] = rng.random(block.shape) >= block
+    work = partial(_oracle_rows, rows, plan, _verdict_thresholds(ensemble.overlaps), seed)
+    _in_shards(shots, work)
     return CountsTable(labels, plan.scheme, rows, np.ones(shots, dtype=np.int64))
 
 
@@ -270,7 +404,11 @@ def oracle_distribution(ensemble: StateEnsemble, plan: LayoutPlan) -> np.ndarray
     d, n_slots = plan.ancilla_count, len(plan.slots)
     if d + n_slots > 24:
         raise ValueError("analytic distribution too large to enumerate")
-    p0 = _slot_success(ensemble, plan, np.arange(1 << d))
+    if ensemble.n != plan.n:
+        raise ValueError("ensemble size does not match the plan (pad first)")
+    p0 = ensemble.overlaps.ravel()[_slot_pairs(plan, np.arange(1 << d))]
+    p0 += 1.0
+    p0 /= 2.0
     probs = np.full((1 << d, 1), 1.0 / (1 << d))
     for c in range(n_slots):
         verdict = np.stack([p0[:, c], 1.0 - p0[:, c]], axis=1)
@@ -313,7 +451,7 @@ def estimate_all_overlaps(
         raise ValueError(f"shots must be >= 1, got {shots}")
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must satisfy 0 <= seed < 2**64, got {seed}")
-    padded, pad_labels, circuit, plan = plan_for(ensemble, scheme, final_variant)
+    padded, pad_labels, plan = layout_for(ensemble, scheme, final_variant)
     if engine == "auto":
         engine = "statevector" if plan.total_qubits <= max_qubits else "oracle"
     if engine == "oracle":
@@ -325,6 +463,7 @@ def estimate_all_overlaps(
             f"{max_qubits}; re-run with engine='oracle'"
         )
     else:
+        circuit, _ = build_circuit(scheme, padded.n, padded.width, final_variant)
         labels, probs = measured_distribution(
             circuit, input_factors(padded, plan), max_qubits=max_qubits
         )

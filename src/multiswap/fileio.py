@@ -146,7 +146,8 @@ def write_counts(path, counts: CountsTable, *, comments: tuple[str, ...] = ()) -
 
     Rows go out in blocks, each one byte matrix of bits, a space, the
     right-aligned count digits and a newline, from which the digits' leading
-    padding is dropped.
+    padding is dropped; a block whose counts all have the same number of
+    digits has none and is written as it stands.
     """
     header = [f"# {c}" for c in comments]
     header += ["layout: " + " ".join(counts.labels), f"scheme: {counts.scheme}"]
@@ -167,6 +168,9 @@ def write_counts(path, counts: CountsTable, *, comments: tuple[str, ...] = ()) -
                 line[:, place] = rest % 10 + ord("0")
                 rest //= 10
             line[:, -1] = ord("\n")
+            if values.min() >= 10 ** (places - 1):  # no count has a leading zero
+                fh.write(line.tobytes())
+                continue
             # keep a count's digits from its most significant one on
             keep = np.ones(line.shape, dtype=bool)
             powers = 10 ** np.arange(places - 1, 0, -1, dtype=np.int64)

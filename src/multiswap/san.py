@@ -49,7 +49,8 @@ def _san_swaps(n: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(swaps)
 
 
-def _san_plan(n: int, width: int, final_variant: str | None) -> LayoutPlan:
+def san_plan(n: int, width: int = 1, final_variant: str | None = None) -> LayoutPlan:
+    """Layout plan of the baseline scheme on n registers; no gates are built."""
     _require_pow2(n)
     k = n.bit_length() - 1
     return LayoutPlan(
@@ -65,7 +66,7 @@ def _san_plan(n: int, width: int, final_variant: str | None) -> LayoutPlan:
 
 
 def build_san_network(n: int, width: int = 1) -> tuple[CircuitIR, LayoutPlan]:
-    plan = _san_plan(n, width, None)
+    plan = san_plan(n, width)
     return assemble(plan), plan
 
 
@@ -78,7 +79,7 @@ def build_san_un(
     n: int, width: int = 1, final_variant: str = "standard"
 ) -> tuple[CircuitIR, LayoutPlan]:
     """Baseline circuit with its single final swap test on registers (1, 2)."""
-    plan = _san_plan(n, width, final_variant)
+    plan = san_plan(n, width, final_variant)
     return assemble(plan), plan
 
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from multiswap.circuits import (
@@ -5,6 +6,7 @@ from multiswap.circuits import (
     Gate,
     ResourceProfile,
     count_resources,
+    index_bits,
 )
 
 
@@ -54,3 +56,15 @@ def test_resource_profile_invariants():
         ResourceProfile(-1, 0, 0, 0)
     with pytest.raises(ValueError, match="exceed"):
         ResourceProfile(3, 0, 2, 4)
+
+
+@pytest.mark.parametrize("nbits", range(64))
+def test_index_bits_matches_shift_and_mask(nbits):
+    rng = np.random.default_rng(nbits)
+    values = rng.integers(0, 1 << max(nbits, 1), size=300, dtype=np.uint64).astype(np.int64)
+    values[:2] = [0, (1 << nbits) - 1]
+    shifts = np.arange(nbits - 1, -1, -1, dtype=np.int64)
+    expected = ((values[:, None] >> shifts) & 1).astype(np.uint8)
+    bits = index_bits(values, nbits)
+    assert bits.dtype == np.uint8 and bits.flags.c_contiguous
+    assert np.array_equal(bits, expected)

@@ -363,3 +363,14 @@ def test_replay_with_report_file_prints_only_the_first_flagged_pairs(tmp_path, c
         assert main(argv + ["--out-dir", str(report.parent)]) == 0
         assert capsys.readouterr().out.splitlines() == full[:2 + limit] + tail + [
             f"report written to {report}"]
+
+
+@pytest.mark.parametrize("engine", ["oracle", "statevector"])
+def test_estimate_too_many_shots_for_memory_is_config_error(engine, tmp_path, capsys):
+    # 10**15 shots need petabytes, beyond any address space, so the first
+    # shot-sized array is refused at once and nothing is allocated
+    argv = ["estimate", "bundled", "--engine", engine, "--shots", str(10**15)]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: --shots {10**15} does not fit in memory")
+    assert "PiB" in err

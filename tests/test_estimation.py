@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from multiswap.estimation import (
     tally,
 )
 from multiswap.fixtures import reference_counts, reference_estimates
-from multiswap.builder import input_factors
+from multiswap.builder import decode, input_factors
+from multiswap.circuits import index_bits
 from multiswap.sim import measured_distribution
 from multiswap.states import StateEnsemble, basis_state, exact_overlap, tensor_product
 
@@ -316,15 +318,132 @@ def test_destructive_verdict_is_parity_over_wide_registers():
     assert (np.abs(est.estimate - est.exact) <= 4 * est.stderr).all()
 
 
-@pytest.mark.parametrize("block", [1, 7 * 8, 1000])
-def test_oracle_verdict_blocks_keep_the_draw(block, monkeypatch):
-    # row blocks of 1, 7 and 125 rows (8 slots) across a chunk boundary give
-    # the rows that one draw per chunk gives
+def _serial_oracle_rows(ensemble, plan, shots, seed):
+    """The stream layout spelled out as one serial draw: shot i's ancilla
+    outcome is the top d bits of word i of the Philox stream at counter 0,
+    and its slot-s verdict is numpy's uniform from word i*S + s of the
+    stream at counter 2**192, compared against p0 = (1 + overlap)/2."""
+    d = plan.ancilla_count
+    anc = np.random.Philox(key=seed).random_raw(shots) >> np.uint64(64 - d)
+    words = np.random.Philox(key=seed, counter=1 << 192).random_raw((shots, len(plan.slots)))
+    uniforms = (words >> np.uint64(11)) * 2.0**-53
+    labels = decode(plan, index_bits(anc, d))
+    first = labels[[a - 1 for a, _ in plan.slots]] - 1
+    second = labels[[b - 1 for _, b in plan.slots]] - 1
+    p0 = (ensemble.overlaps[first, second].T + 1.0) / 2.0
+    return np.hstack([index_bits(anc, d), uniforms >= p0]).astype(np.uint8)
+
+
+@pytest.fixture
+def fast_switching():
+    """Threads switch every microsecond, so shards interleave finely."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("block", ["1", "7S", "all"])
+@pytest.mark.parametrize("shards", [1, 2, 7])
+def test_oracle_verdict_blocks_keep_the_draw(shards, block, monkeypatch, fast_switching):
+    # any split into shards, threshold-table chunks and verdict blocks of 1
+    # row, 7 rows or all shots gives the rows of one serial draw
     ensemble = random_ensemble(np.random.default_rng(16), 16)
     _, _, _, plan = plan_for(ensemble, "new", "standard")
-    shots = estimation._ORACLE_CHUNK + 1000
-    whole = oracle_sample(ensemble, plan, shots, seed=4)
-    monkeypatch.setattr(estimation, "_VERDICT_BLOCK", block)
-    blocked = oracle_sample(ensemble, plan, shots, seed=4)
-    assert np.array_equal(blocked.bits, whole.bits)
-    assert np.array_equal(blocked.counts, whole.counts)
+    slots, shots = len(plan.slots), 2021
+    monkeypatch.setattr(estimation, "_SHARDS", shards)
+    monkeypatch.setattr(estimation, "_MIN_SHARD_ROWS", 1)
+    words = {"1": 1, "7S": 7 * slots, "all": shots * slots}[block]
+    monkeypatch.setattr(estimation, "_VERDICT_BLOCK", words)
+    # threshold tables of 100 rows unless everything is drawn at once
+    monkeypatch.setattr(estimation, "_TABLE_ENTRIES", max(words, 100 * slots))
+    drawn = oracle_sample(ensemble, plan, shots, seed=4)
+    serial = _serial_oracle_rows(ensemble, plan, shots, seed=4)
+    expected = CountsTable(drawn.labels, "new", serial, np.ones(shots, dtype=np.int64))
+    assert np.array_equal(drawn.bits, expected.bits)
+    assert np.array_equal(drawn.counts, expected.counts)
+
+
+def test_verdict_threshold_matches_the_float_comparison():
+    rng = np.random.default_rng(21)
+    edges = [0.0, 1.0, 0.5, 2.0**-53, 1.0 - 2.0**-53, np.nextafter(1.0, 2.0)]
+    overlaps = np.concatenate([rng.random(400), edges])
+    thresholds = estimation._verdict_thresholds(overlaps)
+    p0 = (overlaps + 1.0) / 2.0
+    # words within two steps of every threshold, then uniformly random ones
+    steps = thresholds[:, None].astype(np.int64) + np.arange(-2, 3)
+    near = np.clip(steps, 0, 2**53 - 1).astype(np.uint64) << np.uint64(11)
+    near |= rng.integers(0, 1 << 11, size=near.shape).astype(np.uint64)
+    far = np.random.Philox(key=21).random_raw((len(overlaps), 64))
+    words = np.hstack([near, far, np.full((len(overlaps), 1), 2**64 - 1, np.uint64)])
+    integer = (words >> np.uint64(11)) >= thresholds[:, None]
+    floats = (words >> np.uint64(11)) * 2.0**-53 >= p0[:, None]
+    assert np.array_equal(integer, floats)
+    # p0 = 1 sits above every word, so identical states never fail
+    assert thresholds[overlaps == 1.0].tolist() == [2**53]
+    assert not integer[overlaps >= 1.0].any()
+    # numpy's uniform double from a raw word is the one compared above
+    raw = np.random.Philox(key=21).random_raw(8)
+    uniforms = np.random.Generator(np.random.Philox(key=21)).random(8)
+    assert np.array_equal(uniforms, (raw >> np.uint64(11)) * 2.0**-53)
+
+
+def test_verdict_word_at_its_threshold_fails():
+    # random() >= p0 holds at equality: a shot's first verdict word, shifted,
+    # equal to the threshold gives verdict 1, and one below it verdict 0
+    _, _, _, plan = plan_for(StateEnsemble((basis_state(1),) * 4), "new", "standard")
+    first = np.random.Philox(key=4, counter=1 << 192).random_raw(1)[0] >> np.uint64(11)
+    verdicts = []
+    for threshold in (first, first + np.uint64(1)):
+        rows = np.empty((1, 4), dtype=np.uint8)
+        thresholds = np.full((4, 4), threshold, dtype=np.uint64)
+        estimation._oracle_rows(rows, plan, thresholds, 4, 0, 1)
+        verdicts.append(int(rows[0, 2]))
+    assert verdicts == [1, 0]
+
+
+def test_orthogonal_states_fail_half_the_verdicts():
+    # four mutually orthogonal two-qubit states: p0 = 1/2 in every slot
+    ensemble = StateEnsemble(tuple(basis_state(2, index) for index in range(4)))
+    _, _, _, plan = plan_for(ensemble, "new", "standard")
+    counts = oracle_sample(ensemble, plan, shots=40000, seed=8)
+    verdicts = counts.bits[:, plan.ancilla_count :]
+    failed = (verdicts * counts.counts[:, None]).sum() / (2 * 40000)
+    assert abs(failed - 0.5) < 5 * 0.5 / np.sqrt(2 * 40000)
+
+
+def test_a_failing_shard_raises_after_every_shard_ran(monkeypatch):
+    monkeypatch.setattr(estimation, "_SHARDS", 3)
+    monkeypatch.setattr(estimation, "_MIN_SHARD_ROWS", 1)
+    ran = []
+
+    def work(lo, hi):
+        ran.append((lo, hi))
+        if lo == 1:
+            raise MemoryError("shard 1")
+
+    with pytest.raises(MemoryError, match="shard 1"):
+        estimation._in_shards(3, work)
+    assert sorted(ran) == [(0, 1), (1, 2), (2, 3)]
+
+
+@pytest.mark.parametrize("final", ["standard", "destructive"])
+def test_tally_shards_sum_to_the_serial_tally(final, monkeypatch, fast_switching):
+    ensemble = random_ensemble(np.random.default_rng(31), 16)
+    _, pad_labels, _, plan = plan_for(ensemble, "new", final)
+    if final == "standard":
+        counts = oracle_sample(ensemble, plan, shots=3000, seed=2)
+    else:
+        rng = np.random.default_rng(5)
+        labels = plan.measured_labels()
+        bits = rng.integers(0, 2, size=(3000, len(labels)))
+        bits[:, : plan.ancilla_count] = rng.integers(0, 2, size=(3000, 1))  # few groups
+        counts = CountsTable(labels, "new", bits, rng.integers(1, 4, size=3000))
+    serial = tally(counts, plan, pad_labels)
+    monkeypatch.setattr(estimation, "_MIN_SHARD_ROWS", 1)
+    for shards in (2, 7, 13):
+        monkeypatch.setattr(estimation, "_SHARDS", shards)
+        sharded = tally(counts, plan, pad_labels)
+        assert all(np.array_equal(a, b) for a, b in zip(sharded, serial))

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from multiswap import fileio
 from multiswap.builder import build_u4, decode_all
 from multiswap.estimation import CountsTable
 from multiswap.fileio import (
@@ -61,6 +62,25 @@ def test_counts_round_trip(tmp_path):
     assert (loaded.labels, loaded.scheme) == (table.labels, table.scheme)
     assert np.array_equal(loaded.bits, table.bits)
     assert np.array_equal(loaded.counts, table.counts)
+
+
+@pytest.mark.parametrize("high", [1, 2, 10, 100, 10**18])
+def test_counts_lines_match_plain_formatting(high, tmp_path, monkeypatch):
+    # blocks of 7 rows: some hold counts of one digit count only (written
+    # without the leading-zero mask), others mix them
+    rng = np.random.default_rng(high)
+    bits = rng.integers(0, 2, size=(60, 12))
+    values = rng.integers(1, high, size=60, endpoint=True)
+    values[rng.random(60) < 0.5] = high
+    table = CountsTable(tuple(f"b{i}" for i in range(12)), "new", bits, values)
+    monkeypatch.setattr(fileio, "_WRITE_BLOCK", 7 * (12 + 21))
+    write_counts(tmp_path / "counts.txt", table)
+    lines = [
+        "".join(map(str, row)) + f" {count}"
+        for row, count in zip(table.bits.tolist(), table.counts.tolist())
+    ]
+    header = "layout: " + " ".join(table.labels) + "\nscheme: new\n"
+    assert (tmp_path / "counts.txt").read_text() == header + "\n".join(lines) + "\n"
 
 
 def test_counts_duplicates_merge(tmp_path):

@@ -1,9 +1,10 @@
 """Golden outputs: CLI runs on the bundled inputs must stay byte-identical.
 
 Each digest is the SHA-256 of one output file, recorded with multiswap
-0.1.0 before shots moved to bit arrays. A change that alters any of them
-changes what users get for a fixed seed; if that is intended, re-record the
-digests and say why in the change log.
+0.1.0 before shots moved to bit arrays; the oracle digests were re-recorded
+when the oracle's draws became functions of (seed, shot index) alone. A
+change that alters any of them changes what users get for a fixed seed; if
+that is intended, re-record the digests and say why in the change log.
 """
 
 import hashlib
@@ -40,9 +41,9 @@ DIGESTS = {
     ("estimate_destructive", "counts.txt"): "a4a4404991688b3192b9406d11611b1f89580c67ad44d142320a08141b21c418",
     ("estimate_destructive", "estimates.csv"): "67a437d50659402cec35c1b463adc7e42bed16515c2e0bf90c61fcf698cfdab2",
     ("estimate_destructive", "scatter.csv"): "341040200763e04fb0053160d2a2b6a28ddf9700c9a16b59010512fdf641a166",
-    ("estimate_oracle", "counts.txt"): "0a14dbbb2c94a47ee76596b179cd1ddfbdfe0ef949cb7002f654972382f35f5a",
-    ("estimate_oracle", "estimates.csv"): "0848279e719b3029dc16be501e6c0ca447fc598067299f2c16b2f90d5298a80a",
-    ("estimate_oracle", "scatter.csv"): "7acde1bae1322eae5fdd9bb295859460aa97986acf224761bd73b95dce33c68e",
+    ("estimate_oracle", "counts.txt"): "b599088202ffe118196cd1f4755321cbbe19671d6dce4fba6ae07ad88070b855",
+    ("estimate_oracle", "estimates.csv"): "e8a00c4b64ff8d66f52af302287ef3fa91e3ed815b7b0960e3b4f0c95a3a8cb1",
+    ("estimate_oracle", "scatter.csv"): "6984bd6fe48ea1adc925941ba7c165bea6389aa3fe40cb9dfa7f6bc5aae05a6f",
     ("replay_bundled", "replay.csv"): "c97ba0997df39beb7cabf417fb3efa4a70bdac3aadf3b9d0409ae22473bbf793",
     ("export_table_n8", "table.json"): "71909173008d53e56b80680bac35761080d6c2d884a6f63cb673e2a27752738c",
     ("export_table_san_n4", "table.json"): "0a58bc06ecbfec6b5b3a1ed5b4c5eae4e043a588123aa271b2339c1bfaa77836",
@@ -53,11 +54,11 @@ DIGESTS = {
 #: a one-shot oracle run samples 4 of the 28 pairs; the other 24 rows carry
 #: empty estimate and stderr cells, and their replay flags them "unsampled"
 SPARSE_DIGESTS = {
-    "counts.txt": "db092c2f87385745052c86e2437fb789fc0b800993903c93b9b274833db80e42",
-    "estimates.csv": "e82ce819009623f9c01fe4810b81a457901d2c0dc47fd34ff9205bdebbe7c586",
-    "scatter.csv": "2420bda259f133cadeaa0c5201e3954935179ac5dec85160a93e57c569c31ac3",
-    "replay.csv": "ee6b59fcfa4b52f2aa7c38989e1d0fd1dfe2792ab59a977b872f8261438882d0",
-    "replay stdout": "8530c2fccb147113791b61a43ae63ff1c3307b6a7ded96cc130df4a10faa2fec",
+    "counts.txt": "35c59878850e481b611c7b6abcdb750e397487890380a2fb76ce15d72f285861",
+    "estimates.csv": "65ce8af47f81360e35fd2cff56883b2b79fe817e198b34672a35c808fa0d0bd0",
+    "scatter.csv": "fe64c361707d3853bb6725a2886b565745b4cc3e78c5a3514c3956af226123b4",
+    "replay.csv": "d8f1cd035e2af6f429184297044b0bbae92ad780acf7e8fe7d5c1cd8b9cad48e",
+    "replay stdout": "d37e4e5f98aae145d4db0477ea99a7dce5a6497aa769d387506d5bb7f0a6149c",
 }
 #: replay of the bundled counts against a reference lacking pair (3, 5),
 #: whose reference and abs_diff cells are therefore empty
@@ -108,15 +109,13 @@ def test_partial_reference_matches_golden_digest(tmp_path):
 
 
 #: an oracle run at n=128: 12 ancilla bits and 64 verdict bits make 76-bit
-#: counts rows, so outcome keys span two 64-bit words; recorded before the
-#: shot path moved to packed-word sorting, bulk counts parsing and the
-#: column-batched CSV writer
+#: counts rows, so outcome keys span two 64-bit words
 WIDE_DIGESTS = {
-    "counts.txt": "1b7798a1676792cdd88d8023f3931583eae2f1ec89b7ef2d0fa64c3bb52f8e92",
-    "estimates.csv": "eab6c0382b02b36252e3074500b0ffaecc1b3e14a2a73bfdc49d7562405fcfef",
-    "scatter.csv": "3ce6684c07fd07d2f506917195cb3ff8beacb79348c1a495a806250ea3734d52",
-    "replay.csv": "145fc27dbe7bf3b0cd551c6096cae5fdd7c7b9cb8d745f8f314c74ff0abb9d67",
-    "replay stdout": "ec33d7ee0e5729f401e9152b2240252af83d460b5c3c7f059c459389d65340f8",
+    "counts.txt": "f4c69583f8d1302571192d0d15dde0cec8a426690326b02a813cd86d0575965a",
+    "estimates.csv": "b623afc805e20a989ccfe3a031488eee62a48bde5cd95d0efab3c8d410541af3",
+    "scatter.csv": "ea6db9bdaaf236d65dd4dc67678e9a52a8f4add0de9b7e2883710ead61ad8ae1",
+    "replay.csv": "7f0fa7082d4921e4b4a386ea55f7b61e2af27220e055a275627f5e3199bc415a",
+    "replay stdout": "6ce937d4babf7e7ed1e66a60e768db92545474112acbe1c68a71ad9c55603899",
 }
 
 

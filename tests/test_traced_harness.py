@@ -12,22 +12,31 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from multiswap.builder import build_un
+from multiswap.cli import main
+from multiswap.fileio import save_states
+from multiswap.states import PureState, StateEnsemble
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACED = ROOT / "benchmarks" / "traced.py"
 
 
-def test_traced_statevector_estimate_writes_spans(tmp_path):
-    trace = tmp_path / "trace.json"
+def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def test_traced_statevector_estimate_writes_spans(tmp_path):
+    trace = tmp_path / "trace.json"
     proc = subprocess.run(
         [sys.executable, str(TRACED), str(trace), "estimate", "bundled",
          "--shots", "64", "--engine", "statevector", "--out-dir", str(tmp_path / "out")],
-        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        env=_env(), cwd=tmp_path, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(trace.read_text())
@@ -45,6 +54,35 @@ def test_traced_statevector_estimate_writes_spans(tmp_path):
     # no gate probes; the probes are exercised directly below
     assert doc["gate_probes"] == {}
     assert doc["counters"]["circuits.gate_count"] == 24
+
+
+def test_traced_sharded_oracle_estimate_matches_the_untraced_run(tmp_path, capsys):
+    # 64 states and 70000 shots: about 70000 distinct outcomes, so both the
+    # oracle sampler and the tally split their rows across the CPUs
+    rng = np.random.default_rng(64)
+    amplitudes = rng.normal(size=(64, 2)) + 1j * rng.normal(size=(64, 2))
+    amplitudes /= np.linalg.norm(amplitudes, axis=1, keepdims=True)
+    states = tmp_path / "states.json"
+    save_states(states, StateEnsemble(tuple(PureState(a, 1) for a in amplitudes)))
+    args = ["estimate", str(states), "--engine", "oracle", "--shots", "70000", "--seed", "3"]
+    assert main(args + ["--out-dir", str(tmp_path / "plain")]) == 0
+    trace = tmp_path / "trace.json"
+    proc = subprocess.run(
+        [sys.executable, str(TRACED), str(trace), *args, "--out-dir", str(tmp_path / "traced")],
+        env=_env(), cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for name in ("counts.txt", "estimates.csv", "scatter.csv"):
+        traced = (tmp_path / "traced" / name).read_bytes()
+        assert traced == (tmp_path / "plain" / name).read_bytes(), name
+    doc = json.loads(trace.read_text())
+    assert doc["exit_code"] == 0
+    assert all(start <= end for _, start, end, _ in doc["spans"])
+    names = [span[0] for span in doc["spans"]]
+    assert {"estimation.oracle_sample", "estimation.tally"} <= set(names)
+    # shard workers call no public function: the one decode is the tally's
+    assert names.count("builder.decode") == 1
+    assert "circuits.index_bits" not in names
 
 
 def test_traced_gate_probes_time_each_gate_kind():
