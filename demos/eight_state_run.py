@@ -9,12 +9,14 @@ with their exact values and with the bundled record of the same experiment.
 import numpy as np
 
 from multiswap.analytics import scatter_data
+from multiswap.builder import assemble
 from multiswap.circuits import count_resources
-from multiswap.estimation import estimate_all_overlaps, plan_for
+from multiswap.estimation import estimate_all_overlaps, layout_for
 from multiswap.fixtures import load_ensemble, reference_estimates
 
 ensemble = load_ensemble(0)
-_, _, circuit, plan = plan_for(ensemble, "new", "standard")
+_, _, plan = layout_for(ensemble, "new", "standard")
+circuit = assemble(plan)
 profile = count_resources(circuit)
 print(
     f"circuit: {circuit.qubit_count} qubits, {profile.cswap_count} CSWAPs "

@@ -8,7 +8,7 @@ two final swap-test slots (q1,q2) and (q3,q4) reach every pair.
 
 from itertools import combinations
 
-from multiswap.builder import build_u4, build_un, decode_all, input_factors
+from multiswap.builder import assemble, decode_all, input_factors, layout_plan
 from multiswap.fixtures import load_ensemble
 from multiswap.qasm import to_qasm
 from multiswap.sim import project_qubits, run_statevector
@@ -16,7 +16,8 @@ from multiswap.states import StateEnsemble, exact_overlap, tensor_product
 
 ensemble = StateEnsemble(load_ensemble(0).states[:4])
 
-circuit, plan = build_u4()
+plan = layout_plan("new", 4)
+circuit = assemble(plan)
 # column r of the decoder table is ancilla outcome r, s1 most significant
 rows = decode_all(plan).T.tolist()
 outcomes = [format(r, f"0{plan.ancilla_count}b") for r in range(len(rows))]
@@ -44,6 +45,6 @@ for outcome, row in zip(outcomes, rows):
     fidelity = exact_overlap(conditioned, expected)
     print(f"  outcome {outcome}: probability {prob:.4f}, fidelity to expectation {fidelity:.12f}")
 
-full, _ = build_un(4, 1, "standard")
+full = assemble(layout_plan("new", 4, 1, "standard"))
 print("\nfull 4-state circuit as OpenQASM 2.0:\n")
 print(to_qasm(full))

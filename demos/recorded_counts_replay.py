@@ -11,7 +11,7 @@ Three published per-pair estimates cannot be reproduced from the published
 counts at all; the replay flags them rather than glossing over the gap.
 """
 
-from multiswap.estimation import plan_for, replay
+from multiswap.estimation import layout_for, replay
 from multiswap.fixtures import load_ensemble, reference_counts, reference_estimates
 
 ensemble = load_ensemble(0)
@@ -21,7 +21,7 @@ print(f"recorded shots: {counts.total_shots}")
 print(f"distinct outcomes: {len(counts.counts)} "
       f"(duplicate |11111010> rows merged to {counts.counts[duplicated].sum()})")
 
-_, _, _, plan = plan_for(ensemble, "new", "standard")
+_, _, plan = layout_for(ensemble, "new", "standard")
 
 # ancilla prefixes 0010 and 0011 share s1 s2 s3 = 001; r4 is column 7
 routed = (counts.bits[:, :3] == [0, 0, 1]).all(axis=1)

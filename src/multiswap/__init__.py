@@ -7,12 +7,11 @@ outcomes into register permutations, and estimate every |<phi_i|phi_j>|**2.
 
 from .builder import (
     LayoutPlan,
-    build_network,
-    build_u4,
-    build_un,
+    assemble,
     decode,
     decode_all,
     input_factors,
+    layout_plan,
     pad_inputs,
     pair_coverage,
 )
@@ -27,7 +26,6 @@ from .estimation import (
     replay,
     tally,
 )
-from .san import build_san_u4, build_san_un
 from .sim import measured_distribution, run_statevector, sample_from_distribution
 from .states import (
     PureState,

@@ -10,10 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .builder import build_network
+from .builder import assemble, layout_plan
 from .circuits import count_resources
 from .estimation import PairEstimates
-from .san import build_san_network
 
 
 def _padded_size(n: int) -> int:
@@ -121,8 +120,8 @@ def resource_report(max_k: int) -> list[dict]:
         row["san_cswap_alt"] = baseline_cswaps_alt(k)
         row["san_ancilla"] = baseline_ancillas(k)
         if n <= _MEASURE_LIMIT:
-            new_prof = count_resources(build_network(n)[0])
-            san_prof = count_resources(build_san_network(n)[0])
+            new_prof = count_resources(assemble(layout_plan("new", n)))
+            san_prof = count_resources(assemble(layout_plan("san", n)))
             row["new_cswap_measured"] = new_prof.cswap_count
             row["new_ancilla_measured"] = new_prof.ancilla_count
             row["san_cswap_measured"] = san_prof.cswap_count

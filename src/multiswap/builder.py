@@ -7,6 +7,9 @@ with the registers split into four equal groups, rule 1 exchanges groups 2
 and 3 pointwise and rule 2 exchanges groups 2 and 4 pointwise. Each level
 applies both rules under ancilla control and recurses into the two halves.
 
+``layout_plan`` plans either scheme, taking the baseline's wiring from
+module ``san``, and ``assemble`` turns a plan into its gate list.
+
 Within a level's ancilla pair, the first ancilla controls the rule-2 fan and
 the second the rule-1 fan, with the rule-1 fan earlier in gate order; this
 is the assignment the recorded reference run and the bundled reference
@@ -21,11 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import san
 from .circuits import CircuitIR, Gate, index_bits
 from .states import PureState, StateEnsemble, basis_state
 
 #: swap rule kinds: rule1 exchanges groups 2 and 3, rule2 exchanges 2 and 4
 SWAP_RULES = ("rule1", "rule2")
+
+#: constructions: the new network and the baseline of module ``san``
+SCHEMES = ("new", "san")
 
 #: final swap-test variants a full circuit can end with
 FINAL_VARIANTS = ("standard", "destructive")
@@ -57,6 +64,7 @@ def rule_swaps(rule: str, groups) -> list[tuple[int, int]]:
 @dataclass(frozen=True)
 class LayoutPlan:
     """Wiring plan for a built circuit; equally the decoder's ground truth.
+    ``layout_plan`` builds it.
 
     ``controlled_swaps`` lists register-level controlled swaps in gate order
     as (ancilla ordinal, register a, register b) with 1-based registers.
@@ -150,9 +158,41 @@ def _network_swaps(n: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(swaps)
 
 
-def _require_pow2(n: int):
+def _ancilla_count(
+    scheme: str, n: int, width: int = 1, final_variant: str | None = None
+) -> int:
+    """Check a layout's configuration and return its ancilla count: two per
+    level for the new network and three for the baseline, n = 2**k having
+    k - 1 levels."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     if n < 4 or n & (n - 1):
         raise ValueError(f"register count must be a power of two >= 4, got {n}; pad first")
+    if width < 1:
+        raise ValueError(f"register width must be >= 1, got {width}")
+    if final_variant is not None and final_variant not in FINAL_VARIANTS:
+        raise ValueError(
+            f"unknown final variant {final_variant!r}; expected one of {FINAL_VARIANTS}"
+        )
+    return (2 if scheme == "new" else 3) * (n.bit_length() - 2)
+
+
+def layout_plan(
+    scheme: str, n: int, width: int = 1, final_variant: str | None = None
+) -> LayoutPlan:
+    """Layout plan of ``scheme`` on n registers of ``width`` qubits, ending in
+    the final swap tests ``final_variant`` names (none for the bare network).
+
+    This is the one constructor of a ``LayoutPlan`` and the one place its
+    configuration is validated; no gates are built (``assemble`` does that).
+    """
+    d = _ancilla_count(scheme, n, width, final_variant)
+    if scheme == "new":
+        swaps = _network_swaps(n)
+        slots = tuple((2 * i + 1, 2 * i + 2) for i in range(n // 2))
+    else:
+        swaps, slots = san.controlled_swaps(n), ((1, 2),)
+    return LayoutPlan(scheme, n, n.bit_length() - 1, width, d, swaps, slots, final_variant)
 
 
 def _swap_gates(plan: LayoutPlan) -> list[Gate]:
@@ -206,42 +246,6 @@ def assemble(plan: LayoutPlan) -> CircuitIR:
     return CircuitIR(len(roles), tuple(roles), tuple(gates), tuple(measured))
 
 
-def network_plan(n: int, width: int = 1, final_variant: str | None = None) -> LayoutPlan:
-    """Layout plan of the n-input network, ending in the final swap tests
-    ``final_variant`` names (none for the bare network); no gates are built."""
-    _require_pow2(n)
-    k = n.bit_length() - 1
-    return LayoutPlan(
-        scheme="new",
-        n=n,
-        k=k,
-        width=width,
-        ancilla_count=2 * (k - 1),
-        controlled_swaps=_network_swaps(n),
-        slots=tuple((2 * i + 1, 2 * i + 2) for i in range(n // 2)),
-        final_variant=final_variant,
-    )
-
-
-def build_network(n: int, width: int = 1) -> tuple[CircuitIR, LayoutPlan]:
-    """The bare n-input swap network: ancilla prep plus controlled swaps."""
-    plan = network_plan(n, width)
-    return assemble(plan), plan
-
-
-def build_u4(width: int = 1) -> tuple[CircuitIR, LayoutPlan]:
-    """Base case: four registers, two ancillas, one rule-1 and one rule-2 swap."""
-    return build_network(4, width)
-
-
-def build_un(
-    n: int, width: int = 1, final_variant: str = "standard"
-) -> tuple[CircuitIR, LayoutPlan]:
-    """Full circuit: swap network followed by a swap test on every slot."""
-    plan = network_plan(n, width, final_variant)
-    return assemble(plan), plan
-
-
 def input_factors(ensemble: StateEnsemble, plan: LayoutPlan) -> list[PureState]:
     """The circuit's input as a product in qubit order: one |0> per ancilla,
     the input registers in order, then one |0> per result qubit."""
@@ -292,14 +296,20 @@ def decode_all(plan: LayoutPlan) -> np.ndarray:
     """``decode`` of every ancilla outcome: the (n, 2**d) label array whose
     column r is outcome r, s1 being its most significant bit. Tables above
     ``MAX_TABLE_ENTRIES`` labels are refused before any is built."""
-    entries = plan.n << plan.ancilla_count
+    d = plan.ancilla_count
+    _check_table(plan.n, d)
+    return decode(plan, index_bits(np.arange(1 << d), d))
+
+
+def _check_table(n: int, d: int):
+    """Refuse a decoder table of 2**d outcomes x n registers over the limit;
+    its size follows from the configuration, so no plan is needed."""
+    entries = n << d
     if entries > MAX_TABLE_ENTRIES:
         raise ValueError(
-            f"decoder table of 2^{plan.ancilla_count} outcomes x {plan.n} registers "
+            f"decoder table of 2^{d} outcomes x {n} registers "
             f"({entries} entries) exceeds the limit of {MAX_TABLE_ENTRIES} entries"
         )
-    d = plan.ancilla_count
-    return decode(plan, index_bits(np.arange(1 << d), d))
 
 
 def pair_coverage(plan: LayoutPlan) -> np.ndarray:

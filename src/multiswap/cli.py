@@ -8,22 +8,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import analytics, fixtures
-from .builder import FINAL_VARIANTS, decode_all
-from .circuits import count_resources
-from .estimation import (
-    ENGINES,
+from .builder import (
+    FINAL_VARIANTS,
     SCHEMES,
-    estimate_all_overlaps,
-    layout_for,
+    _ancilla_count,
+    _check_table,
+    assemble,
+    decode_all,
     layout_plan,
-    plan_for,
-    replay,
 )
+from .estimation import ENGINES, estimate_all_overlaps, layout_for, replay
 from .fileio import (
     DataError,
     load_states,
@@ -112,10 +112,9 @@ def _load(path: str, normalize: bool):
 
 def cmd_build(args) -> int:
     ensemble = _load(args.states, args.normalize)
-    padded, pad_labels, circuit, plan = plan_for(ensemble, args.scheme, args.final)
-    profile = count_resources(circuit)
-    final_cswaps = len(plan.slots) * plan.width if args.final == "standard" else 0
-    network_cswaps = profile.cswap_count - final_cswaps
+    padded, pad_labels, plan = layout_for(ensemble, args.scheme, args.final)
+    circuit = assemble(plan)
+    network_cswaps = plan.register_swap_count * plan.width
     print(f"scheme: {args.scheme}")
     if pad_labels:
         print(
@@ -127,7 +126,7 @@ def cmd_build(args) -> int:
         f"{network_cswaps} CSWAPs (+{len(plan.slots)} final tests)"
     )
     print(f"final variant: {args.final}")
-    print(f"qubits: {circuit.qubit_count}, gates: {profile.gate_count_total}")
+    print(f"qubits: {circuit.qubit_count}, gates: {len(circuit.gates)}")
     if args.qasm:
         Path(args.qasm).write_text(
             to_qasm(circuit, decompose_cswap=args.decompose_cswap)
@@ -176,10 +175,10 @@ def cmd_replay(args) -> int:
     else:
         counts = read_counts(args.counts)
     scheme = counts.scheme or "new"
-    _, pad_labels, plan = layout_for(ensemble, scheme, "standard")
+    _, _, plan = layout_for(ensemble, scheme, "standard")
     expected = plan.measured_labels()
     if counts.labels != expected:
-        _, _, plan = layout_for(ensemble, scheme, "destructive")
+        plan = replace(plan, final_variant="destructive")
         if counts.labels != plan.measured_labels():
             raise DataError(
                 "counts layout does not match the states: expected "
@@ -192,14 +191,7 @@ def cmd_replay(args) -> int:
         reference = fixtures.reference_estimates()
     else:
         reference = read_reference_estimates(args.reference)
-    report = replay(
-        counts,
-        plan,
-        ensemble,
-        pad_labels=pad_labels,
-        reference=reference,
-        tolerance=args.tolerance,
-    )
+    report = replay(counts, plan, ensemble, reference=reference, tolerance=args.tolerance)
     est = report.estimates
     flagged = np.flatnonzero(report.flags != "ok")
     print(f"total shots: {report.total_shots}")
@@ -252,6 +244,8 @@ def cmd_export_table(args) -> int:
     n, width = args.n, args.width
     if width < 1:
         raise ConfigError(f"--width must be >= 1, got {width}")
+    # the table's size follows from scheme and n: refuse before planning
+    _check_table(n, _ancilla_count(args.scheme, n, width))
     plan = layout_plan(args.scheme, n, width)
     ref_name = {("new", 4): "new_n4", ("new", 8): "new_n8", ("san", 4): "san_n4"}.get(
         (args.scheme, n)

@@ -28,22 +28,13 @@ from functools import partial
 
 import numpy as np
 
-from . import san as san_mod
-from .builder import (
-    FINAL_VARIANTS,
-    LayoutPlan,
-    build_un,
-    decode,
-    input_factors,
-    network_plan,
-    pad_inputs,
-)
-from .circuits import CircuitIR, index_bits
-from .sim import MAX_QUBITS, measured_distribution, sample_from_distribution
+from . import sim
+from .builder import LayoutPlan, assemble, decode, input_factors, layout_plan, pad_inputs
+from .circuits import index_bits
+from .sim import measured_distribution, sample_from_distribution
 from .states import StateEnsemble
 from .swaptest import destructive_decode
 
-SCHEMES = ("new", "san")
 ENGINES = ("statevector", "oracle", "auto")
 
 # the functions shard workers call, bound where no tracer rebinds them
@@ -163,42 +154,10 @@ class PairEstimates:
         }
 
 
-def _check_choice(kind: str, value, choices: tuple[str, ...]):
-    if value not in choices:
-        raise ValueError(f"unknown {kind} {value!r}; expected one of {choices}")
-
-
-def build_circuit(
-    scheme: str, n: int, width: int = 1, final_variant: str = "standard"
-) -> tuple[CircuitIR, LayoutPlan]:
-    """The full circuit and layout plan of ``scheme`` on n registers."""
-    _check_choice("scheme", scheme, SCHEMES)
-    build = build_un if scheme == "new" else san_mod.build_san_un
-    return build(n, width, final_variant)
-
-
-def layout_plan(
-    scheme: str, n: int, width: int = 1, final_variant: str = "standard"
-) -> LayoutPlan:
-    """The layout plan of ``scheme`` on n registers, without its gate list."""
-    _check_choice("scheme", scheme, SCHEMES)
-    plan = network_plan if scheme == "new" else san_mod.san_plan
-    return plan(n, width, final_variant)
-
-
-def plan_for(
-    ensemble: StateEnsemble, scheme: str = "new", final_variant: str = "standard"
-) -> tuple[StateEnsemble, tuple[int, ...], CircuitIR, LayoutPlan]:
-    """Pad the ensemble and build its circuit and layout plan."""
-    padded, pad_labels = pad_inputs(ensemble)
-    circuit, plan = build_circuit(scheme, padded.n, padded.width, final_variant)
-    return padded, pad_labels, circuit, plan
-
-
 def layout_for(
     ensemble: StateEnsemble, scheme: str = "new", final_variant: str = "standard"
 ) -> tuple[StateEnsemble, tuple[int, ...], LayoutPlan]:
-    """Pad the ensemble and build its layout plan only, with no gate list."""
+    """Pad the ensemble and build its layout plan (``builder.layout_plan``)."""
     padded, pad_labels = pad_inputs(ensemble)
     return padded, pad_labels, layout_plan(scheme, padded.n, padded.width, final_variant)
 
@@ -294,11 +253,13 @@ def _tally_rows(plan, counts, group, heads, labels, shots, verdicts, lo, hi) -> 
     index a * (n + 1) + b. A shard counts the shots of the ancilla groups
     whose first row it holds, and the failed verdicts of its own rows."""
     n = plan.n
+    totals = np.zeros((2, (n + 1) ** 2), dtype=np.int64)
+    if lo == hi:  # a table with no rows
+        return totals
     touched = slice(group[lo], group[hi - 1] + 1)
     own = slice(np.searchsorted(heads, lo) - touched.start, touched.stop - touched.start)
     rows_group = group[lo:hi] - touched.start
     failing = np.ascontiguousarray(verdicts[lo:hi].T, dtype=bool)  # one row per slot
-    totals = np.zeros((2, (n + 1) ** 2), dtype=np.int64)
     sampled, failed = totals
     for s, (ra, rb) in enumerate(plan.slots):
         pair = labels[ra - 1, touched].astype(np.intp)
@@ -434,39 +395,34 @@ def estimate_all_overlaps(
     seed: int = 0,
     final_variant: str = "standard",
     engine: str = "auto",
-    *,
-    max_qubits: int = MAX_QUBITS,
 ) -> RunResult:
     """One-call pipeline: sample counts, tally, and estimate every real pair.
 
-    This is where a run's configuration is validated. ``engine="auto"`` uses
-    the dense statevector whenever the circuit fits under the qubit cap and
-    the permutation oracle otherwise. The oracle engine always emits
+    It checks engine, shots and seed; ``builder.layout_plan`` checks scheme
+    and final variant. ``engine="auto"`` uses the dense statevector whenever
+    the circuit fits under the qubit cap ``sim.MAX_QUBITS`` and the
+    permutation oracle otherwise. The oracle engine always emits
     standard-variant verdict bits, so its result carries the standard plan.
     """
-    _check_choice("scheme", scheme, SCHEMES)
-    _check_choice("final variant", final_variant, FINAL_VARIANTS)
-    _check_choice("engine", engine, ENGINES)
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must satisfy 0 <= seed < 2**64, got {seed}")
     padded, pad_labels, plan = layout_for(ensemble, scheme, final_variant)
     if engine == "auto":
-        engine = "statevector" if plan.total_qubits <= max_qubits else "oracle"
+        engine = "statevector" if plan.total_qubits <= sim.MAX_QUBITS else "oracle"
     if engine == "oracle":
         plan = replace(plan, final_variant="standard")
         counts = oracle_sample(padded, plan, shots, seed)
-    elif plan.total_qubits > max_qubits:
+    elif plan.total_qubits > sim.MAX_QUBITS:
         raise ValueError(
             f"{plan.total_qubits} qubits exceed the statevector cap of "
-            f"{max_qubits}; re-run with engine='oracle'"
+            f"{sim.MAX_QUBITS}; re-run with engine='oracle'"
         )
     else:
-        circuit, _ = build_circuit(scheme, padded.n, padded.width, final_variant)
-        labels, probs = measured_distribution(
-            circuit, input_factors(padded, plan), max_qubits=max_qubits
-        )
+        labels, probs = measured_distribution(assemble(plan), input_factors(padded, plan))
         idx = sample_from_distribution(probs, shots, seed)
         values, cnts = np.unique(idx, return_counts=True)
         counts = CountsTable(labels, scheme, index_bits(values, len(labels)), cnts)
@@ -515,7 +471,9 @@ def _aligned(reference: dict[tuple[int, int], float], pairs: np.ndarray) -> np.n
     n = int(pairs.max())
     table = np.full((n + 1, n + 1), np.nan)
     keys = np.sort(np.array(list(reference), dtype=np.int64).reshape(-1, 2), axis=1)
-    if len(np.unique(keys, axis=0)) < len(keys):
+    # sorted rows and an adjacent comparison: np.unique(axis=0) imports numpy.ma
+    ordered = keys[np.lexsort(keys.T[::-1])]
+    if (ordered[1:] == ordered[:-1]).all(axis=1).any():
         raise ValueError("reference lists a pair in both orders")
     values = np.fromiter(reference.values(), dtype=float, count=len(reference))
     known = ((keys >= 1) & (keys <= n)).all(axis=1)
@@ -528,7 +486,6 @@ def replay(
     plan: LayoutPlan,
     ensemble: StateEnsemble,
     *,
-    pad_labels: tuple[int, ...] = (),
     reference: dict[tuple[int, int], float] | None = None,
     tolerance: float = 0.05,
 ) -> ReplayReport:
@@ -540,8 +497,7 @@ def replay(
     """
     if not np.isfinite(tolerance) or tolerance < 0:
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
-    padded, auto_pads = pad_inputs(ensemble)
-    pad_labels = pad_labels or auto_pads
+    padded, pad_labels = pad_inputs(ensemble)
     if padded.n != plan.n:
         raise ValueError(
             f"counts are for {plan.n} registers but states give {padded.n}"

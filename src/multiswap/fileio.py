@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .builder import LayoutPlan
-from .estimation import SCHEMES, CountsTable
+from .builder import SCHEMES, LayoutPlan
+from .estimation import CountsTable
 from .states import INPUT_NORM_TOL, PureState, StateEnsemble, normalize
 
 

@@ -5,7 +5,8 @@ its own ancilla, arranged so every one of the six register pairs reaches the
 first two registers for some ancilla outcome. Larger inputs apply the block
 within groups first (parallel groups share the level's ancilla triple), then
 across the groups' lead registers, and finish with a single swap test on
-registers (1, 2).
+registers (1, 2). This module holds the wiring (``controlled_swaps``);
+``builder.layout_plan`` builds the baseline's plan from it.
 
 The block wiring here is the unique arrangement, over all one-swap-per-
 ancilla designs, that agrees with the bundled reference outcome table in 7
@@ -16,9 +17,6 @@ all 8 (see search_u4_wirings, which the tests run to pin this down).
 from __future__ import annotations
 
 import itertools
-
-from .builder import LayoutPlan, _require_pow2, assemble
-from .circuits import CircuitIR
 
 #: the four-register block: (ancilla offset within the triple, position pair),
 #: in gate order; positions are 1-based within the block
@@ -39,7 +37,9 @@ def _san_groups(n: int) -> list[list[tuple[int, int, int, int]]]:
     return stages
 
 
-def _san_swaps(n: int) -> tuple[tuple[int, int, int], ...]:
+def controlled_swaps(n: int) -> tuple[tuple[int, int, int], ...]:
+    """Register-level controlled swaps of the baseline on n registers, in gate
+    order, as (ancilla ordinal, register a, register b)."""
     swaps: list[tuple[int, int, int]] = []
     for stage_idx, groups in enumerate(_san_groups(n)):
         triple_base = 3 * stage_idx
@@ -47,40 +47,6 @@ def _san_swaps(n: int) -> tuple[tuple[int, int, int], ...]:
             for offset, (pa, pb) in U4_BLOCK:
                 swaps.append((triple_base + offset, quad[pa - 1], quad[pb - 1]))
     return tuple(swaps)
-
-
-def san_plan(n: int, width: int = 1, final_variant: str | None = None) -> LayoutPlan:
-    """Layout plan of the baseline scheme on n registers; no gates are built."""
-    _require_pow2(n)
-    k = n.bit_length() - 1
-    return LayoutPlan(
-        scheme="san",
-        n=n,
-        k=k,
-        width=width,
-        ancilla_count=3 * (k - 1),
-        controlled_swaps=_san_swaps(n),
-        slots=((1, 2),),
-        final_variant=final_variant,
-    )
-
-
-def build_san_network(n: int, width: int = 1) -> tuple[CircuitIR, LayoutPlan]:
-    plan = san_plan(n, width)
-    return assemble(plan), plan
-
-
-def build_san_u4(width: int = 1) -> tuple[CircuitIR, LayoutPlan]:
-    """Four registers, three ancillas, three controlled swaps."""
-    return build_san_network(4, width)
-
-
-def build_san_un(
-    n: int, width: int = 1, final_variant: str = "standard"
-) -> tuple[CircuitIR, LayoutPlan]:
-    """Baseline circuit with its single final swap test on registers (1, 2)."""
-    plan = san_plan(n, width, final_variant)
-    return assemble(plan), plan
 
 
 def _block_rows(wiring) -> dict[str, tuple[int, int, int, int]]:

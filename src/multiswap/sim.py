@@ -108,11 +108,11 @@ def _state_bytes(qubit_count: int) -> str:
     return f"{size} {unit}"
 
 
-def _check_size(qubit_count: int, max_qubits: int):
-    if qubit_count > max_qubits:
+def _check_size(qubit_count: int):
+    if qubit_count > MAX_QUBITS:
         raise ValueError(
             f"circuit has {qubit_count} qubits ({_state_bytes(qubit_count)} statevector), "
-            f"above the dense cap of {max_qubits} qubits ({_state_bytes(max_qubits)}); "
+            f"above the dense cap of {MAX_QUBITS} qubits ({_state_bytes(MAX_QUBITS)}); "
             "use the permutation oracle engine for larger runs"
         )
 
@@ -391,9 +391,7 @@ def _branch_marginal(gates, wire, factors, reads, qubit_count: int) -> np.ndarra
     return np.transpose(marginal, [order.index(q) for q in reads])
 
 
-def run_statevector(
-    circuit: CircuitIR, input_state: InputState, *, max_qubits: int = MAX_QUBITS
-) -> PureState:
+def run_statevector(circuit: CircuitIR, input_state: InputState) -> PureState:
     """Evolve the input through every gate and return the exact output state,
     in qubit order.
 
@@ -402,7 +400,7 @@ def run_statevector(
     """
     factors = _factors(circuit, input_state)
     q = circuit.qubit_count
-    _check_size(q, max_qubits)
+    _check_size(q)
     gates, wire = _rewrite(circuit, {})
     # each factor's qubits enter the buffer in output order
     psi, pos = _evolve(gates, factors, {s: qb for qb, s in enumerate(wire)}.get)
@@ -413,7 +411,7 @@ def run_statevector(
 
 
 def measured_distribution(
-    circuit: CircuitIR, input_state: InputState, *, max_qubits: int = MAX_QUBITS
+    circuit: CircuitIR, input_state: InputState
 ) -> tuple[tuple[str, ...], np.ndarray]:
     """Exact marginal over the measured qubits, in declared label order.
 
@@ -426,7 +424,7 @@ def measured_distribution(
         raise ValueError("circuit declares no measured qubits")
     factors = _factors(circuit, input_state)
     q = circuit.qubit_count
-    _check_size(q, max_qubits)
+    _check_size(q)
     # at most 2**q / (_BRANCH_BLOCKS * _BLOCK) branches, so their Python work
     # stays below that of walking the full state in blocks
     cap = max(0, ((1 << q) // (_BRANCH_BLOCKS * _BLOCK)).bit_length() - 1)

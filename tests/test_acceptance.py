@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 
 from multiswap.analytics import precision
-from multiswap.builder import build_network, decode_all, input_factors
+from multiswap.builder import assemble, decode_all, input_factors, layout_plan
 from multiswap.circuits import count_resources, index_bits
 from multiswap.cli import main
 from multiswap.estimation import (
     PairEstimates,
     estimate_all_overlaps,
+    layout_for,
     oracle_distribution,
-    plan_for,
     replay,
 )
 from multiswap.fixtures import (
@@ -27,7 +27,6 @@ from multiswap.fixtures import (
     reference_estimates,
     reference_exact_overlaps,
 )
-from multiswap.san import build_san_network
 from multiswap.sim import measured_distribution, project_qubits, run_statevector
 from multiswap.states import exact_overlap, tensor_product
 from multiswap.swaptest import VARIANTS, verdict_probability
@@ -103,14 +102,14 @@ def test_c04_resource_counts_match_closed_forms():
     start = time.perf_counter()
     for n in (4, 8, 16, 32):
         k = n.bit_length() - 1
-        new = count_resources(build_network(n)[0])
+        new = count_resources(assemble(layout_plan("new", n)))
         assert new.cswap_count == (k - 1) * 2 ** (k - 1)
         assert new.ancilla_count == 2 * (k - 1)
-        san = count_resources(build_san_network(n)[0])
+        san = count_resources(assemble(layout_plan("san", n)))
         assert san.cswap_count == 3 * (2 ** (k - 1) - 1)
         assert san.ancilla_count == 3 * (k - 1)
-    new8 = count_resources(build_network(8)[0])
-    san8 = count_resources(build_san_network(8)[0])
+    new8 = count_resources(assemble(layout_plan("new", 8)))
+    san8 = count_resources(assemble(layout_plan("san", 8)))
     assert (new8.cswap_count, new8.ancilla_count) == (8, 4)
     assert (san8.cswap_count, san8.ancilla_count) == (9, 6)
     elapsed = time.perf_counter() - start
@@ -121,7 +120,8 @@ def test_c04_resource_counts_match_closed_forms():
 def test_c05_decoder_correctness_against_statevector():
     rng = np.random.default_rng(2025)
     for n in (4, 8):
-        circuit, plan = build_network(n)
+        plan = layout_plan("new", n)
+        circuit = assemble(plan)
         d = plan.ancilla_count
         outcomes = index_bits(np.arange(1 << d), d)
         rows = decode_all(plan).T.tolist()
@@ -132,7 +132,7 @@ def test_c05_decoder_correctness_against_statevector():
                 _, conditioned = project_qubits(out, range(d), outcome)
                 expected = tensor_product([ensemble.state(i) for i in row])
                 assert exact_overlap(conditioned, expected) >= 1 - 1e-10
-    _, plan4 = build_network(4)
+    plan4 = layout_plan("new", 4)
     slot_multiset = {
         frozenset(map(frozenset, slots))
         for slots in slot_pairs(plan4, decode_all(plan4)).tolist()
@@ -150,7 +150,8 @@ def test_c06_oracle_equivalence():
     rng = np.random.default_rng(404)
     for n in (4, 8):
         ensemble = random_ensemble(rng, n)
-        padded, _, circuit, plan = plan_for(ensemble, "new", "standard")
+        padded, _, plan = layout_for(ensemble, "new", "standard")
+        circuit = assemble(plan)
         _, full = measured_distribution(circuit, tensor_product(input_factors(padded, plan)))
         model = oracle_distribution(padded, plan)
         tv = 0.5 * np.abs(full - model).sum()
@@ -163,10 +164,10 @@ def test_c06_oracle_equivalence():
 def test_c07_pair_coverage_all_sizes():
     # the run path does not re-check coverage, so pin it up to the sizes the
     # oracle engine is used at, over every ancilla outcome via the decoder
-    sizes = ((build_network, (4, 8, 16, 32, 64, 128, 256)), (build_san_network, (4, 8, 16, 32, 64)))
-    for network, ns in sizes:
+    sizes = (("new", (4, 8, 16, 32, 64, 128, 256)), ("san", (4, 8, 16, 32, 64)))
+    for scheme, ns in sizes:
         for n in ns:
-            plan = network(n)[1]
+            plan = layout_plan(scheme, n)
             _, coverage = real_pair_coverage(plan)
             assert len(coverage) == n * (n - 1) // 2, n
             assert (coverage > 0).all(), n
@@ -192,7 +193,7 @@ def test_c08_precision_law(d0):
 def test_c09_recorded_counts_replay(d0):
     counts = reference_counts()
     assert outcome_count(counts, "11111010") == 48  # duplicate rows merged
-    _, _, _, plan = plan_for(d0, "new", "standard")
+    _, _, plan = layout_for(d0, "new", "standard")
     report = replay(counts, plan, d0, reference=reference_estimates(), tolerance=1e-3)
     pairs = report.estimates.pairs.tolist()
     assert len(pairs) == 28

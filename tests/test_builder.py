@@ -6,17 +6,15 @@ import pytest
 
 from multiswap import builder
 from multiswap.builder import (
-    build_network,
-    build_u4,
-    build_un,
+    assemble,
     decode,
     decode_all,
     input_factors,
+    layout_plan,
     pad_inputs,
     pair_coverage,
 )
 from multiswap.circuits import count_resources, index_bits
-from multiswap.san import build_san_network
 from multiswap.sim import measured_distribution, project_qubits, run_statevector
 from multiswap.states import StateEnsemble, exact_overlap, tensor_product
 
@@ -46,13 +44,23 @@ def test_padding_minimum_is_four(d0):
 
 def test_network_rejects_non_power_of_two():
     with pytest.raises(ValueError, match="pad first"):
-        build_network(6)
+        layout_plan("new", 6)
+
+
+@pytest.mark.parametrize("args, message", [
+    (("bogus", 8), "unknown scheme 'bogus'"),
+    (("san", 8, 0), "width must be >= 1, got 0"),
+    (("new", 8, 1, "bogus"), "unknown final variant 'bogus'"),
+])
+def test_layout_plan_rejects_a_bad_configuration(args, message):
+    with pytest.raises(ValueError, match=message):
+        layout_plan(*args)
 
 
 @pytest.mark.parametrize("n", [4, 8, 16, 32])
 def test_resource_closed_forms(n):
     k = n.bit_length() - 1
-    profile = count_resources(build_network(n)[0])
+    profile = count_resources(assemble(layout_plan("new", n)))
     assert profile.cswap_count == (k - 1) * 2 ** (k - 1)
     assert profile.ancilla_count == 2 * (k - 1)
 
@@ -63,13 +71,14 @@ def test_cswap_recursion_oracle():
     for n in (8, 16, 32, 64):
         expected[n] = 2 * expected[n // 2] + n // 2
     for n, value in expected.items():
-        assert count_resources(build_network(n)[0]).cswap_count == value
+        assert count_resources(assemble(layout_plan("new", n))).cswap_count == value
 
 
 def test_u4_statevector_routes_per_outcome(d0):
     # force each ancilla outcome with X gates is unnecessary: project instead
     ensemble = StateEnsemble(d0.states[:4])
-    circuit, plan = build_u4()
+    plan = layout_plan("new", 4)
+    circuit = assemble(plan)
     out = run_statevector(circuit, input_factors(ensemble, plan))
     d = plan.ancilla_count
     for outcome, row in zip(index_bits(np.arange(1 << d), d), decode_all(plan).T.tolist()):
@@ -80,12 +89,12 @@ def test_u4_statevector_routes_per_outcome(d0):
 
 
 def test_u4_table_matches_reference_exactly():
-    _, plan = build_u4()
+    plan = layout_plan("new", 4)
     assert np.array_equal(decode_all(plan), reference_labels("new_n4"))
 
 
 def test_u4_slot_pairs(d0):
-    _, plan = build_u4()
+    plan = layout_plan("new", 4)
     pairs = slot_pairs(plan, decode_all(plan))
     assert pairs[0b00].tolist() == [[1, 2], [3, 4]]
     assert pairs[0b01].tolist() == [[1, 3], [2, 4]]
@@ -94,7 +103,7 @@ def test_u4_slot_pairs(d0):
 
 
 def test_u8_table_matches_reference_except_flagged_row():
-    _, plan = build_network(8)
+    plan = layout_plan("new", 8)
     derived = decode_all(plan)
     reference = reference_labels("new_n8")
     mismatches = np.flatnonzero((derived != reference).any(axis=0)).tolist()
@@ -108,7 +117,7 @@ def test_u8_table_matches_reference_except_flagged_row():
 
 
 def test_u8_slot_pair_multisets_match_reference_per_outcome():
-    _, plan = build_network(8)
+    plan = layout_plan("new", 8)
     derived = slot_pairs(plan, decode_all(plan))
     reference = reference_labels("new_n8")
     for outcome, ref_row in enumerate(reference.T):
@@ -119,7 +128,7 @@ def test_u8_slot_pair_multisets_match_reference_per_outcome():
 
 @pytest.mark.parametrize("n", [4, 8, 16, 32])
 def test_rows_are_bijections_fixing_register_one(n):
-    _, plan = build_network(n)
+    plan = layout_plan("new", n)
     labels = decode_all(plan)
     assert labels.shape == (n, 2 ** (2 * (plan.k - 1)))
     assert (np.sort(labels, axis=0) == np.arange(1, n + 1)[:, None]).all()
@@ -128,14 +137,14 @@ def test_rows_are_bijections_fixing_register_one(n):
 
 @pytest.mark.parametrize("n", [4, 8, 16, 32])
 def test_pair_coverage_complete(n):
-    _, plan = build_network(n)
+    plan = layout_plan("new", n)
     _, coverage = real_pair_coverage(plan)
     assert len(coverage) == n * (n - 1) // 2
     assert (coverage > 0).all()
 
 
 def test_identity_outcome_and_worked_slot_example():
-    _, plan = build_network(8)
+    plan = layout_plan("new", 8)
     labels = decode_all(plan)
     assert labels[:, 0b0000].tolist() == [1, 2, 3, 4, 5, 6, 7, 8]
     # the recorded run pools these two outcomes for pair (6,7) at slot 4
@@ -147,7 +156,7 @@ def test_identity_outcome_and_worked_slot_example():
 def test_padded_coverage_excludes_pad_labels(d0):
     three = StateEnsemble(d0.states[:3])
     padded, mask = pad_inputs(three)
-    _, plan = build_network(padded.n)
+    plan = layout_plan("new", padded.n)
     pairs, coverage = real_pair_coverage(plan, mask)
     assert pairs.tolist() == [[1, 2], [1, 3], [2, 3]]
     assert (coverage > 0).all()
@@ -156,7 +165,8 @@ def test_padded_coverage_excludes_pad_labels(d0):
 @pytest.mark.parametrize("n", [4, 8])
 def test_statevector_agrees_with_decoder_on_random_ensembles(n):
     rng = np.random.default_rng(50 + n)
-    circuit, plan = build_network(n)
+    plan = layout_plan("new", n)
+    circuit = assemble(plan)
     d = plan.ancilla_count
     rows = decode_all(plan).T.tolist()
     for _ in range(3):
@@ -170,14 +180,16 @@ def test_statevector_agrees_with_decoder_on_random_ensembles(n):
 
 
 def test_ancilla_marginal_is_uniform(d0):
-    circuit, plan = build_network(8)
+    plan = layout_plan("new", 8)
+    circuit = assemble(plan)
     _, probs = measured_distribution(circuit, input_factors(d0, plan))
     assert len(probs) == 16
     assert probs == pytest.approx(np.full(16, 1 / 16), abs=1e-12)
 
 
 def test_full_circuit_layout_counts(d0):
-    circuit, plan = build_un(8, 1, "standard")
+    plan = layout_plan("new", 8, 1, "standard")
+    circuit = assemble(plan)
     assert circuit.qubit_count == 16
     assert plan.measured_labels() == (
         "s1", "s2", "s3", "s4", "r1", "r2", "r3", "r4",
@@ -186,14 +198,16 @@ def test_full_circuit_layout_counts(d0):
     assert profile.cswap_count == 8 + 4  # network plus one per final test
     assert profile.ancilla_count == 4
 
-    destructive, plan_d = build_un(8, 1, "destructive")
+    plan_d = layout_plan("new", 8, 1, "destructive")
+    destructive = assemble(plan_d)
     assert destructive.qubit_count == 12
     assert count_resources(destructive).cswap_count == 8
     assert plan_d.measured_labels()[4:] == tuple(f"q{i}" for i in range(1, 9))
 
 
 def test_width_two_registers_expand_cswaps():
-    circuit, plan = build_network(4, width=2)
+    plan = layout_plan("new", 4, width=2)
+    circuit = assemble(plan)
     profile = count_resources(circuit)
     assert plan.register_swap_count == 2
     assert profile.cswap_count == 4  # two register swaps, two qubits each
@@ -223,12 +237,11 @@ def _replay_outcome(plan, outcome_bits) -> list[int]:
 
 
 @pytest.mark.parametrize(
-    "network,n",
-    [(build_network, 2**k) for k in range(2, 9)]
-    + [(build_san_network, 2**k) for k in range(2, 7)],
+    "scheme,n",
+    [("new", 2**k) for k in range(2, 9)] + [("san", 2**k) for k in range(2, 7)],
 )
-def test_decode_matches_per_outcome_replay(network, n):
-    plan = network(n)[1]
+def test_decode_matches_per_outcome_replay(scheme, n):
+    plan = layout_plan(scheme, n)
     d = plan.ancilla_count
     if d <= 8:
         outcomes = (np.arange(1 << d)[:, None] >> np.arange(d - 1, -1, -1)) & 1
@@ -242,7 +255,7 @@ def test_decode_matches_per_outcome_replay(network, n):
 
 
 def test_decode_rejects_bad_input_and_a_moved_register_one():
-    _, plan = build_network(8)
+    plan = layout_plan("new", 8)
     with pytest.raises(ValueError, match="4 columns"):
         decode(plan, np.zeros((2, 3)))
     broken = replace(plan, controlled_swaps=((0, 1, 2),))
@@ -251,7 +264,7 @@ def test_decode_rejects_bad_input_and_a_moved_register_one():
 
 
 def test_permutation_table_refuses_tables_over_the_limit(monkeypatch):
-    _, plan = build_network(8)  # 2^4 outcomes x 8 registers = 128 labels
+    plan = layout_plan("new", 8)  # 2^4 outcomes x 8 registers = 128 labels
     monkeypatch.setattr(builder, "MAX_TABLE_ENTRIES", 128)
     assert decode_all(plan).shape == (8, 16)
     monkeypatch.setattr(builder, "MAX_TABLE_ENTRIES", 127)
@@ -262,12 +275,11 @@ def test_permutation_table_refuses_tables_over_the_limit(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "network,n",
-    [(build_network, 2**k) for k in range(2, 6)]
-    + [(build_san_network, 2**k) for k in range(2, 5)],
+    "scheme,n",
+    [("new", 2**k) for k in range(2, 6)] + [("san", 2**k) for k in range(2, 5)],
 )
-def test_pair_coverage_counts_every_outcome_and_slot(network, n):
-    plan = network(n)[1]
+def test_pair_coverage_counts_every_outcome_and_slot(scheme, n):
+    plan = layout_plan(scheme, n)
     d = plan.ancilla_count
     expected = np.zeros((n, n), dtype=np.int64)
     for bits in index_bits(np.arange(1 << d), d).tolist():
@@ -279,4 +291,4 @@ def test_pair_coverage_counts_every_outcome_and_slot(network, n):
     assert coverage.dtype == np.int64
     assert np.array_equal(coverage, expected)
     # n/2 slots per outcome in the new scheme, one in the baseline
-    assert coverage.sum() == (n // 2 if network is build_network else 1) << d
+    assert coverage.sum() == (n // 2 if scheme == "new" else 1) << d

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from multiswap import cli
+import multiswap
+from multiswap import builder, cli
 from multiswap.cli import main
 from multiswap.fileio import save_states
 from multiswap.states import PureState, StateEnsemble
@@ -185,8 +191,16 @@ def test_export_table_rejects_bad_n(capsys):
 @pytest.mark.parametrize("argv, size", [
     (["--n", "1024"], "2^18 outcomes x 1024 registers"),
     (["--n", "128", "--scheme", "san"], "2^18 outcomes x 128 registers"),
+    (["--n", str(2**20)], "2^38 outcomes x 1048576 registers"),
+    (["--n", str(2**40)], "2^78 outcomes x 1099511627776 registers"),
 ])
-def test_export_table_refuses_tables_over_the_size_limit(argv, size, capsys):
+def test_export_table_refuses_tables_over_the_size_limit(argv, size, capsys, monkeypatch):
+    # the table's size follows from scheme and n, so no plan is built first
+    def no_plan(*args, **kwargs):
+        raise AssertionError("layout_plan ran for a refused table")
+
+    monkeypatch.setattr(cli, "layout_plan", no_plan)
+    monkeypatch.setattr(builder, "layout_plan", no_plan)
     assert main(["export-table", *argv]) == 2
     assert size in capsys.readouterr().err
 
@@ -283,6 +297,40 @@ def test_replay_rejects_non_finite_reference_values(value, tmp_path, capsys):
     assert main(["replay", "bundled", "bundled", "--reference", str(path)]) == 3
     err = capsys.readouterr().err
     assert "data error" in err and "non-finite" in err and f"'{value}'" in err
+
+
+def test_replay_header_only_counts_leave_every_pair_unsampled(tmp_path, capsys):
+    empty = tmp_path / "counts.txt"
+    empty.write_text("layout: s1 s2 s3 s4 r1 r2 r3 r4\nscheme: new\n")
+    assert main(["replay", str(empty), "bundled"]) == 0
+    out = capsys.readouterr().out
+    assert "total shots: 0\npairs: 28, flagged: 28\n" in out
+    assert out.count("flag=unsampled") == 28
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    # numpy.ma costs about 13 ms to import; np.unique with an axis pulls it in
+    out = str(tmp_path)
+    script = textwrap.dedent(f"""
+        import sys
+        from multiswap.cli import main
+        for argv in (
+            ["build", "bundled"],
+            ["estimate", "bundled", "--engine", "statevector", "--out-dir", {out!r}],
+            ["estimate", "bundled", "--engine", "oracle", "--out-dir", {out!r}],
+            ["replay", "bundled", "bundled"],
+            ["replay", "bundled", "bundled", "--reference", "bundled"],
+            ["analyze", "--max-k", "3", "--out-dir", {out!r}],
+            ["export-table", "--n", "8", "-o", {out!r} + "/table.json"],
+        ):
+            assert main(argv) == 0, argv
+            assert "numpy.ma" not in sys.modules, argv
+    """)
+    src = str(Path(multiswap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_replay_unknown_scheme_is_data_error(tmp_path, capsys):

@@ -4,19 +4,19 @@ import sys
 import numpy as np
 import pytest
 
-from multiswap import estimation
+from multiswap import estimation, sim
 from multiswap.estimation import (
     CountsTable,
     PairEstimates,
     estimate_all_overlaps,
+    layout_for,
     oracle_distribution,
     oracle_sample,
-    plan_for,
     replay,
     tally,
 )
 from multiswap.fixtures import reference_counts, reference_estimates
-from multiswap.builder import decode, input_factors
+from multiswap.builder import assemble, decode, input_factors
 from multiswap.circuits import index_bits
 from multiswap.sim import measured_distribution
 from multiswap.states import StateEnsemble, basis_state, exact_overlap, tensor_product
@@ -58,7 +58,7 @@ def test_tally_worked_example_from_recorded_counts(d0):
     counts = reference_counts()
     assert counts.total_shots == 8192
     assert outcome_count(counts, "11111010") == 48  # duplicate rows merged
-    _, _, _, plan = plan_for(d0, "new", "standard")
+    _, _, plan = layout_for(d0, "new", "standard")
     pairs, t0, t1 = tally(counts, plan)
     row = pairs.tolist().index([6, 7])
     assert (t0[row], t1[row]) == (601, 403)
@@ -67,15 +67,25 @@ def test_tally_worked_example_from_recorded_counts(d0):
 
 
 def test_tally_rejects_wrong_layout(d0):
-    _, _, _, plan = plan_for(d0, "new", "standard")
+    _, _, plan = layout_for(d0, "new", "standard")
     bad = CountsTable(("s1", "s2", "r1"), "new", np.zeros((1, 3)), [1])
     with pytest.raises(ValueError, match="expected"):
         tally(bad, plan)
 
 
+@pytest.mark.parametrize("final", ["standard", "destructive"])
+def test_tally_of_a_table_with_no_rows_counts_nothing(d0, final):
+    _, _, plan = layout_for(d0, "new", final)
+    labels = plan.measured_labels()
+    empty = CountsTable(labels, "new", np.zeros((0, len(labels))), [])
+    pairs, t0, t1 = tally(empty, plan)
+    assert len(pairs) == 28
+    assert not t0.any() and not t1.any()
+
+
 def test_tally_uniform_synthetic_counts_cover_every_pair(d0):
     ensemble = StateEnsemble(d0.states[:4])
-    _, _, _, plan = plan_for(ensemble, "new", "standard")
+    _, _, plan = layout_for(ensemble, "new", "standard")
     labels = plan.measured_labels()
     bits = np.array(list(itertools.product((0, 1), repeat=4)))
     counts = CountsTable(labels, "new", bits, np.full(16, 5))
@@ -107,17 +117,17 @@ def test_run_experiment_identical_basis_states_never_fail():
     assert not counts.bits[:, 2:].any()  # both slot verdicts always succeed
 
 
-def test_qubit_cap_error_names_oracle(d0):
+def test_qubit_cap_error_names_oracle(d0, monkeypatch):
+    monkeypatch.setattr(sim, "MAX_QUBITS", 10)
     with pytest.raises(ValueError, match="oracle"):
-        estimate_all_overlaps(
-            d0, "new", shots=16, seed=0, engine="statevector", max_qubits=10
-        )
+        estimate_all_overlaps(d0, "new", shots=16, seed=0, engine="statevector")
 
 
-def test_auto_prefers_statevector_then_oracle(d0):
+def test_auto_prefers_statevector_then_oracle(d0, monkeypatch):
     result = estimate_all_overlaps(d0, shots=64, seed=0, engine="auto")
     assert result.engine == "statevector"
-    result = estimate_all_overlaps(d0, shots=64, seed=0, engine="auto", max_qubits=10)
+    monkeypatch.setattr(sim, "MAX_QUBITS", 10)
+    result = estimate_all_overlaps(d0, shots=64, seed=0, engine="auto")
     assert result.engine == "oracle"
 
 
@@ -125,7 +135,8 @@ def test_auto_prefers_statevector_then_oracle(d0):
 def test_oracle_distribution_matches_full_circuit(n):
     rng = np.random.default_rng(60 + n)
     ensemble = random_ensemble(rng, n)
-    padded, _, circuit, plan = plan_for(ensemble, "new", "standard")
+    padded, _, plan = layout_for(ensemble, "new", "standard")
+    circuit = assemble(plan)
     _, full = measured_distribution(circuit, tensor_product(input_factors(padded, plan)))
     model = oracle_distribution(padded, plan)
     tv = 0.5 * np.abs(full - model).sum()
@@ -134,7 +145,7 @@ def test_oracle_distribution_matches_full_circuit(n):
 
 def test_oracle_identical_states_all_verdicts_zero():
     ensemble = StateEnsemble(tuple(basis_state(1) for _ in range(4)))
-    _, _, _, plan = plan_for(ensemble, "new", "standard")
+    _, _, plan = layout_for(ensemble, "new", "standard")
     counts = oracle_sample(ensemble, plan, shots=400, seed=5)
     assert counts.total_shots == 400
     assert not counts.bits[:, 2:].any()
@@ -179,7 +190,7 @@ def test_estimates_converge_with_shot_count(d0):
 def test_estimator_is_unbiased_across_seeds():
     rng = np.random.default_rng(77)
     ensemble = random_ensemble(rng, 4)
-    _, _, _, plan = plan_for(ensemble, "new", "standard")
+    _, _, plan = layout_for(ensemble, "new", "standard")
     shots, seeds = 2000, 60
     sums = np.zeros(6)
     for seed in range(seeds):
@@ -205,7 +216,7 @@ def test_replay_round_trips_run_counts(d0):
 
 def test_replay_recorded_run_against_published_estimates(d0):
     counts = reference_counts()
-    _, _, _, plan = plan_for(d0, "new", "standard")
+    _, _, plan = layout_for(d0, "new", "standard")
     report = replay(counts, plan, d0, reference=reference_estimates(), tolerance=1e-3)
     assert len(report.estimates) == 28
     assert report.total_shots == 8192
@@ -217,7 +228,7 @@ def test_replay_recorded_run_against_published_estimates(d0):
 
 def test_replay_aligns_reference_with_pairs(d0):
     counts = reference_counts()
-    _, _, _, plan = plan_for(d0, "new", "standard")
+    _, _, plan = layout_for(d0, "new", "standard")
     # labels outside 1..8 match no row; a reversed key names the same pair
     reference = {(7, 6): 0.5, (0, 1): 0.5, (8, 9): 0.5}
     report = replay(counts, plan, d0, reference=reference, tolerance=0.01)
@@ -237,7 +248,7 @@ def test_replay_aligns_reference_with_pairs(d0):
 def test_replay_size_mismatch(d0):
     counts = reference_counts()
     small = StateEnsemble(d0.states[:4])
-    _, _, _, plan = plan_for(d0, "new", "standard")
+    _, _, plan = layout_for(d0, "new", "standard")
     with pytest.raises(ValueError, match="registers"):
         replay(counts, plan, small)
 
@@ -351,7 +362,7 @@ def test_oracle_verdict_blocks_keep_the_draw(shards, block, monkeypatch, fast_sw
     # any split into shards, threshold-table chunks and verdict blocks of 1
     # row, 7 rows or all shots gives the rows of one serial draw
     ensemble = random_ensemble(np.random.default_rng(16), 16)
-    _, _, _, plan = plan_for(ensemble, "new", "standard")
+    _, _, plan = layout_for(ensemble, "new", "standard")
     slots, shots = len(plan.slots), 2021
     monkeypatch.setattr(estimation, "_SHARDS", shards)
     monkeypatch.setattr(estimation, "_MIN_SHARD_ROWS", 1)
@@ -393,7 +404,7 @@ def test_verdict_threshold_matches_the_float_comparison():
 def test_verdict_word_at_its_threshold_fails():
     # random() >= p0 holds at equality: a shot's first verdict word, shifted,
     # equal to the threshold gives verdict 1, and one below it verdict 0
-    _, _, _, plan = plan_for(StateEnsemble((basis_state(1),) * 4), "new", "standard")
+    _, _, plan = layout_for(StateEnsemble((basis_state(1),) * 4), "new", "standard")
     first = np.random.Philox(key=4, counter=1 << 192).random_raw(1)[0] >> np.uint64(11)
     verdicts = []
     for threshold in (first, first + np.uint64(1)):
@@ -407,7 +418,7 @@ def test_verdict_word_at_its_threshold_fails():
 def test_orthogonal_states_fail_half_the_verdicts():
     # four mutually orthogonal two-qubit states: p0 = 1/2 in every slot
     ensemble = StateEnsemble(tuple(basis_state(2, index) for index in range(4)))
-    _, _, _, plan = plan_for(ensemble, "new", "standard")
+    _, _, plan = layout_for(ensemble, "new", "standard")
     counts = oracle_sample(ensemble, plan, shots=40000, seed=8)
     verdicts = counts.bits[:, plan.ancilla_count :]
     failed = (verdicts * counts.counts[:, None]).sum() / (2 * 40000)
@@ -432,7 +443,7 @@ def test_a_failing_shard_raises_after_every_shard_ran(monkeypatch):
 @pytest.mark.parametrize("final", ["standard", "destructive"])
 def test_tally_shards_sum_to_the_serial_tally(final, monkeypatch, fast_switching):
     ensemble = random_ensemble(np.random.default_rng(31), 16)
-    _, pad_labels, _, plan = plan_for(ensemble, "new", final)
+    _, pad_labels, plan = layout_for(ensemble, "new", final)
     if final == "standard":
         counts = oracle_sample(ensemble, plan, shots=3000, seed=2)
     else:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from multiswap import fileio
-from multiswap.builder import build_u4, decode_all
+from multiswap.builder import decode_all, layout_plan
 from multiswap.estimation import CountsTable
 from multiswap.fileio import (
     DataError,
@@ -131,7 +131,7 @@ def test_counts_must_fit_in_64_bits(tmp_path):
 
 
 def test_table_export_includes_reference_mismatches():
-    _, plan = build_u4()
+    plan = layout_plan("new", 4)
     doc = table_to_dict(plan, decode_all(plan), reference_rows=reference_table_rows("new_n4"))
     assert doc["scheme"] == "new"
     assert doc["n"] == 4

@@ -16,9 +16,8 @@ from hypothesis import strategies as st
 
 from conftest import random_ensemble
 from multiswap import fileio
-from multiswap.builder import build_network, decode
+from multiswap.builder import decode, layout_plan
 from multiswap.estimation import CountsTable, estimate_all_overlaps
-from multiswap.san import build_san_network
 
 
 def _reference_cell(value) -> str:
@@ -121,7 +120,7 @@ def _reference_decode(plan, ancilla_bits) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _plan(scheme: str, n: int):
-    return (build_network if scheme == "new" else build_san_network)(n)[1]
+    return layout_plan(scheme, n)
 
 
 @settings(max_examples=60, deadline=None)

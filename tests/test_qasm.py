@@ -2,9 +2,8 @@ import re
 
 import pytest
 
-from multiswap.builder import build_un
+from multiswap.builder import assemble, layout_plan
 from multiswap.qasm import to_qasm
-from multiswap.san import build_san_un
 from multiswap.swaptest import build_swap_test
 
 # gates defined by the standard qelib1.inc header
@@ -58,7 +57,7 @@ def check_qasm(text: str) -> dict:
 
 
 def test_export_header_and_structure():
-    circuit, _ = build_un(8, 1, "standard")
+    circuit = assemble(layout_plan("new", 8, 1, "standard"))
     text = to_qasm(circuit)
     assert text.startswith("OPENQASM 2.0;")
     info = check_qasm(text)
@@ -68,7 +67,7 @@ def test_export_header_and_structure():
 
 
 def test_decompose_flag_removes_cswap():
-    circuit, _ = build_un(4, 1, "standard")
+    circuit = assemble(layout_plan("new", 4, 1, "standard"))
     text = to_qasm(circuit, decompose_cswap=True)
     assert "cswap" not in text
     assert "ccx" in text
@@ -76,7 +75,7 @@ def test_decompose_flag_removes_cswap():
 
 
 def test_gate_counts_match_ir():
-    circuit, _ = build_san_un(8, 1, "standard")
+    circuit = assemble(layout_plan("san", 8, 1, "standard"))
     info = check_qasm(to_qasm(circuit))
     assert info["gates"] == len(circuit.gates)
 

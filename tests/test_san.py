@@ -1,17 +1,10 @@
 import numpy as np
 import pytest
 
-from multiswap.builder import decode_all, pair_coverage
+from multiswap.builder import assemble, decode_all, layout_plan, pair_coverage
 from multiswap.circuits import count_resources
 from multiswap.fixtures import reference_table_rows
-from multiswap.san import (
-    U4_BLOCK,
-    block_outcome_rows,
-    build_san_network,
-    build_san_u4,
-    build_san_un,
-    search_u4_wirings,
-)
+from multiswap.san import U4_BLOCK, block_outcome_rows, search_u4_wirings
 
 from conftest import real_pair_coverage
 
@@ -43,45 +36,47 @@ def test_exhaustive_search_confirms_wiring_is_optimal():
 @pytest.mark.parametrize("n", [4, 8, 16, 32])
 def test_resource_closed_forms(n):
     k = n.bit_length() - 1
-    profile = count_resources(build_san_network(n)[0])
+    profile = count_resources(assemble(layout_plan("san", n)))
     assert profile.cswap_count == 3 * (2 ** (k - 1) - 1)
     assert profile.ancilla_count == 3 * (k - 1)
 
 
 def test_u8_explicit_counts():
-    profile = count_resources(build_san_network(8)[0])
+    profile = count_resources(assemble(layout_plan("san", 8)))
     assert (profile.cswap_count, profile.ancilla_count) == (9, 6)
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_every_pair_reaches_the_measured_slot(n):
-    _, coverage = real_pair_coverage(build_san_network(n)[1])
+    _, coverage = real_pair_coverage(layout_plan("san", n))
     assert len(coverage) == n * (n - 1) // 2
     assert (coverage > 0).all()
 
 
 def test_pair_one_two_has_single_covering_outcome():
-    _, plan = build_san_network(4)
+    plan = layout_plan("san", 4)
     assert pair_coverage(plan)[0, 1] == 1
     assert decode_all(plan)[:2, 0b000].tolist() == [1, 2]
 
 
 def test_single_slot_one_verdict_per_shot():
-    circuit, plan = build_san_un(8, 1, "standard")
+    plan = layout_plan("san", 8, 1, "standard")
+    circuit = assemble(plan)
     assert plan.slots == ((1, 2),)
     assert plan.measured_labels() == ("s1", "s2", "s3", "s4", "s5", "s6", "r1")
     assert circuit.qubit_count == 6 + 8 + 1
 
 
 def test_rows_are_bijections():
-    _, plan = build_san_network(8)
+    plan = layout_plan("san", 8)
     labels = decode_all(plan)
     assert labels.shape == (8, 64)
     assert (np.sort(labels, axis=0) == np.arange(1, 9)[:, None]).all()
 
 
 def test_u4_builder_shape():
-    circuit, plan = build_san_u4()
+    plan = layout_plan("san", 4)
+    circuit = assemble(plan)
     assert plan.ancilla_count == 3
     assert count_resources(circuit).cswap_count == 3
     # each ancilla controls exactly one register swap
@@ -90,7 +85,7 @@ def test_u4_builder_shape():
 
 
 def test_padded_coverage_excludes_pads():
-    _, plan = build_san_network(8)
+    plan = layout_plan("san", 8)
     _, coverage = real_pair_coverage(plan, (7, 8))
     assert len(coverage) == 15
     assert (coverage > 0).all()

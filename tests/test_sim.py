@@ -10,7 +10,7 @@ import pytest
 
 import multiswap
 from multiswap import sim
-from multiswap.builder import build_un, input_factors
+from multiswap.builder import assemble, input_factors, layout_plan
 from multiswap.circuits import GATE_ARITY, CircuitIR, Gate
 from multiswap.sim import (
     measured_distribution,
@@ -18,7 +18,6 @@ from multiswap.sim import (
     run_statevector,
     sample_from_distribution,
 )
-from multiswap.san import build_san_un
 from multiswap.states import PureState, basis_state, normalize, tensor_product
 from multiswap.swaptest import build_swap_test, pair_input
 
@@ -58,11 +57,13 @@ def test_width_mismatch_rejected():
         run_statevector(_circuit(2, []), basis_state(1))
 
 
-def test_qubit_cap_enforced():
+def test_qubit_cap_enforced(monkeypatch):
+    monkeypatch.setattr(sim, "MAX_QUBITS", 4)
     with pytest.raises(ValueError, match=r"5 qubits \(512 B statevector\).*4 qubits \(256 B\).*oracle"):
-        run_statevector(_circuit(5, []), basis_state(5), max_qubits=4)
+        run_statevector(_circuit(5, []), basis_state(5))
+    monkeypatch.setattr(sim, "MAX_QUBITS", 26)
     with pytest.raises(ValueError, match=r"30 qubits \(16 GiB statevector\).*26 qubits \(1 GiB\)"):
-        sim._check_size(30, 26)
+        sim._check_size(30)
 
 
 @pytest.mark.parametrize("kind,qubits", [
@@ -306,11 +307,12 @@ def test_product_input_matches_dense_input(seed):
         _assert_product_matches_dense(_circuit(q, gates, measured), factors)
 
 
-@pytest.mark.parametrize("build", [build_un, build_san_un])
+@pytest.mark.parametrize("scheme", ["new", "san"])
 @pytest.mark.parametrize("final", ["standard", "destructive"])
-def test_product_input_matches_dense_on_built_circuits(build, final):
+def test_product_input_matches_dense_on_built_circuits(scheme, final):
     rng = np.random.default_rng(7)
-    circuit, plan = build(4, 1, final)
+    plan = layout_plan(scheme, 4, 1, final)
+    circuit = assemble(plan)
     _assert_product_matches_dense(circuit, input_factors(random_ensemble(rng, 4), plan))
 
 
@@ -318,21 +320,22 @@ def _total_variation(p, q) -> float:
     return 0.5 * float(np.abs(p - q).sum())
 
 
-_BUILT = [(build, n, width, final)
-          for build in (build_un, build_san_un) for final in ("standard", "destructive")
+_BUILT = [(scheme, n, width, final)
+          for scheme in ("new", "san") for final in ("standard", "destructive")
           for n in (4, 8) for width in (1, 2)]
 
 
 @pytest.mark.parametrize("block", [1, 64])
-@pytest.mark.parametrize("build,n,width,final", [
-    case for case in _BUILT if case[0](case[1], case[2], case[3])[1].total_qubits <= 22
+@pytest.mark.parametrize("scheme,n,width,final", [
+    case for case in _BUILT if layout_plan(*case).total_qubits <= 22
 ])
-def test_branched_marginal_matches_full_state_on_built_circuits(build, n, width, final, block,
+def test_branched_marginal_matches_full_state_on_built_circuits(scheme, n, width, final, block,
                                                                 monkeypatch):
     # a small _BLOCK lets the cap branch at these sizes: every ancilla at
     # block 1, the first few (or none) at block 64
     rng = np.random.default_rng(n + width)
-    circuit, plan = build(n, width, final)
+    plan = layout_plan(scheme, n, width, final)
+    circuit = assemble(plan)
     factors = input_factors(random_ensemble(rng, n, width), plan)
     expected = _reference_marginal(circuit, factors)
     monkeypatch.setattr(sim, "_BLOCK", block)

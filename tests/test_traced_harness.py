@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from multiswap.builder import build_un
+from multiswap.builder import assemble, layout_plan
 from multiswap.cli import main
 from multiswap.fileio import save_states
 from multiswap.states import PureState, StateEnsemble
@@ -41,19 +41,20 @@ def test_traced_statevector_estimate_writes_spans(tmp_path):
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(trace.read_text())
     assert doc["exit_code"] == 0
-    names = {span[0] for span in doc["spans"]}
+    names = [span[0] for span in doc["spans"]]
     assert {
         "cli.main",
         "estimation.estimate_all_overlaps",
         "sim.measured_distribution",
         "estimation.tally",
         "fileio.write_csv",
-    } <= names
+    } <= set(names)
     assert all(start <= end for _, start, end, _ in doc["spans"])
     # the estimate path never calls run_statevector, so the run itself takes
     # no gate probes; the probes are exercised directly below
     assert doc["gate_probes"] == {}
-    assert doc["counters"]["circuits.gate_count"] == 24
+    # the statevector run builds exactly one gate list, from the plan it holds
+    assert names.count("builder.assemble") == 1
 
 
 def test_traced_sharded_oracle_estimate_matches_the_untraced_run(tmp_path, capsys):
@@ -88,6 +89,6 @@ def test_traced_sharded_oracle_estimate_matches_the_untraced_run(tmp_path, capsy
 def test_traced_gate_probes_time_each_gate_kind():
     # loading the script instruments nothing and writes no bytecode cache
     traced = runpy.run_path(str(TRACED), run_name="traced")
-    probes = traced["gate_probes"](build_un(4)[0])
+    probes = traced["gate_probes"](assemble(layout_plan("new", 4, 1, "standard")))
     assert sorted(probes) == ["CSWAP", "H"]
     assert all(seconds >= 0 for seconds in probes.values())
