@@ -11,7 +11,7 @@ Three published per-pair estimates cannot be reproduced from the published
 counts at all; the replay flags them rather than glossing over the gap.
 """
 
-from multiswap.estimation import layout_for, replay
+from multiswap.estimation import replay
 from multiswap.fixtures import load_ensemble, reference_counts, reference_estimates
 
 ensemble = load_ensemble(0)
@@ -21,8 +21,6 @@ print(f"recorded shots: {counts.total_shots}")
 print(f"distinct outcomes: {len(counts.counts)} "
       f"(duplicate |11111010> rows merged to {counts.counts[duplicated].sum()})")
 
-_, _, plan = layout_for(ensemble, "new", "standard")
-
 # ancilla prefixes 0010 and 0011 share s1 s2 s3 = 001; r4 is column 7
 routed = (counts.bits[:, :3] == [0, 0, 1]).all(axis=1)
 t0 = counts.counts[routed & (counts.bits[:, 7] == 0)].sum()
@@ -30,7 +28,9 @@ t1 = counts.counts[routed & (counts.bits[:, 7] == 1)].sum()
 print(f"\nworked example, pair (6,7): t0={t0}, t1={t1}, "
       f"estimate {2 * t0 / (t0 + t1) - 1:.4f}")
 
-report = replay(counts, plan, ensemble, reference=reference_estimates(), tolerance=1e-3)
+# replay plans the layout itself: scheme and final variant from the counts,
+# register count and width from the ensemble
+report = replay(counts, ensemble, reference=reference_estimates(), tolerance=1e-3)
 est = report.estimates  # reference and flags are aligned with est.pairs
 print(f"\nreplayed {len(est)} pairs against the published estimates "
       f"(tolerance {report.tolerance}):")

@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +22,8 @@ from .builder import (
     decode_all,
     layout_plan,
 )
-from .estimation import ENGINES, estimate_all_overlaps, layout_for, replay
+from .estimation import ENGINES, DataError, estimate_all_overlaps, layout_for, replay
 from .fileio import (
-    DataError,
     load_states,
     read_counts,
     read_reference_estimates,
@@ -150,7 +148,10 @@ def cmd_estimate(args) -> int:
             engine=args.engine,
         )
     except MemoryError as exc:  # numpy names the size it could not allocate
-        raise ConfigError(f"--shots {args.shots} does not fit in memory: {exc}") from None
+        raise ConfigError(
+            f"out of memory in a run of {ensemble.n} registers of width {ensemble.width}, "
+            f"--shots {args.shots}, --engine {args.engine}: {exc}"
+        ) from None
     write_csv(out / "estimates.csv", result.estimates.columns())
     scatter, summary = analytics.scatter_data(result.estimates)
     write_csv(out / "scatter.csv", scatter)
@@ -174,24 +175,13 @@ def cmd_replay(args) -> int:
         counts = fixtures.reference_counts()
     else:
         counts = read_counts(args.counts)
-    scheme = counts.scheme or "new"
-    _, _, plan = layout_for(ensemble, scheme, "standard")
-    expected = plan.measured_labels()
-    if counts.labels != expected:
-        plan = replace(plan, final_variant="destructive")
-        if counts.labels != plan.measured_labels():
-            raise DataError(
-                "counts layout does not match the states: expected "
-                f"{' '.join(expected)} (or the destructive form), found "
-                f"{' '.join(counts.labels)}"
-            )
     if args.reference == "exact":
         reference = None
     elif args.reference == "bundled":
         reference = fixtures.reference_estimates()
     else:
         reference = read_reference_estimates(args.reference)
-    report = replay(counts, plan, ensemble, reference=reference, tolerance=args.tolerance)
+    report = replay(counts, ensemble, reference=reference, tolerance=args.tolerance)
     est = report.estimates
     flagged = np.flatnonzero(report.flags != "ok")
     print(f"total shots: {report.total_shots}")

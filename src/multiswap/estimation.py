@@ -31,14 +31,14 @@ import numpy as np
 from . import sim
 from .builder import LayoutPlan, assemble, decode, input_factors, layout_plan, pad_inputs
 from .circuits import index_bits
-from .sim import measured_distribution, sample_from_distribution
+from .sim import draw_stream, draw_thresholds, measured_distribution, sample_from_distribution
 from .states import StateEnsemble
 from .swaptest import destructive_decode
 
 ENGINES = ("statevector", "oracle", "auto")
 
 # the functions shard workers call, bound where no tracer rebinds them
-_decode, _index_bits = decode, index_bits
+_decode, _index_bits, _draw_stream = decode, index_bits, draw_stream
 
 #: threads a run's rows are split across at most: the CPUs it may run on
 _SHARDS = (
@@ -53,6 +53,10 @@ _VERDICT_STREAM = 1 << 192
 _TABLE_ENTRIES = 1 << 22
 #: verdict words drawn (and thresholds gathered) at once
 _VERDICT_BLOCK = 1 << 16
+
+
+class DataError(ValueError):
+    """Malformed input data: a file's contents, or counts that fit no layout."""
 
 
 @dataclass(frozen=True)
@@ -284,19 +288,11 @@ def _slot_pairs(plan: LayoutPlan, outcomes) -> np.ndarray:
     return pairs.T
 
 
-def _stream(seed: int, base: int, word: int) -> np.random.Philox:
-    """Philox keyed by ``seed``, at raw word ``word`` of the stream whose
-    counter starts at ``base``."""
-    bits = np.random.Philox(key=np.uint64(seed), counter=base + word // 4)
-    bits.random_raw(word % 4)
-    return bits
-
-
 def _oracle_rows(rows, plan, thresholds, seed, lo, hi) -> None:
     """Draw shots lo..hi of an oracle run into their rows."""
     d, n_slots = plan.ancilla_count, len(plan.slots)
-    ancillas = _stream(seed, 0, lo)
-    verdicts = _stream(seed, _VERDICT_STREAM, lo * n_slots)
+    ancillas = _draw_stream(seed, lo)
+    verdicts = _draw_stream(seed, lo * n_slots, _VERDICT_STREAM)
     chunk = max(1, _TABLE_ENTRIES // n_slots)
     step = max(1, _VERDICT_BLOCK // n_slots)
     for start in range(lo, hi, chunk):
@@ -312,21 +308,6 @@ def _oracle_rows(rows, plan, thresholds, seed, lo, hi) -> None:
             np.greater_equal(words, table[which[b : b + step]], out=block[:, d:])
 
 
-def _verdict_thresholds(overlaps: np.ndarray) -> np.ndarray:
-    """ceil(p0 * 2**53) as uint64 for every overlap, p0 = (1 + overlap)/2
-    being the probability that the pair's swap test gives verdict 0.
-
-    A raw 64-bit word w gives verdict 1 exactly when ``w >> 11`` reaches the
-    threshold: numpy's uniform double from w is ``(w >> 11) * 2**-53``, and
-    an integer u satisfies u * 2**-53 >= p0 exactly when u >= ceil(p0 * 2**53).
-    (For p0 in [1/2, 1], p0 * 2**53 is already an integer.)
-    """
-    p0 = overlaps + 1.0
-    p0 /= 2.0
-    p0 *= 2.0**53
-    return np.ceil(p0).astype(np.uint64)
-
-
 def oracle_sample(
     ensemble: StateEnsemble, plan: LayoutPlan, shots: int, seed: int
 ) -> CountsTable:
@@ -334,15 +315,12 @@ def oracle_sample(
     then one Bernoulli verdict per slot. Scales to register counts far beyond
     the dense statevector cap; emits standard-variant verdict bits.
 
-    Shot i's draws depend only on the seed and i. Two Philox streams keyed
-    by the seed supply raw 64-bit words: shot i's ancilla outcome is the top
-    d bits of word i of the ancilla stream, and its verdict in slot s is 1
-    exactly when word i*S + s of the verdict stream (S slots), shifted right
-    by 11, reaches ceil(p0 * 2**53), p0 = (1 + overlap)/2 for the slot's
-    pair; that is numpy's ``random() >= p0`` on the same word, compared
-    without floats. A shard of shots opens both streams at its own first
-    word, so the rows do not depend on how the shots are split across
-    shards, chunks or blocks.
+    Draws follow ``sim.draw_thresholds``: shot i's ancilla outcome is the
+    top d bits of word i of the stream at counter 0, and its verdict in slot
+    s is 1 exactly when word i*S + s of the stream at counter 2**192 (S
+    slots) reaches p0 = (1 + overlap)/2 for the slot's pair. A shard opens
+    both streams at its own first word, so the rows do not depend on how
+    the shots are split across shards, chunks or blocks.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -350,7 +328,8 @@ def oracle_sample(
         raise ValueError("ensemble size does not match the plan (pad first)")
     labels = replace(plan, final_variant="standard").measured_labels()
     rows = np.empty((shots, len(labels)), dtype=np.uint8)
-    work = partial(_oracle_rows, rows, plan, _verdict_thresholds(ensemble.overlaps), seed)
+    thresholds = draw_thresholds((ensemble.overlaps + 1.0) / 2.0)
+    work = partial(_oracle_rows, rows, plan, thresholds, seed)
     _in_shards(shots, work)
     return CountsTable(labels, plan.scheme, rows, np.ones(shots, dtype=np.int64))
 
@@ -400,9 +379,10 @@ def estimate_all_overlaps(
 
     It checks engine, shots and seed; ``builder.layout_plan`` checks scheme
     and final variant. ``engine="auto"`` uses the dense statevector whenever
-    the circuit fits under the qubit cap ``sim.MAX_QUBITS`` and the
-    permutation oracle otherwise. The oracle engine always emits
-    standard-variant verdict bits, so its result carries the standard plan.
+    the circuit fits under the qubit cap ``sim.MAX_QUBITS`` (which
+    ``sim._check_size`` enforces) and the permutation oracle otherwise. The
+    oracle engine always emits standard-variant verdict bits, so its result
+    carries the standard plan.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
@@ -416,12 +396,8 @@ def estimate_all_overlaps(
     if engine == "oracle":
         plan = replace(plan, final_variant="standard")
         counts = oracle_sample(padded, plan, shots, seed)
-    elif plan.total_qubits > sim.MAX_QUBITS:
-        raise ValueError(
-            f"{plan.total_qubits} qubits exceed the statevector cap of "
-            f"{sim.MAX_QUBITS}; re-run with engine='oracle'"
-        )
     else:
+        sim._check_size(plan.total_qubits)
         labels, probs = measured_distribution(assemble(plan), input_factors(padded, plan))
         idx = sample_from_distribution(probs, shots, seed)
         values, cnts = np.unique(idx, return_counts=True)
@@ -483,7 +459,6 @@ def _aligned(reference: dict[tuple[int, int], float], pairs: np.ndarray) -> np.n
 
 def replay(
     counts: CountsTable,
-    plan: LayoutPlan,
     ensemble: StateEnsemble,
     *,
     reference: dict[tuple[int, int], float] | None = None,
@@ -491,17 +466,25 @@ def replay(
 ) -> ReplayReport:
     """Decode recorded counts into per-pair estimates and flag deviations.
 
+    The layout is the counts' scheme ("new" if they name none) on the
+    padded ensemble, ending in the final variant whose labels the counts
+    carry; labels that fit neither variant are a ``DataError``.
     ``reference`` defaults to the ensemble's exact overlaps; a pair is
     flagged "deviates" when |estimate - reference| exceeds ``tolerance`` and
     "unsampled" when no shot reached it.
     """
     if not np.isfinite(tolerance) or tolerance < 0:
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
-    padded, pad_labels = pad_inputs(ensemble)
-    if padded.n != plan.n:
-        raise ValueError(
-            f"counts are for {plan.n} registers but states give {padded.n}"
-        )
+    padded, pad_labels, plan = layout_for(ensemble, counts.scheme or "new")
+    expected = plan.measured_labels()
+    if counts.labels != expected:
+        plan = replace(plan, final_variant="destructive")
+        if counts.labels != plan.measured_labels():
+            raise DataError(
+                "counts layout does not match the states: expected "
+                f"{' '.join(expected)} (or the destructive form), found "
+                f"{' '.join(counts.labels)}"
+            )
     estimates = _estimate_pairs(counts, plan, padded, pad_labels)
     ref = estimates.exact if reference is None else _aligned(reference, estimates.pairs)
     deviates = np.abs(estimates.estimate - ref) > tolerance

@@ -8,6 +8,7 @@ lines. Duplicate bitstrings merge by summation.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -15,12 +16,17 @@ from pathlib import Path
 import numpy as np
 
 from .builder import SCHEMES, LayoutPlan
-from .estimation import CountsTable
+from .estimation import CountsTable, DataError
 from .states import INPUT_NORM_TOL, PureState, StateEnsemble, normalize
 
 
-class DataError(ValueError):
-    """Malformed input file contents."""
+def _read_text(path, newline=None) -> str:
+    """The file's text; bytes that do not decode are a data error."""
+    try:
+        with open(path, newline=newline) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not readable as text ({exc})") from None
 
 
 def _parse_amplitude(entry, where: str) -> complex:
@@ -61,7 +67,7 @@ def parse_states(doc: dict, *, renormalize: bool = False) -> StateEnsemble:
 def load_states(path, *, renormalize: bool = False) -> StateEnsemble:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not valid JSON ({exc})") from exc
     return parse_states(doc, renormalize=renormalize)
@@ -84,7 +90,7 @@ def read_counts(path) -> CountsTable:
     a malformed line is looked up only to report it.
     """
     path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = _read_text(path).splitlines()
     labels: tuple[str, ...] | None = None
     scheme = ""
     fields: list[list[str]] = []
@@ -293,13 +299,14 @@ def read_reference_estimates(path) -> dict[tuple[int, int], float]:
 
     Uses the ``estimate`` column if present, else ``value``. A row names an
     unordered pair, so ``2,1`` stands for (1, 2). A value that is not a
-    finite number, or a pair listed twice in either order, is a data error.
+    finite number, a pair listed twice in either order, or text the csv
+    module cannot parse is a data error.
     """
     out: dict[tuple[int, int], float] = {}
     seen: set[tuple[int, int]] = set()
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
+    text = io.StringIO(_read_text(path, newline=""), newline="")
+    try:
+        for row in csv.DictReader(text):
             try:
                 pair = (int(row["pair_i"]), int(row["pair_j"]))
                 out[pair] = float(row.get("estimate") or row["value"])
@@ -311,4 +318,6 @@ def read_reference_estimates(path) -> dict[tuple[int, int], float]:
             if unordered in seen:
                 raise DataError(f"{path}: pair {unordered} listed twice, in row {row!r}")
             seen.add(unordered)
+    except csv.Error as exc:  # such as a field over csv's size limit
+        raise DataError(f"{path}: {exc}") from None
     return out

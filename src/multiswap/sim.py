@@ -53,9 +53,9 @@ blocks small enough to stay in cache, so no gate allocates a state-sized
 array; a marginal is reduced block by block the same way and checked in
 place of re-validating the state-sized output.
 
-Shot sampling uses the counter-based Philox generator keyed by the run seed;
-shot i consumes the i-th uniform of the stream, so a run partitioned across
-workers by shot index reproduces the serial result exactly.
+Both engines draw shots by one rule, ``draw_stream`` and ``draw_thresholds``;
+shot i reads word i of the stream, so a run partitioned across workers by
+shot index reproduces the serial result exactly.
 """
 
 from __future__ import annotations
@@ -444,13 +444,28 @@ def measured_distribution(
     return circuit.labels, probs.reshape(-1)
 
 
-def shot_rng(seed: int) -> np.random.Generator:
-    """The run's named generator: counter-based Philox keyed by the seed."""
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+def draw_stream(seed: int, word: int = 0, base: int = 0) -> np.random.Philox:
+    """Philox keyed by ``seed``, at raw word ``word`` of the stream whose
+    counter starts at ``base`` (4 words per counter value)."""
+    bits = np.random.Philox(key=np.uint64(seed), counter=base + word // 4)
+    bits.random_raw(word % 4)
+    return bits
+
+
+def draw_thresholds(p: np.ndarray) -> np.ndarray:
+    """ceil(p * 2**53) as uint64 (0 for p < 0). A raw word w reaches p when
+    ``w >> 11`` reaches this: numpy's ``random() >= p`` on w, as integers,
+    since its double is (w >> 11) * 2**-53 and an integer u has
+    u * 2**-53 >= p exactly when u >= ceil(p * 2**53)."""
+    t = np.ldexp(p, 53)
+    np.ceil(t, out=t)
+    np.maximum(t, 0.0, out=t)
+    return t.astype(np.uint64)
 
 
 def sample_from_distribution(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """Draw i.i.d. outcome indices, one uniform per shot index."""
+    """Draw i.i.d. outcome indices: shot i's index is the number of
+    cumulative probabilities that raw word i of the seed's stream reaches."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     total = probs.sum()
@@ -458,8 +473,9 @@ def sample_from_distribution(probs: np.ndarray, shots: int, seed: int) -> np.nda
         raise ValueError(f"probabilities sum to {total}, not 1")
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0
-    u = shot_rng(seed).random(shots)
-    return np.searchsorted(cdf, u, side="right")
+    words = draw_stream(seed).random_raw(shots)
+    words >>= np.uint64(11)
+    return np.searchsorted(draw_thresholds(cdf), words, side="right")
 
 
 def project_qubits(state: PureState, qubits, bits) -> tuple[float, PureState | None]:

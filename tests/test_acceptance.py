@@ -193,8 +193,7 @@ def test_c08_precision_law(d0):
 def test_c09_recorded_counts_replay(d0):
     counts = reference_counts()
     assert outcome_count(counts, "11111010") == 48  # duplicate rows merged
-    _, _, plan = layout_for(d0, "new", "standard")
-    report = replay(counts, plan, d0, reference=reference_estimates(), tolerance=1e-3)
+    report = replay(counts, d0, reference=reference_estimates(), tolerance=1e-3)
     pairs = report.estimates.pairs.tolist()
     assert len(pairs) == 28
     assert (report.estimates.samples > 0).all()

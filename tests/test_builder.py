@@ -135,12 +135,20 @@ def test_rows_are_bijections_fixing_register_one(n):
     assert (labels[0] == 1).all()
 
 
-@pytest.mark.parametrize("n", [4, 8, 16, 32])
+@pytest.mark.parametrize("n", [4, 8, 16, 32, 64, 128, 256])
 def test_pair_coverage_complete(n):
     plan = layout_plan("new", n)
     _, coverage = real_pair_coverage(plan)
     assert len(coverage) == n * (n - 1) // 2
     assert (coverage > 0).all()
+    # every (outcome, slot) entry tests one pair: (n/2) * 2**d in all
+    assert pair_coverage(plan).sum() == (n // 2) << plan.ancilla_count
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
+def test_san_pair_coverage_totals_one_pair_per_outcome(n):
+    plan = layout_plan("san", n)
+    assert pair_coverage(plan).sum() == 1 << plan.ancilla_count
 
 
 def test_identity_outcome_and_worked_slot_example():

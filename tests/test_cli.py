@@ -420,5 +420,45 @@ def test_estimate_too_many_shots_for_memory_is_config_error(engine, tmp_path, ca
     argv = ["estimate", "bundled", "--engine", engine, "--shots", str(10**15)]
     assert main(argv + ["--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: --shots {10**15} does not fit in memory")
-    assert "PiB" in err
+    assert err.startswith("config error: ")
+    assert f"--shots {10**15}" in err and "PiB" in err
+
+
+def test_estimate_memory_error_names_the_run_not_a_cause(tmp_path, capsys, monkeypatch):
+    # the overlap matrix, not the shots, runs out here; the message names the
+    # run and numpy's text and blames neither
+    refusal = "Unable to allocate 2.00 GiB for an array with shape (16384, 16384)"
+
+    def overlaps(self):
+        raise MemoryError(refusal)
+
+    monkeypatch.setattr(StateEnsemble, "overlaps", property(overlaps))
+    argv = ["estimate", "bundled", "--shots", "100", "--out-dir", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "config error: out of memory in a run of 8 registers of width 1, "
+        f"--shots 100, --engine auto: {refusal}\n"
+    )
+
+
+def test_replay_reference_field_over_the_csv_limit_is_data_error(tmp_path, capsys):
+    # the csv module refuses a field over 128 KiB with its own csv.Error
+    path = tmp_path / "reference.csv"
+    path.write_text("pair_i,pair_j,estimate\n1,2," + "1" * (1 << 18) + "\n")
+    assert main(["replay", "bundled", "bundled", "--reference", str(path)]) == 3
+    assert "field larger than field limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["states", "counts", "reference"])
+def test_undecodable_input_file_is_data_error(kind, tmp_path, capsys):
+    # one byte 0xFF is no UTF-8 text; UnicodeDecodeError is a ValueError, so
+    # it once surfaced as a configuration error
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff")
+    argv = {
+        "states": ["estimate", str(bad), "--out-dir", str(tmp_path)],
+        "counts": ["replay", str(bad), "bundled"],
+        "reference": ["replay", "bundled", "bundled", "--reference", str(bad)],
+    }[kind]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith(f"data error: {bad}: not readable as text (")

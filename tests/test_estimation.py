@@ -7,6 +7,7 @@ import pytest
 from multiswap import estimation, sim
 from multiswap.estimation import (
     CountsTable,
+    DataError,
     PairEstimates,
     estimate_all_overlaps,
     layout_for,
@@ -207,7 +208,7 @@ def test_estimator_is_unbiased_across_seeds():
 
 def test_replay_round_trips_run_counts(d0):
     result = estimate_all_overlaps(d0, shots=4096, seed=13)
-    report = replay(result.counts, result.plan, d0)
+    report = replay(result.counts, d0)
     assert report.total_shots == 4096
     assert np.array_equal(report.estimates.pairs, result.estimates.pairs)
     assert np.array_equal(report.estimates.estimate, result.estimates.estimate)
@@ -216,8 +217,7 @@ def test_replay_round_trips_run_counts(d0):
 
 def test_replay_recorded_run_against_published_estimates(d0):
     counts = reference_counts()
-    _, _, plan = layout_for(d0, "new", "standard")
-    report = replay(counts, plan, d0, reference=reference_estimates(), tolerance=1e-3)
+    report = replay(counts, d0, reference=reference_estimates(), tolerance=1e-3)
     assert len(report.estimates) == 28
     assert report.total_shots == 8192
     # most published estimates are reproduced from the published counts
@@ -228,10 +228,9 @@ def test_replay_recorded_run_against_published_estimates(d0):
 
 def test_replay_aligns_reference_with_pairs(d0):
     counts = reference_counts()
-    _, _, plan = layout_for(d0, "new", "standard")
     # labels outside 1..8 match no row; a reversed key names the same pair
     reference = {(7, 6): 0.5, (0, 1): 0.5, (8, 9): 0.5}
-    report = replay(counts, plan, d0, reference=reference, tolerance=0.01)
+    report = replay(counts, d0, reference=reference, tolerance=0.01)
     pairs = report.estimates.pairs.tolist()
     row = pairs.index([6, 7])
     assert report.reference[row] == 0.5
@@ -242,15 +241,14 @@ def test_replay_aligns_reference_with_pairs(d0):
     assert columns["abs_diff"][row] == pytest.approx(abs(0.5 - report.estimates.estimate[row]))
     assert np.isnan(np.delete(columns["abs_diff"], row)).all()
     with pytest.raises(ValueError, match="both orders"):
-        replay(counts, plan, d0, reference={(6, 7): 0.5, (7, 6): 0.5})
+        replay(counts, d0, reference={(6, 7): 0.5, (7, 6): 0.5})
 
 
 def test_replay_size_mismatch(d0):
     counts = reference_counts()
     small = StateEnsemble(d0.states[:4])
-    _, _, plan = layout_for(d0, "new", "standard")
-    with pytest.raises(ValueError, match="registers"):
-        replay(counts, plan, small)
+    with pytest.raises(DataError, match="expected s1 s2 r1 r2 .* found s1 s2 s3 s4 r1"):
+        replay(counts, small)
 
 
 def test_destructive_final_variant_pipeline(d0):
@@ -289,7 +287,7 @@ def test_san_destructive_pipeline_and_replay(d0):
     est = result.estimates
     assert len(est) == 28
     assert (np.abs(est.estimate - est.exact) <= 4 * est.stderr).all()
-    replayed = replay(result.counts, result.plan, d0).estimates
+    replayed = replay(result.counts, d0).estimates
     for column in ("pairs", "estimate", "samples"):
         assert np.array_equal(getattr(replayed, column), getattr(est, column))
 
@@ -381,7 +379,7 @@ def test_verdict_threshold_matches_the_float_comparison():
     rng = np.random.default_rng(21)
     edges = [0.0, 1.0, 0.5, 2.0**-53, 1.0 - 2.0**-53, np.nextafter(1.0, 2.0)]
     overlaps = np.concatenate([rng.random(400), edges])
-    thresholds = estimation._verdict_thresholds(overlaps)
+    thresholds = sim.draw_thresholds((overlaps + 1.0) / 2.0)
     p0 = (overlaps + 1.0) / 2.0
     # words within two steps of every threshold, then uniformly random ones
     steps = thresholds[:, None].astype(np.int64) + np.arange(-2, 3)

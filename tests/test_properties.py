@@ -3,7 +3,7 @@
 Each reference here is the straightforward form of what the package does
 with arrays: ``csv.writer`` for the CSV writer, Python's sorted bitstrings
 for ``CountsTable``, an ``np.where`` replay of the controlled swaps for
-``builder.decode``.
+``builder.decode``, and a one-shard run for the sharded oracle and ``tally``.
 """
 
 import csv
@@ -15,9 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_ensemble
-from multiswap import fileio
+from multiswap import estimation, fileio
 from multiswap.builder import decode, layout_plan
-from multiswap.estimation import CountsTable, estimate_all_overlaps
+from multiswap.estimation import (
+    CountsTable,
+    estimate_all_overlaps,
+    layout_for,
+    oracle_sample,
+    tally,
+)
 
 
 def _reference_cell(value) -> str:
@@ -156,3 +162,41 @@ def test_samples_sum_to_shots_times_real_slots(scheme, m, shots, seed):
     ]).sum(axis=0)
     assert result.estimates.samples.sum() == int(counts.counts @ real)
     assert counts.total_shots == shots
+
+
+def _sharded(shards: int, fn, *args):
+    """``fn(*args)`` with rows split over ``shards`` shards of any size."""
+    with mock.patch.object(estimation, "_SHARDS", shards), \
+            mock.patch.object(estimation, "_MIN_SHARD_ROWS", 1):
+        return fn(*args)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(["new", "san"]),
+    st.integers(2, 64),
+    st.integers(1, 3),
+    st.integers(0, 2**64 - 1),
+    st.integers(1, 7),
+)
+def test_sharded_oracle_and_tally_equal_one_shard(scheme, m, width, seed, shards):
+    ensemble = random_ensemble(np.random.default_rng(seed), m, width)
+    padded, pads, plan = layout_for(ensemble, scheme, "standard")
+    shots = 257
+    counts = _sharded(shards, oracle_sample, padded, plan, shots, seed)
+    serial = _sharded(1, oracle_sample, padded, plan, shots, seed)
+    assert np.array_equal(counts.bits, serial.bits)
+    assert np.array_equal(counts.counts, serial.counts)
+    # a destructive table: random data bits under a few ancilla prefixes
+    _, _, destructive = layout_for(ensemble, scheme, "destructive")
+    rng = np.random.default_rng(seed)
+    labels = destructive.measured_labels()
+    bits = rng.integers(0, 2, size=(shots, len(labels)))
+    bits[:, : plan.ancilla_count] = rng.integers(0, 2, size=(shots // 16, plan.ancilla_count))[
+        rng.integers(0, shots // 16, size=shots)
+    ]
+    table = CountsTable(labels, scheme, bits, rng.integers(1, 4, size=shots))
+    for layout, rows in ((plan, counts), (destructive, table)):
+        sharded = _sharded(shards, tally, rows, layout, pads)
+        one = _sharded(1, tally, rows, layout, pads)
+        assert all(np.array_equal(a, b) for a, b in zip(sharded, one))

@@ -170,6 +170,23 @@ def test_sampling_same_seed_same_multiset():
     assert not np.array_equal(first, third)
 
 
+def test_sampler_picks_what_the_float_draw_of_the_same_word_picks():
+    # integer thresholds against raw words give numpy's searchsorted of its
+    # uniform doubles, including a cumulative probability equal to a draw
+    shots, seed = 20000, 9
+    first = np.random.Generator(np.random.Philox(key=np.uint64(seed))).random(1)[0]
+    weights = np.random.default_rng(4).random(37)
+    for probs in (weights / weights.sum(), np.full(8, 0.125), np.array([0.0, 0.5, 0.0, 0.5]),
+                  np.array([1.0]), np.array([first, 1.0 - first])):
+        uniforms = np.random.Generator(np.random.Philox(key=np.uint64(seed))).random(shots)
+        cdf = np.cumsum(probs)
+        cdf[-1] = 1.0
+        expected = np.searchsorted(cdf, uniforms, side="right")
+        assert np.array_equal(sample_from_distribution(probs, shots, seed), expected)
+    # a draw reaches every negative probability
+    assert sim.draw_thresholds(np.array([-0.5, -1e-300, 0.0])).tolist() == [0, 0, 0]
+
+
 def test_project_qubits_conditions_and_normalizes():
     rng = np.random.default_rng(8)
     a, b = random_state(rng, 1), random_state(rng, 1)
