@@ -15,7 +15,7 @@ from multiswap.estimation import estimate_all_overlaps, layout_for
 from multiswap.fixtures import load_ensemble, reference_estimates
 
 ensemble = load_ensemble(0)
-_, _, plan = layout_for(ensemble, "new", "standard")
+_, plan = layout_for(ensemble, "new", "standard")
 circuit = assemble(plan)
 profile = count_resources(circuit)
 print(

@@ -14,7 +14,7 @@ from multiswap.qasm import to_qasm
 from multiswap.sim import project_qubits, run_statevector
 from multiswap.states import StateEnsemble, exact_overlap, tensor_product
 
-ensemble = StateEnsemble(load_ensemble(0).states[:4])
+ensemble = StateEnsemble(load_ensemble(0).amplitudes[:4])
 
 plan = layout_plan("new", 4)
 circuit = assemble(plan)

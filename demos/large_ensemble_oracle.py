@@ -12,14 +12,14 @@ import time
 import numpy as np
 
 from multiswap.estimation import estimate_all_overlaps
-from multiswap.states import PureState, StateEnsemble
+from multiswap.states import StateEnsemble
 
 rng = np.random.default_rng(2024)
-states = []
+rows = []
 for _ in range(64):
     v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    states.append(PureState(v / np.linalg.norm(v), 1))
-ensemble = StateEnsemble(tuple(states))
+    rows.append(v / np.linalg.norm(v))
+ensemble = StateEnsemble(np.array(rows))  # one unit-norm state per row
 
 start = time.perf_counter()
 result = estimate_all_overlaps(ensemble, shots=1_000_000, seed=8, engine="oracle")

@@ -125,20 +125,16 @@ class LayoutPlan:
         return tuple(labels)
 
 
-def pad_inputs(ensemble: StateEnsemble) -> tuple[StateEnsemble, tuple[int, ...]]:
-    """Pad to the smallest power of two >= max(m, 4) with |0...0> states.
-
-    Returns the padded ensemble and the 1-based labels of the padded entries.
-    """
+def pad_inputs(ensemble: StateEnsemble) -> StateEnsemble:
+    """Pad to the smallest power of two >= max(m, 4) with |0...0> states,
+    appended as rows, so the m real inputs keep labels 1..m."""
     m = ensemble.n
-    n = 4
-    while n < m:
-        n *= 2
+    n = max(4, 1 << (m - 1).bit_length())
     if n == m:
-        return ensemble, ()
-    pad = basis_state(ensemble.width)
-    states = ensemble.states + (pad,) * (n - m)
-    return StateEnsemble(states), tuple(range(m + 1, n + 1))
+        return ensemble
+    pads = np.zeros((n - m, ensemble.amplitudes.shape[1]))
+    pads[:, 0] = 1.0
+    return StateEnsemble(np.concatenate([ensemble.amplitudes, pads]))
 
 
 def _network_swaps(n: int) -> tuple[tuple[int, int, int], ...]:
@@ -253,7 +249,8 @@ def input_factors(ensemble: StateEnsemble, plan: LayoutPlan) -> list[PureState]:
         raise ValueError("ensemble does not match the layout plan (pad first)")
     extra = plan.total_qubits - plan.ancilla_count - plan.data_qubit_count
     zero = basis_state(1)
-    return [zero] * plan.ancilla_count + list(ensemble.states) + [zero] * extra
+    inputs = [PureState(row, plan.width) for row in ensemble.amplitudes]
+    return [zero] * plan.ancilla_count + inputs + [zero] * extra
 
 
 def decode(plan: LayoutPlan, ancilla_bits) -> np.ndarray:

@@ -110,15 +110,13 @@ def _load(path: str, normalize: bool):
 
 def cmd_build(args) -> int:
     ensemble = _load(args.states, args.normalize)
-    padded, pad_labels, plan = layout_for(ensemble, args.scheme, args.final)
+    padded, plan = layout_for(ensemble, args.scheme, args.final)
     circuit = assemble(plan)
     network_cswaps = plan.register_swap_count * plan.width
     print(f"scheme: {args.scheme}")
-    if pad_labels:
-        print(
-            f"inputs: {ensemble.n}, padding to {padded.n} with "
-            f"{len(pad_labels)} |0> states"
-        )
+    if padded.n > ensemble.n:
+        pads = padded.n - ensemble.n
+        print(f"inputs: {ensemble.n}, padding to {padded.n} with {pads} |0> states")
     print(
         f"summary: {padded.n} inputs, {plan.ancilla_count} ancillas, "
         f"{network_cswaps} CSWAPs (+{len(plan.slots)} final tests)"

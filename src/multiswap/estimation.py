@@ -160,10 +160,11 @@ class PairEstimates:
 
 def layout_for(
     ensemble: StateEnsemble, scheme: str = "new", final_variant: str = "standard"
-) -> tuple[StateEnsemble, tuple[int, ...], LayoutPlan]:
-    """Pad the ensemble and build its layout plan (``builder.layout_plan``)."""
-    padded, pad_labels = pad_inputs(ensemble)
-    return padded, pad_labels, layout_plan(scheme, padded.n, padded.width, final_variant)
+) -> tuple[StateEnsemble, LayoutPlan]:
+    """The padded ensemble (``builder.pad_inputs``) and its layout plan
+    (``builder.layout_plan``)."""
+    padded = pad_inputs(ensemble)
+    return padded, layout_plan(scheme, padded.n, padded.width, final_variant)
 
 
 def _in_shards(rows: int, work) -> list:
@@ -196,7 +197,7 @@ def _in_shards(rows: int, work) -> list:
 
 
 def tally(
-    counts: CountsTable, plan: LayoutPlan, pad_labels: tuple[int, ...] = ()
+    counts: CountsTable, plan: LayoutPlan, real: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pool verdict counts per unordered real pair across outcomes and slots.
 
@@ -205,13 +206,16 @@ def tally(
     standard-variant verdict is the slot's result bit; a destructive-variant
     verdict is ``swaptest.destructive_decode`` of the slot's two registers.
     Ordered duplicates such as (1,4) and (4,1) pool together: swap-test
-    verdicts are symmetric in the two registers. Every pair of labels not in
-    ``pad_labels`` gets a row, with zero counts if no shot reached it.
+    verdicts are symmetric in the two registers. Labels 1..real are the real
+    inputs, any above them padding; every pair of real labels gets a row,
+    with zero counts if no shot reached it.
 
     Returns ``(pairs, t0, t1)``: the (P, 2) 1-based pairs i < j in
     ``itertools.combinations`` order and their int64 verdict-0 and
     verdict-1 counts.
     """
+    if not 1 <= real <= plan.n:
+        raise ValueError(f"real label count must be in 1..{plan.n}, got {real}")
     expected = plan.measured_labels()
     if counts.labels != expected:
         raise ValueError(
@@ -238,14 +242,7 @@ def tally(
     # a pair counts in either order
     sampled = sampled.reshape(n + 1, n + 1) + sampled.reshape(n + 1, n + 1).T
     failed = failed.reshape(n + 1, n + 1) + failed.reshape(n + 1, n + 1).T
-    # a boolean mask, not np.setdiff1d: np.unique imports numpy.ma on first use
-    pads = np.asarray(pad_labels, dtype=np.intp)
-    real = np.ones(n + 1, dtype=bool)
-    real[0] = False
-    real[pads[(pads >= 1) & (pads <= n)]] = False
-    real = np.flatnonzero(real)
-    first, second = np.triu_indices(len(real), k=1)
-    pairs = np.stack([real[first], real[second]], axis=1)
+    pairs = np.stack(np.triu_indices(real, k=1), axis=1) + 1
     t1 = failed[pairs[:, 0], pairs[:, 1]]
     t0 = sampled[pairs[:, 0], pairs[:, 1]] - t1
     return pairs, t0, t1
@@ -363,7 +360,6 @@ class RunResult:
     counts: CountsTable
     estimates: PairEstimates
     plan: LayoutPlan
-    pad_labels: tuple[int, ...]
     engine: str
 
 
@@ -390,7 +386,7 @@ def estimate_all_overlaps(
         raise ValueError(f"shots must be >= 1, got {shots}")
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must satisfy 0 <= seed < 2**64, got {seed}")
-    padded, pad_labels, plan = layout_for(ensemble, scheme, final_variant)
+    padded, plan = layout_for(ensemble, scheme, final_variant)
     if engine == "auto":
         engine = "statevector" if plan.total_qubits <= sim.MAX_QUBITS else "oracle"
     if engine == "oracle":
@@ -402,14 +398,14 @@ def estimate_all_overlaps(
         idx = sample_from_distribution(probs, shots, seed)
         values, cnts = np.unique(idx, return_counts=True)
         counts = CountsTable(labels, scheme, index_bits(values, len(labels)), cnts)
-    estimates = _estimate_pairs(counts, plan, padded, pad_labels)
-    return RunResult(counts, estimates, plan, pad_labels, engine)
+    estimates = _estimate_pairs(counts, plan, padded, ensemble.n)
+    return RunResult(counts, estimates, plan, engine)
 
 
 def _estimate_pairs(
-    counts: CountsTable, plan: LayoutPlan, padded: StateEnsemble, pad_labels
+    counts: CountsTable, plan: LayoutPlan, padded: StateEnsemble, real: int
 ) -> PairEstimates:
-    pairs, t0, t1 = tally(counts, plan, pad_labels)
+    pairs, t0, t1 = tally(counts, plan, real)
     exact = padded.overlaps[pairs[:, 0] - 1, pairs[:, 1] - 1]
     return PairEstimates.from_verdicts(pairs, t0, t1, exact)
 
@@ -442,18 +438,19 @@ def _aligned(reference: dict[tuple[int, int], float], pairs: np.ndarray) -> np.n
     """Reference values at each row of ``pairs``; NaN where a pair is absent.
 
     A key (i, j) names the unordered pair, so (2, 1) stands for (1, 2); a
-    pair keyed both ways round is an error.
+    pair keyed both ways round is an error. A key with a label outside 1..n
+    (n the largest label in ``pairs``) is dropped while it is Python ints.
     """
     n = int(pairs.max())
     table = np.full((n + 1, n + 1), np.nan)
+    reference = {key: value for key, value in reference.items() if 1 <= min(key) <= max(key) <= n}
     keys = np.sort(np.array(list(reference), dtype=np.int64).reshape(-1, 2), axis=1)
     # sorted rows and an adjacent comparison: np.unique(axis=0) imports numpy.ma
     ordered = keys[np.lexsort(keys.T[::-1])]
     if (ordered[1:] == ordered[:-1]).all(axis=1).any():
         raise ValueError("reference lists a pair in both orders")
     values = np.fromiter(reference.values(), dtype=float, count=len(reference))
-    known = ((keys >= 1) & (keys <= n)).all(axis=1)
-    table[keys[known, 0], keys[known, 1]] = values[known]
+    table[keys[:, 0], keys[:, 1]] = values
     return table[pairs[:, 0], pairs[:, 1]]
 
 
@@ -475,7 +472,7 @@ def replay(
     """
     if not np.isfinite(tolerance) or tolerance < 0:
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
-    padded, pad_labels, plan = layout_for(ensemble, counts.scheme or "new")
+    padded, plan = layout_for(ensemble, counts.scheme or "new")
     expected = plan.measured_labels()
     if counts.labels != expected:
         plan = replace(plan, final_variant="destructive")
@@ -485,7 +482,7 @@ def replay(
                 f"{' '.join(expected)} (or the destructive form), found "
                 f"{' '.join(counts.labels)}"
             )
-    estimates = _estimate_pairs(counts, plan, padded, pad_labels)
+    estimates = _estimate_pairs(counts, plan, padded, ensemble.n)
     ref = estimates.exact if reference is None else _aligned(reference, estimates.pairs)
     deviates = np.abs(estimates.estimate - ref) > tolerance
     flags = np.where(

@@ -17,7 +17,12 @@ import numpy as np
 
 from .builder import SCHEMES, LayoutPlan
 from .estimation import CountsTable, DataError
-from .states import INPUT_NORM_TOL, PureState, StateEnsemble, normalize
+from .states import StateEnsemble
+
+# External inputs rounded to a few decimals are admitted (and renormalized)
+# if their norm deviates by no more than this; anything worse is rejected
+# unless the caller explicitly asks for normalization.
+INPUT_NORM_TOL = 1e-4
 
 
 def _read_text(path, newline=None) -> str:
@@ -30,45 +35,58 @@ def _read_text(path, newline=None) -> str:
 
 
 def _parse_amplitude(entry, where: str) -> complex:
-    if isinstance(entry, (int, float)):
-        return complex(entry, 0.0)
-    if isinstance(entry, (list, tuple)) and len(entry) == 2:
-        re, im = entry
-        if isinstance(re, (int, float)) and isinstance(im, (int, float)):
-            return complex(re, im)
-    raise DataError(f"{where}: amplitude must be a real number or an [re, im] pair")
+    """A real number or an [re, im] pair as a complex; a bool is no number."""
+    parts = entry if isinstance(entry, list) and len(entry) == 2 else [entry, 0.0]
+    if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in parts):
+        raise DataError(f"{where}: amplitude must be a real number or an [re, im] pair")
+    try:
+        return complex(*parts)
+    except OverflowError:
+        raise DataError(f"{where}: amplitude {entry!r:.40} is beyond the float range") from None
 
 
 def parse_states(doc: dict, *, renormalize: bool = False) -> StateEnsemble:
-    """Build an ensemble from a decoded state document."""
+    """Build an ensemble from a decoded state document, one matrix row per
+    state, each divided by its norm. A norm off by more than ``INPUT_NORM_TOL``
+    is a data error unless ``renormalize`` is set, which rejects only zero."""
     if not isinstance(doc, dict) or "width" not in doc or "states" not in doc:
         raise DataError("state file needs 'width' and 'states' fields")
     width = doc["width"]
-    if not isinstance(width, int) or width < 1:
-        raise DataError(f"width must be a positive integer, got {width!r}")
+    if isinstance(width, bool) or not isinstance(width, int) or width < 1:
+        raise DataError(f"width must be a positive integer, got {width!r:.40}")
     raw = doc["states"]
     if not isinstance(raw, list) or len(raw) < 2:
         raise DataError("'states' must list at least two states")
-    states = []
+    rows = []
     for idx, vec in enumerate(raw, start=1):
-        if not isinstance(vec, list) or len(vec) != 2**width:
-            raise DataError(f"state {idx}: expected {2**width} amplitudes")
-        amps = [_parse_amplitude(a, f"state {idx}") for a in vec]
-        try:
-            if renormalize:
-                states.append(normalize(amps))
-            else:
-                states.append(PureState.from_amplitudes(amps, tol=INPUT_NORM_TOL))
-        except ValueError as exc:
-            raise DataError(f"state {idx}: {exc}") from exc
-    return StateEnsemble(tuple(states))
+        # 2**width entries, checked without computing 2**width for a huge width
+        size = len(vec) if isinstance(vec, list) else 0
+        if size.bit_length() != width + 1 or size & (size - 1):
+            raise DataError(f"state {idx}: expected 2**{width} amplitudes")
+        rows.append([_parse_amplitude(a, f"state {idx}") for a in vec])
+    amplitudes = np.array(rows, dtype=np.complex128)
+    for idx, row in enumerate(amplitudes, start=1):
+        norm = np.linalg.norm(row)
+        if not np.isfinite(norm):
+            raise DataError(f"state {idx}: amplitudes and their norm must be finite")
+        if renormalize and norm < 1e-12:
+            raise DataError(f"state {idx}: unnormalizable: zero vector")
+        if not renormalize and abs(norm - 1.0) > INPUT_NORM_TOL:
+            raise DataError(
+                f"state {idx}: input norm {norm:.6f} deviates from 1 by more than "
+                f"{INPUT_NORM_TOL}; pass normalized amplitudes or renormalize (--normalize)"
+            )
+        row /= norm
+    return StateEnsemble(amplitudes)
 
 
 def load_states(path, *, renormalize: bool = False) -> StateEnsemble:
     path = Path(path)
+    text = _read_text(path)
     try:
-        doc = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text)
+    # an int past Python's digit limit is a ValueError, deep nesting a RecursionError
+    except (ValueError, RecursionError) as exc:
         raise DataError(f"{path}: not valid JSON ({exc})") from exc
     return parse_states(doc, renormalize=renormalize)
 
@@ -76,9 +94,7 @@ def load_states(path, *, renormalize: bool = False) -> StateEnsemble:
 def save_states(path, ensemble: StateEnsemble, **extra) -> None:
     doc = dict(extra)
     doc["width"] = ensemble.width
-    doc["states"] = [
-        [[float(a.real), float(a.imag)] for a in s.amplitudes] for s in ensemble.states
-    ]
+    doc["states"] = np.stack([ensemble.amplitudes.real, ensemble.amplitudes.imag], -1).tolist()
     Path(path).write_text(json.dumps(doc, indent=1) + "\n")
 
 

@@ -12,19 +12,19 @@ import numpy as np
 
 # Constructed states always carry unit norm to this tolerance.
 NORM_ATOL = 1e-10
-# External inputs rounded to a few decimals are admitted (and renormalized)
-# if their norm deviates by no more than this; anything worse is rejected
-# unless the caller explicitly asks for normalization.
-INPUT_NORM_TOL = 1e-4
 
 
-def _as_amplitude_vector(values) -> np.ndarray:
+def _as_amplitudes(values, ndim: int = 1) -> np.ndarray:
+    """``values`` as a complex128 array of ``ndim`` dimensions whose last
+    axis, a power of two >= 2 long, holds finite amplitudes; not copied
+    when it already is one."""
     v = np.asarray(values, dtype=np.complex128)
-    if v.ndim != 1:
-        raise ValueError(f"amplitude vector must be 1-D, got shape {v.shape}")
-    if v.size < 2 or v.size & (v.size - 1):
-        raise ValueError(f"amplitude vector length must be a power of two >= 2, got {v.size}")
-    if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
+    if v.ndim != ndim:
+        raise ValueError(f"amplitudes must have {ndim} dimension(s), got shape {v.shape}")
+    size = v.shape[-1]
+    if size < 2 or size & (size - 1):
+        raise ValueError(f"amplitude vector length must be a power of two >= 2, got {size}")
+    if not np.isfinite(v).all():
         raise ValueError("amplitudes must be finite")
     return v
 
@@ -37,7 +37,7 @@ class PureState:
     width: int
 
     def __post_init__(self):
-        v = _as_amplitude_vector(self.amplitudes)
+        v = _as_amplitudes(self.amplitudes)
         if v.size != 2**self.width:
             raise ValueError(f"width {self.width} needs {2**self.width} amplitudes, got {v.size}")
         norm = np.linalg.norm(v)
@@ -46,29 +46,13 @@ class PureState:
         v.flags.writeable = False
         object.__setattr__(self, "amplitudes", v)
 
-    @classmethod
-    def from_amplitudes(cls, values, *, tol: float = INPUT_NORM_TOL) -> "PureState":
-        """Build a state from amplitudes whose norm may be off by up to ``tol``.
-
-        The vector is renormalized exactly, so rounded inputs are admitted
-        without silently hiding real data errors.
-        """
-        v = _as_amplitude_vector(values)
-        norm = np.linalg.norm(v)
-        if abs(norm - 1.0) > tol:
-            raise ValueError(
-                f"input norm {norm:.6f} deviates from 1 by more than {tol}; "
-                "pass an explicitly normalized vector or use normalize()"
-            )
-        return normalize(v)
-
     def __repr__(self) -> str:
         return f"PureState(width={self.width}, amplitudes={np.round(self.amplitudes, 6)!r})"
 
 
 def normalize(values) -> PureState:
     """Scale a raw non-zero amplitude vector to unit norm, preserving direction."""
-    v = _as_amplitude_vector(values)
+    v = _as_amplitudes(values)
     norm = np.linalg.norm(v)
     if norm < 1e-12:
         raise ValueError("unnormalizable: zero vector")
@@ -105,45 +89,52 @@ def tensor_product(states) -> PureState:
 
 @dataclass(frozen=True, eq=False)
 class StateEnsemble:
-    """An ordered collection of n >= 2 equal-width states, labeled 1..n."""
+    """An ordered collection of n >= 2 equal-width states, labeled 1..n.
 
-    states: tuple[PureState, ...]
+    ``amplitudes`` is a read-only (n, 2**width) complex128 matrix whose row
+    i-1 is state i. Construction copies it and is the one place an ensemble
+    is checked: two dimensions, at least two rows of a power-of-two length
+    >= 2, finite values, and every row of unit norm to ``NORM_ATOL``.
+    """
+
+    amplitudes: np.ndarray
 
     def __post_init__(self):
-        states = tuple(self.states)
-        if len(states) < 2:
+        a = _as_amplitudes(np.array(self.amplitudes, dtype=np.complex128), ndim=2)
+        if len(a) < 2:
             raise ValueError("ensemble needs at least 2 states")
-        w = states[0].width
-        if any(s.width != w for s in states):
-            raise ValueError("all ensemble states must have the same width")
-        object.__setattr__(self, "states", states)
+        norms = np.linalg.norm(a, axis=1)
+        off = np.flatnonzero(np.abs(norms - 1.0) > NORM_ATOL)
+        if off.size:
+            raise ValueError(f"state {off[0] + 1} is not normalized (norm {norms[off[0]]!r})")
+        a.flags.writeable = False
+        object.__setattr__(self, "amplitudes", a)
 
     @property
     def n(self) -> int:
-        return len(self.states)
+        return len(self.amplitudes)
 
     @property
     def width(self) -> int:
-        return self.states[0].width
+        return self.amplitudes.shape[1].bit_length() - 1
 
     def state(self, label: int) -> PureState:
-        """State by 1-based label."""
+        """State by 1-based label, a ``PureState`` viewing its row."""
         if not 1 <= label <= self.n:
             raise ValueError(f"label {label} out of range 1..{self.n}")
-        return self.states[label - 1]
+        return PureState(self.amplitudes[label - 1], self.width)
 
     @cached_property
     def overlaps(self) -> np.ndarray:
         """Read-only (n, n) matrix of |<phi_i|phi_j>|**2, row and column
-        i-1 for label i: the Gram matrix of the stacked amplitudes, squared
-        in modulus. Computed once per ensemble.
+        i-1 for label i: the Gram matrix of the amplitude rows, squared in
+        modulus. Computed once per ensemble.
 
         The real and imaginary parts are four real products rather than one
         complex one: that rounds closest to ``exact_overlap`` (measured: one
         bit differs in about 1 of 100 entries at widths 1 and 2, against 1
         in 3 for the complex product)."""
-        amplitudes = np.stack([s.amplitudes for s in self.states])
-        re, im = amplitudes.real, amplitudes.imag
+        re, im = self.amplitudes.real, self.amplitudes.imag
         gram = np.hypot(re @ re.T + im @ im.T, re @ im.T - im @ re.T) ** 2
         gram.flags.writeable = False
         return gram

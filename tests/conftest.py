@@ -12,7 +12,7 @@ def random_state(rng: np.random.Generator, width: int) -> PureState:
 
 
 def random_ensemble(rng: np.random.Generator, n: int, width: int = 1) -> StateEnsemble:
-    return StateEnsemble(tuple(random_state(rng, width) for _ in range(n)))
+    return StateEnsemble([random_state(rng, width).amplitudes for _ in range(n)])
 
 
 def outcome_count(counts, bitstring: str) -> int:
@@ -37,12 +37,11 @@ def slot_pairs(plan, labels) -> np.ndarray:
     return np.stack([first.T, second.T], axis=-1)
 
 
-def real_pair_coverage(plan, pad_labels=()):
-    """(pairs, coverage): the real pairs i < j in combinations order and
-    their entries of ``builder.pair_coverage``."""
-    real = np.setdiff1d(np.arange(1, plan.n + 1), pad_labels)
-    first, second = np.triu_indices(len(real), k=1)
-    pairs = np.stack([real[first], real[second]], axis=1)
+def real_pair_coverage(plan, real=None):
+    """(pairs, coverage): the pairs i < j of the real labels 1..real (all n
+    labels by default) in combinations order and their entries of
+    ``builder.pair_coverage``."""
+    pairs = np.stack(np.triu_indices(real or plan.n, k=1), axis=1) + 1
     return pairs, pair_coverage(plan)[pairs[:, 0] - 1, pairs[:, 1] - 1]
 
 

@@ -150,7 +150,7 @@ def test_c06_oracle_equivalence():
     rng = np.random.default_rng(404)
     for n in (4, 8):
         ensemble = random_ensemble(rng, n)
-        padded, _, plan = layout_for(ensemble, "new", "standard")
+        padded, plan = layout_for(ensemble, "new", "standard")
         circuit = assemble(plan)
         _, full = measured_distribution(circuit, tensor_product(input_factors(padded, plan)))
         model = oracle_distribution(padded, plan)

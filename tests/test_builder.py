@@ -22,24 +22,22 @@ from conftest import random_ensemble, real_pair_coverage, reference_labels, slot
 
 
 def test_padding_noop_at_power_of_two(d0):
-    padded, mask = pad_inputs(d0)
-    assert padded is d0
-    assert mask == ()
+    assert pad_inputs(d0) is d0
 
 
 def test_padding_to_next_power_of_two(d0):
-    five = StateEnsemble(d0.states[:5])
-    padded, mask = pad_inputs(five)
+    five = StateEnsemble(d0.amplitudes[:5])
+    padded = pad_inputs(five)
     assert padded.n == 8
-    assert mask == (6, 7, 8)
-    assert np.allclose(padded.state(6).amplitudes, [1, 0])
+    assert np.array_equal(padded.amplitudes[:5], five.amplitudes)
+    assert np.array_equal(padded.amplitudes[5:], [[1, 0]] * 3)
 
 
 def test_padding_minimum_is_four(d0):
-    two = StateEnsemble(d0.states[:2])
-    padded, mask = pad_inputs(two)
+    two = StateEnsemble(d0.amplitudes[:2])
+    padded = pad_inputs(two)
     assert padded.n == 4
-    assert mask == (3, 4)
+    assert np.array_equal(padded.amplitudes[2:], [[1, 0]] * 2)
 
 
 def test_network_rejects_non_power_of_two():
@@ -76,7 +74,7 @@ def test_cswap_recursion_oracle():
 
 def test_u4_statevector_routes_per_outcome(d0):
     # force each ancilla outcome with X gates is unnecessary: project instead
-    ensemble = StateEnsemble(d0.states[:4])
+    ensemble = StateEnsemble(d0.amplitudes[:4])
     plan = layout_plan("new", 4)
     circuit = assemble(plan)
     out = run_statevector(circuit, input_factors(ensemble, plan))
@@ -162,10 +160,9 @@ def test_identity_outcome_and_worked_slot_example():
 
 
 def test_padded_coverage_excludes_pad_labels(d0):
-    three = StateEnsemble(d0.states[:3])
-    padded, mask = pad_inputs(three)
-    plan = layout_plan("new", padded.n)
-    pairs, coverage = real_pair_coverage(plan, mask)
+    three = StateEnsemble(d0.amplitudes[:3])
+    plan = layout_plan("new", pad_inputs(three).n)
+    pairs, coverage = real_pair_coverage(plan, three.n)
     assert pairs.tolist() == [[1, 2], [1, 3], [2, 3]]
     assert (coverage > 0).all()
 

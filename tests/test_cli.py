@@ -12,7 +12,7 @@ import multiswap
 from multiswap import builder, cli
 from multiswap.cli import main
 from multiswap.fileio import save_states
-from multiswap.states import PureState, StateEnsemble
+from multiswap.states import StateEnsemble
 
 
 @pytest.fixture()
@@ -25,7 +25,7 @@ def states_file(tmp_path, d0):
 @pytest.fixture()
 def five_states_file(tmp_path, d0):
     path = tmp_path / "five.json"
-    save_states(path, StateEnsemble(d0.states[:5]))
+    save_states(path, StateEnsemble(d0.amplitudes[:5]))
     return str(path)
 
 
@@ -216,6 +216,45 @@ def test_bad_states_content_is_data_error(tmp_path, capsys):
     assert main(["build", str(path), "--normalize"]) == 0
 
 
+#: states files that once ran as width 1 with amplitudes 1 and 0, or that
+#: raised OverflowError from complex() or RecursionError from json.loads
+@pytest.mark.parametrize("text, message", [
+    pytest.param(
+        '{"width": true, "states": [[true, false], [0.6, 0.8], [false, true], [0, 1]]}',
+        "width must be a positive integer, got True", id="booleans",
+    ),
+    pytest.param(
+        '{"width": 1, "states": [[1, 0], [0.6, 0.8], [false, true]]}',
+        "state 3: amplitude must be a real number", id="bool_amplitude",
+    ),
+    pytest.param(
+        '{"width": 1, "states": [[[1, false], 0], [0.6, 0.8]]}',
+        "state 1: amplitude must be a real number", id="bool_part",
+    ),
+    pytest.param(
+        '{"width": 1, "states": [[1%s, 0], [0.6, 0.8]]}' % ("0" * 400),
+        "state 1: amplitude 1000", id="huge_int",
+    ),
+    pytest.param(
+        "[" * 100_000 + "]" * 100_000,
+        "states.json: not valid JSON (maximum recursion depth", id="deep_nesting",
+    ),
+])
+def test_bad_states_values_are_data_errors(text, message, tmp_path, capsys):
+    path = tmp_path / "states.json"
+    path.write_text(text)
+    assert main(["estimate", str(path), "--out-dir", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and message in err
+
+
+def test_replay_ignores_reference_labels_beyond_int64(tmp_path, capsys):
+    reference = tmp_path / "reference.csv"
+    reference.write_text("pair_i,pair_j,estimate\n99999999999999999999999,3,0.5\n1,2,0.5\n")
+    assert main(["replay", "bundled", "bundled", "--reference", str(reference)]) == 0
+    assert "(1,2) exact=" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
 def test_estimate_rejects_out_of_range_seed(states_file, seed, capsys):
     assert main(["estimate", states_file, "--seed", seed]) == 2
@@ -383,7 +422,7 @@ def test_replay_with_report_file_prints_only_the_first_flagged_pairs(tmp_path, c
     rng = np.random.default_rng(32)
     v = rng.normal(size=(32, 2)) + 1j * rng.normal(size=(32, 2))
     states = tmp_path / "states.json"
-    save_states(states, StateEnsemble(tuple(PureState(row / np.linalg.norm(row), 1) for row in v)))
+    save_states(states, StateEnsemble([row / np.linalg.norm(row) for row in v]))
     run = tmp_path / "run"
     assert main(["estimate", str(states), "--engine", "oracle", "--shots", "64",
                  "--out-dir", str(run)]) == 0

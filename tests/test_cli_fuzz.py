@@ -5,12 +5,16 @@ A valid states JSON, counts file and reference CSV are mutated byte by byte
 ``estimate`` and ``replay``. A mutation may leave a file valid, so exit 0 is
 allowed; otherwise the exit code is 2 (configuration) or 3 (data), never 1
 or an exception, and a file that no longer decodes as text is a data error.
-Every case is small (six states of width 1, 256 shots), so no case
-allocates much or starts a thread.
+Byte flips rarely yield a well-formed value of the wrong type, so the states
+document and the reference CSV are also mutated by type: one field is
+replaced by a bool, null, string, huge int, nested list or NaN. Every case
+is small (six states of width 1, 256 shots), so no case allocates much or
+starts a thread.
 """
 
 import contextlib
 import io
+import json
 
 import numpy as np
 import pytest
@@ -104,3 +108,61 @@ def test_mutated_input_files_exit_2_or_3(inputs, kind, ops):
         assert code in (0, 2, 3), argv
         if not _decodes(data):
             assert code == 3, argv
+
+
+#: values of the wrong type for any states-document field; the nested list
+#: is neither a number, an [re, im] pair nor a state of this width
+_WRONG = st.sampled_from([True, False, None, "0.6", 10**400, [[[0.6]]], float("nan")])
+
+#: the field to replace: the width, a state, an amplitude, or an [re, im] part
+_FIELDS = st.one_of(
+    st.tuples(st.just("width")),
+    st.tuples(st.just("states"), st.integers(0, 5)),
+    st.tuples(st.just("states"), st.integers(0, 5), st.integers(0, 1)),
+    st.tuples(st.just("states"), st.integers(0, 5), st.integers(0, 1), st.integers(0, 1)),
+)
+
+
+@st.composite
+def _retyped_states(draw) -> str:
+    """A valid six-state document with one field retyped, as JSON text."""
+    doc = {"width": 1, "states": [[[0.6, 0.0], [0.0, 0.8]] for _ in range(6)]}
+    field, value = draw(_FIELDS), draw(_WRONG)
+    holder, key = doc, field[0]
+    for index in field[1:]:
+        holder, key = holder[key], index
+    holder[key] = value
+    return json.dumps(doc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(text=_retyped_states())
+@example(text='{"width": true, "states": [[true, false], [0.6, 0.8], [false, true], [0, 1]]}')
+@example(text='{"width": 1, "states": [[1%s, 0], [0.6, 0.8]]}' % ("0" * 400))
+@example(text="[" * 100_000 + "]" * 100_000)
+def test_retyped_states_exit_3(inputs, text):
+    root, _ = inputs
+    path = root / "retyped_states.json"
+    path.write_text(text)
+    argv = ["estimate", str(path), "--shots", "256", "--out-dir", str(root / "out")]
+    assert _run(argv) == 3  # every retyped document is invalid
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    row=st.integers(0, 14),
+    column=st.sampled_from(["pair_i", "pair_j", "estimate"]),
+    value=st.sampled_from(["true", "", "null", "nan", "1" + "0" * 400, "[[1]]"]),
+)
+@example(row=0, column="pair_i", value="99999999999999999999999")
+def test_retyped_reference_exit_0_2_or_3(inputs, row, column, value):
+    root, valid = inputs
+    lines = valid["reference"].decode().splitlines()
+    header = lines[0].split(",")
+    cells = lines[1 + row].split(",")
+    cells[header.index(column)] = value
+    lines[1 + row] = ",".join(cells)
+    path = root / "retyped_reference.csv"
+    path.write_text("\n".join(lines) + "\n")
+    counts, states = str(root / "run" / "counts.txt"), str(root / "states.json")
+    assert _run(["replay", counts, states, "--reference", str(path)]) in (0, 2, 3)

@@ -9,6 +9,7 @@ from multiswap.estimation import CountsTable
 from multiswap.fileio import (
     DataError,
     load_states,
+    parse_states,
     read_counts,
     read_reference_estimates,
     save_states,
@@ -23,9 +24,8 @@ def test_states_round_trip(tmp_path, d0):
     path = tmp_path / "states.json"
     save_states(path, d0, label="round-trip")
     loaded = load_states(path)
-    assert loaded.n == d0.n
-    for a, b in zip(loaded.states, d0.states):
-        assert np.allclose(a.amplitudes, b.amplitudes, atol=1e-12)
+    assert loaded.amplitudes.shape == d0.amplitudes.shape
+    assert np.allclose(loaded.amplitudes, d0.amplitudes, rtol=0, atol=1e-12)
 
 
 def test_states_plain_reals_mean_zero_imaginary(tmp_path):
@@ -49,6 +49,11 @@ def test_states_file_diagnostics(tmp_path):
         load_states(path)
     loaded = load_states(path, renormalize=True)
     assert np.allclose(loaded.state(1).amplitudes, [np.sqrt(0.5), np.sqrt(0.5)])
+
+
+def test_parse_states_rejects_badly_scaled_input():
+    with pytest.raises(DataError, match="state 1: input norm 1.063015 deviates"):
+        parse_states({"width": 1, "states": [[0.7, 0.8], [1, 0]]})
 
 
 def test_counts_round_trip(tmp_path):

@@ -2,9 +2,11 @@
 
 Each digest is the SHA-256 of one output file, recorded with multiswap
 0.1.0 before shots moved to bit arrays; the oracle digests were re-recorded
-when the oracle's draws became functions of (seed, shot index) alone. A
-change that alters any of them changes what users get for a fixed seed; if
-that is intended, re-record the digests and say why in the change log.
+when the oracle's draws became functions of (seed, shot index) alone. The
+padded, renormalized runs were recorded before an ensemble became one
+amplitude matrix. A change that alters any of them changes what users get
+for a fixed seed; if that is intended, re-record the digests and say why in
+the change log.
 """
 
 import hashlib
@@ -141,3 +143,67 @@ def test_wide_oracle_outputs_match_golden_digests(tmp_path, capsys):
     produced = {path.name: _sha(path.read_bytes()) for path in (*est.iterdir(), *rep.iterdir())}
     produced["replay stdout"] = _sha(capsys.readouterr().out.encode())
     assert produced == WIDE_DIGESTS
+
+
+def _off_norm_states(path, n, width, scale):
+    """n random states of ``width`` qubits, state i scaled by 1 + scale * s_i
+    with s_i in [-1, 1], written as [re, im] pairs."""
+    rng = np.random.default_rng([n, width])
+    v = rng.normal(size=(n, 2**width)) + 1j * rng.normal(size=(n, 2**width))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    v *= 1.0 + scale * rng.uniform(-1.0, 1.0, size=(n, 1))
+    path.write_text(json.dumps({
+        "width": width,
+        "states": [[[float(a.real), float(a.imag)] for a in row] for row in v],
+    }) + "\n")
+
+
+#: five width-2 states with norms off by up to 1e-3, run with --normalize:
+#: padded to eight registers with three |00> states, and renormalized
+NORMALIZED_DIGESTS = {
+    ("statevector", "counts.txt"): "76f964218eba07a58d3a7daa1887882f02b9b27c27e08a3766e8aa0fe9733a21",
+    ("statevector", "estimates.csv"): "179fb846c6327897474c711df180c34311784508b5c989e3fa7cddd823fcabec",
+    ("statevector", "scatter.csv"): "04243177b2f7476f2c661f64728b7d9cac7c99d5411d199f2cc4389ca65839f1",
+    ("oracle", "counts.txt"): "dbd2cc6f0d8a7790dceed084dffbd8e71da1d7273276d3f724b2b779708916dc",
+    ("oracle", "estimates.csv"): "fba7c1911337ee47d630718e0e13c508f5463cebb27b1f90195575a89e227e2b",
+    ("oracle", "scatter.csv"): "49e7e6315eddbbaab55163b88c478f538a360922d907f4ce5fe48ba9e2f85268",
+    ("replay", "replay.csv"): "4eb1f4c40cd2c39ef9bc7719cf74f317bdd0fbf592a4ea43ab6feaba89cb131d",
+    ("replay", "stdout"): "a64818b8611c83ef0f3db72d1ca7173274909919843ea022794b238eb2c3d2d5",
+}
+
+
+def test_padded_normalized_outputs_match_golden_digests(tmp_path, capsys):
+    states = tmp_path / "states.json"
+    _off_norm_states(states, 5, 2, 1e-3)
+    produced = {}
+    for engine in ("statevector", "oracle"):
+        out = tmp_path / engine
+        argv = ["estimate", str(states), "--normalize", "--engine", engine,
+                "--shots", "2000", "--seed", "5", "--out-dir", str(out)]
+        assert main(argv) == 0
+        produced.update({(engine, path.name): _sha(path.read_bytes()) for path in out.iterdir()})
+    rep = tmp_path / "replay"
+    replay_argv = ["replay", str(tmp_path / "oracle" / "counts.txt"), str(states), "--normalize"]
+    assert main(replay_argv + ["--out-dir", str(rep)]) == 0
+    produced[("replay", "replay.csv")] = _sha((rep / "replay.csv").read_bytes())
+    capsys.readouterr()
+    assert main(replay_argv) == 0
+    produced[("replay", "stdout")] = _sha(capsys.readouterr().out.encode())
+    assert produced == NORMALIZED_DIGESTS
+
+
+#: six width-1 states with norms off by up to 5e-5, inside the input
+#: tolerance, so they load without --normalize and are renormalized
+TOLERATED_DIGESTS = {
+    "counts.txt": "a11d2943c7d185eeac67a53d8161934a59504319106870c4cee84979d2c247b3",
+    "estimates.csv": "19b98a3cff20a35934cc00e42ec0a02dd1cd970efafad7b2e7b1b9b499bb2ac8",
+    "scatter.csv": "4108f0be8d5856cf7491c133ceb644a8a569e3b2e22773e1a15448f039ea226e",
+}
+
+
+def test_tolerated_norm_outputs_match_golden_digests(tmp_path, capsys):
+    states, out = tmp_path / "states.json", tmp_path / "out"
+    _off_norm_states(states, 6, 1, 5e-5)
+    argv = ["estimate", str(states), "--shots", "2000", "--seed", "9", "--out-dir", str(out)]
+    assert main(argv) == 0
+    assert {path.name: _sha(path.read_bytes()) for path in out.iterdir()} == TOLERATED_DIGESTS

@@ -181,14 +181,14 @@ def _sharded(shards: int, fn, *args):
 )
 def test_sharded_oracle_and_tally_equal_one_shard(scheme, m, width, seed, shards):
     ensemble = random_ensemble(np.random.default_rng(seed), m, width)
-    padded, pads, plan = layout_for(ensemble, scheme, "standard")
+    padded, plan = layout_for(ensemble, scheme, "standard")
     shots = 257
     counts = _sharded(shards, oracle_sample, padded, plan, shots, seed)
     serial = _sharded(1, oracle_sample, padded, plan, shots, seed)
     assert np.array_equal(counts.bits, serial.bits)
     assert np.array_equal(counts.counts, serial.counts)
     # a destructive table: random data bits under a few ancilla prefixes
-    _, _, destructive = layout_for(ensemble, scheme, "destructive")
+    _, destructive = layout_for(ensemble, scheme, "destructive")
     rng = np.random.default_rng(seed)
     labels = destructive.measured_labels()
     bits = rng.integers(0, 2, size=(shots, len(labels)))
@@ -197,6 +197,6 @@ def test_sharded_oracle_and_tally_equal_one_shard(scheme, m, width, seed, shards
     ]
     table = CountsTable(labels, scheme, bits, rng.integers(1, 4, size=shots))
     for layout, rows in ((plan, counts), (destructive, table)):
-        sharded = _sharded(shards, tally, rows, layout, pads)
-        one = _sharded(1, tally, rows, layout, pads)
+        sharded = _sharded(shards, tally, rows, layout, m)
+        one = _sharded(1, tally, rows, layout, m)
         assert all(np.array_equal(a, b) for a, b in zip(sharded, one))

@@ -86,6 +86,6 @@ def test_u4_builder_shape():
 
 def test_padded_coverage_excludes_pads():
     plan = layout_plan("san", 8)
-    _, coverage = real_pair_coverage(plan, (7, 8))
+    _, coverage = real_pair_coverage(plan, 6)
     assert len(coverage) == 15
     assert (coverage > 0).all()

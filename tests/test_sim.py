@@ -548,12 +548,12 @@ def test_24_qubit_estimation_run_stays_under_100_mib():
     child = textwrap.dedent("""
         import numpy as np
         from multiswap.estimation import estimate_all_overlaps
-        from multiswap.states import PureState, StateEnsemble
+        from multiswap.states import StateEnsemble
 
         rng = np.random.default_rng(24)
         v = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
-        ensemble = StateEnsemble(tuple(PureState(row, 2) for row in v))
+        ensemble = StateEnsemble(v)
         result = estimate_all_overlaps(ensemble, shots=1000, seed=3, engine="statevector")
         assert result.engine == "statevector" and result.plan.total_qubits == 24
     """)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multiswap.fileio import parse_states
 from multiswap.states import (
     PureState,
     StateEnsemble,
@@ -26,7 +27,7 @@ def test_normalize_keeps_normalized_input():
 def test_normalize_admits_four_decimal_rounding():
     # inputs rounded to 4 decimals stay within 1e-4 of themselves
     raw = [0.0864, 0.9963]
-    s = PureState.from_amplitudes(raw)
+    s = parse_states({"width": 1, "states": [raw, [1, 0]]}).state(1)
     assert np.allclose(s.amplitudes, raw, atol=1e-4)
 
 
@@ -40,19 +41,14 @@ def test_normalize_rejects_non_power_of_two():
         normalize([1.0, 0.0, 0.0])
 
 
-def test_from_amplitudes_rejects_badly_scaled_input():
-    with pytest.raises(ValueError, match="deviates"):
-        PureState.from_amplitudes([0.7, 0.8])
-
-
 def test_purestate_rejects_nan():
     with pytest.raises(ValueError, match="finite"):
-        PureState.from_amplitudes([np.nan, 1.0])
+        PureState(np.array([np.nan, 1.0]), 1)
 
 
 def test_exact_overlap_recorded_pair():
-    a = PureState.from_amplitudes([0.0864, 0.9963])
-    b = PureState.from_amplitudes([0.8391, 0.5440])
+    a = normalize([0.0864, 0.9963])
+    b = normalize([0.8391, 0.5440])
     assert exact_overlap(a, b) == pytest.approx(0.3774, abs=5e-4)
 
 
@@ -82,8 +78,8 @@ def test_tensor_product_uniform_superposition():
 
 
 def test_tensor_product_against_index_oracle():
-    a = PureState.from_amplitudes([0.0864, 0.9963])
-    b = PureState.from_amplitudes([0.8391, 0.5440])
+    a = normalize([0.0864, 0.9963])
+    b = normalize([0.8391, 0.5440])
     s = tensor_product([a, b])
     # independent oracle: the amplitude at composite index (i, j) is the
     # product of the component amplitudes
@@ -126,15 +122,32 @@ def test_tensor_product_associativity(u, v, w):
 
 
 def test_ensemble_checks_size_and_width():
-    with pytest.raises(ValueError, match="at least 2"):
-        StateEnsemble((basis_state(1),))
-    with pytest.raises(ValueError, match="same width"):
-        StateEnsemble((basis_state(1), basis_state(2)))
+    for rows, message in [
+        ([[1, 0]], "at least 2"),
+        ([1, 0], "dimension"),
+        ([[1, 0, 0], [0, 1, 0]], "power of two"),
+        ([[1, 0], [np.nan, 1]], "finite"),
+        ([[1, 0], [0.6, 0.8], [0.6, 0.7]], "state 3 is not normalized"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            StateEnsemble(rows)
+    with pytest.raises(ValueError):  # rows of different widths
+        StateEnsemble([[1, 0], [1, 0, 0, 0]])
+
+
+def test_ensemble_holds_a_read_only_copy():
+    rows = np.array([[1, 0], [0.6, 0.8j]])
+    ensemble = StateEnsemble(rows)
+    assert ensemble.amplitudes.dtype == np.complex128 and ensemble.width == 1
+    assert rows.flags.writeable and not np.shares_memory(rows, ensemble.amplitudes)
+    with pytest.raises(ValueError):
+        ensemble.amplitudes[0, 0] = 0.0
 
 
 def test_ensemble_labels_are_one_based(d0):
     assert d0.n == 8
-    assert d0.state(1) is d0.states[0]
+    assert np.shares_memory(d0.state(1).amplitudes, d0.amplitudes)
+    assert np.array_equal(d0.state(1).amplitudes, d0.amplitudes[0])
     with pytest.raises(ValueError, match="out of range"):
         d0.state(9)
     assert d0.overlaps.shape == (8, 8)
@@ -147,7 +160,7 @@ def test_overlap_matrix_matches_pairwise_overlaps(width):
     for _ in range(12):
         v = rng.normal(size=2**width) + 1j * rng.normal(size=2**width)
         states.append(PureState(v / np.linalg.norm(v), width))
-    ensemble = StateEnsemble(tuple(states))
+    ensemble = StateEnsemble([s.amplitudes for s in states])
     matrix = ensemble.overlaps
     expected = [[exact_overlap(a, b) for b in states] for a in states]
     assert np.allclose(matrix, expected, rtol=0, atol=1e-14)

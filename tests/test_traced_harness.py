@@ -17,7 +17,7 @@ import numpy as np
 from multiswap.builder import assemble, layout_plan
 from multiswap.cli import main
 from multiswap.fileio import save_states
-from multiswap.states import PureState, StateEnsemble
+from multiswap.states import StateEnsemble
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACED = ROOT / "benchmarks" / "traced.py"
@@ -64,7 +64,7 @@ def test_traced_sharded_oracle_estimate_matches_the_untraced_run(tmp_path, capsy
     amplitudes = rng.normal(size=(64, 2)) + 1j * rng.normal(size=(64, 2))
     amplitudes /= np.linalg.norm(amplitudes, axis=1, keepdims=True)
     states = tmp_path / "states.json"
-    save_states(states, StateEnsemble(tuple(PureState(a, 1) for a in amplitudes)))
+    save_states(states, StateEnsemble(amplitudes))
     args = ["estimate", str(states), "--engine", "oracle", "--shots", "70000", "--seed", "3"]
     assert main(args + ["--out-dir", str(tmp_path / "plain")]) == 0
     trace = tmp_path / "trace.json"
