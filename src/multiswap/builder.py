@@ -8,7 +8,9 @@ and 3 pointwise and rule 2 exchanges groups 2 and 4 pointwise. Each level
 applies both rules under ancilla control and recurses into the two halves.
 
 ``layout_plan`` plans either scheme, taking the baseline's wiring from
-module ``san``, and ``assemble`` turns a plan into its gate list.
+module ``san``, and ``assemble`` turns a plan into its gate list: the
+controlled swaps, then the ``swaptest`` fragment of the plan's final variant
+placed on each slot. ``LayoutPlan.measured`` is the one measured layout.
 
 Within a level's ancilla pair, the first ancilla controls the rule-2 fan and
 the second the rule-1 fan, with the rule-1 fan earlier in gate order; this
@@ -27,6 +29,7 @@ import numpy as np
 from . import san
 from .circuits import CircuitIR, Gate, index_bits
 from .states import PureState, StateEnsemble, basis_state
+from .swaptest import build_swap_test
 
 #: swap rule kinds: rule1 exchanges groups 2 and 3, rule2 exchanges 2 and 4
 SWAP_RULES = ("rule1", "rule2")
@@ -109,20 +112,24 @@ class LayoutPlan:
         return self.ancilla_count + self.data_qubit_count + extra
 
     @property
-    def ancilla_labels(self) -> tuple[str, ...]:
-        return tuple(f"s{i + 1}" for i in range(self.ancilla_count))
+    def measured(self) -> tuple[tuple[int, str], ...]:
+        """The measured layout: (qubit, label) pairs in outcome-bit order.
+        Ancilla s1.. come first, then the result bit r1.. of each slot's
+        standard test, or every data qubit of a destructive run: q{reg}, or
+        q{reg}.{k} for registers wider than one qubit."""
+        pairs = [(i, f"s{i + 1}") for i in range(self.ancilla_count)]
+        if self.final_variant == "standard":
+            pairs += [(self.result_qubit_base + i, f"r{i + 1}") for i in range(len(self.slots))]
+        elif self.final_variant == "destructive":
+            pairs += [
+                (q, f"q{reg}" if self.width == 1 else f"q{reg}.{k}")
+                for reg in range(1, self.n + 1)
+                for k, q in enumerate(self.register_qubits(reg))
+            ]
+        return tuple(pairs)
 
     def measured_labels(self) -> tuple[str, ...]:
-        labels = list(self.ancilla_labels)
-        if self.final_variant == "standard":
-            labels += [f"r{i + 1}" for i in range(len(self.slots))]
-        elif self.final_variant == "destructive":
-            for reg in range(1, self.n + 1):
-                if self.width == 1:
-                    labels.append(f"q{reg}")
-                else:
-                    labels += [f"q{reg}.{k}" for k in range(self.width)]
-        return tuple(labels)
+        return tuple(label for _, label in self.measured)
 
 
 def pad_inputs(ensemble: StateEnsemble) -> StateEnsemble:
@@ -199,47 +206,21 @@ def _swap_gates(plan: LayoutPlan) -> list[Gate]:
     return gates
 
 
-def _final_test_gates(plan: LayoutPlan) -> tuple[list[Gate], list[tuple[int, str]]]:
-    gates: list[Gate] = []
-    measured: list[tuple[int, str]] = [
-        (i, lbl) for i, lbl in enumerate(plan.ancilla_labels)
-    ]
-    if plan.final_variant == "standard":
-        for i, (ra, rb) in enumerate(plan.slots):
-            r = plan.result_qubit_base + i
-            gates.append(Gate("H", (r,)))
-            for qa, qb in zip(plan.register_qubits(ra), plan.register_qubits(rb)):
-                gates.append(Gate("CSWAP", (r, qa, qb)))
-            gates.append(Gate("H", (r,)))
-            measured.append((r, f"r{i + 1}"))
-    elif plan.final_variant == "destructive":
-        for ra, rb in plan.slots:
-            for qa, qb in zip(plan.register_qubits(ra), plan.register_qubits(rb)):
-                gates.append(Gate("CNOT", (qa, qb)))
-                gates.append(Gate("H", (qa,)))
-        labels = plan.measured_labels()[plan.ancilla_count :]
-        data = [q for reg in range(1, plan.n + 1) for q in plan.register_qubits(reg)]
-        measured += list(zip(data, labels))
-    else:
-        raise ValueError(
-            f"unknown final variant {plan.final_variant!r}; expected one of {FINAL_VARIANTS}"
-        )
-    return gates, measured
-
-
 def assemble(plan: LayoutPlan) -> CircuitIR:
-    """Gate list of a plan: ancilla prep, controlled swaps, then the final
-    swap tests its variant names (none for a bare network)."""
+    """Gate list of a plan: ancilla prep, controlled swaps, then the
+    ``swaptest`` fragment of its final variant (none for a bare network)
+    placed on each slot; ``plan.measured`` is its measured layout."""
     roles = ["ancilla"] * plan.ancilla_count + ["data"] * plan.data_qubit_count
     gates = _swap_gates(plan)
-    if plan.final_variant is None:
-        measured = [(i, lbl) for i, lbl in enumerate(plan.ancilla_labels)]
-    else:
-        extra, measured = _final_test_gates(plan)
-        gates += extra
-        if plan.final_variant == "standard":
-            roles += ["result"] * len(plan.slots)
-    return CircuitIR(len(roles), tuple(roles), tuple(gates), tuple(measured))
+    if plan.final_variant is not None:
+        test = build_swap_test(plan.final_variant, plan.width)
+        for i, (ra, rb) in enumerate(plan.slots):
+            wires = [*plan.register_qubits(ra), *plan.register_qubits(rb)]
+            if plan.final_variant == "standard":  # the verdict qubit comes first
+                wires.insert(0, plan.result_qubit_base + i)
+            gates += [Gate(g.kind, tuple(wires[q] for q in g.qubits)) for g in test.gates]
+    roles += ["result"] * (plan.total_qubits - len(roles))
+    return CircuitIR(len(roles), tuple(roles), tuple(gates), plan.measured)
 
 
 def input_factors(ensemble: StateEnsemble, plan: LayoutPlan) -> list[PureState]:

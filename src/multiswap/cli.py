@@ -97,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-table", help="export a decoder table as JSON")
     p.add_argument("--n", type=int, required=True, help="register count (power of two)")
     p.add_argument("--scheme", choices=SCHEMES, default="new")
-    p.add_argument("--width", type=int, default=1)
     p.add_argument("-o", "--output", help="output path (default: stdout)")
     return parser
 
@@ -205,8 +204,10 @@ def cmd_replay(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    if args.max_k < 2:
-        raise ConfigError("--max-k must be >= 2")
+    # the precision model divides by 2**k * (2**k - 1) as a float
+    top = (sys.float_info.max_exp - 1) // 2
+    if not 2 <= args.max_k <= top:
+        raise ConfigError(f"--max-k must be in 2..{top}, got {args.max_k}")
     if args.shots < 1:
         raise ConfigError("--shots must be >= 1")
     out = Path(args.out_dir)
@@ -229,12 +230,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_export_table(args) -> int:
-    n, width = args.n, args.width
-    if width < 1:
-        raise ConfigError(f"--width must be >= 1, got {width}")
+    n = args.n
     # the table's size follows from scheme and n: refuse before planning
-    _check_table(n, _ancilla_count(args.scheme, n, width))
-    plan = layout_plan(args.scheme, n, width)
+    _check_table(n, _ancilla_count(args.scheme, n))
+    plan = layout_plan(args.scheme, n)
     ref_name = {("new", 4): "new_n4", ("new", 8): "new_n8", ("san", 4): "san_n4"}.get(
         (args.scheme, n)
     )

@@ -223,7 +223,7 @@ def tally(
             f"expected {' '.join(expected)}"
         )
     d, w, n = plan.ancilla_count, plan.width, plan.n
-    ancilla, data = counts.bits[:, :d], counts.bits[:, d:]
+    ancilla = counts.bits[:, :d]
     # rows are sorted, so each ancilla prefix is one contiguous group
     starts = np.ones(len(ancilla), dtype=bool)
     starts[1:] = np.any(ancilla[1:] != ancilla[:-1], axis=1)
@@ -232,11 +232,14 @@ def tally(
     labels = decode(plan, ancilla[heads])
     shots = np.add.reduceat(counts.counts, heads)
     if plan.final_variant == "standard":
-        verdicts = data
-    else:
-        registers = [[(r - 1) * w + k for r in slot for k in range(w)] for slot in plan.slots]
-        verdicts = destructive_decode(data[:, registers].reshape(-1, 2 * w), w)
-        verdicts = verdicts.reshape(len(data), len(plan.slots))
+        verdicts = counts.bits[:, d:]
+    else:  # each slot's data columns, found through the measured layout
+        column = {q: c for c, (q, _) in enumerate(plan.measured)}
+        registers = [
+            [column[q] for r in slot for q in plan.register_qubits(r)] for slot in plan.slots
+        ]
+        verdicts = destructive_decode(counts.bits[:, registers].reshape(-1, 2 * w), w)
+        verdicts = verdicts.reshape(len(ancilla), len(plan.slots))
     work = partial(_tally_rows, plan, counts.counts, group, heads, labels, shots, verdicts)
     sampled, failed = sum(_in_shards(len(group), work))
     # a pair counts in either order

@@ -66,7 +66,8 @@ def parse_states(doc: dict, *, renormalize: bool = False) -> StateEnsemble:
         rows.append([_parse_amplitude(a, f"state {idx}") for a in vec])
     amplitudes = np.array(rows, dtype=np.complex128)
     for idx, row in enumerate(amplitudes, start=1):
-        norm = np.linalg.norm(row)
+        with np.errstate(over="ignore"):  # a square past the float range is reported below
+            norm = np.linalg.norm(row)
         if not np.isfinite(norm):
             raise DataError(f"state {idx}: amplitudes and their norm must be finite")
         if renormalize and norm < 1e-12:

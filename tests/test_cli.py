@@ -165,6 +165,14 @@ def test_analyze_rejects_bad_k(capsys):
     assert main(["analyze", "--max-k", "1"]) == 2
 
 
+def test_analyze_refuses_k_past_the_float_range(tmp_path, capsys):
+    # 2**512 * (2**512 - 1) is past the largest float, so precision() overflowed
+    out = tmp_path / "analysis"
+    assert main(["analyze", "--max-k", "512", "--out-dir", str(out)]) == 2
+    assert "--max-k must be in 2..511, got 512" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_export_table_json(tmp_path):
     path = tmp_path / "table.json"
     assert main(["export-table", "--n", "8", "-o", str(path)]) == 0
@@ -216,8 +224,9 @@ def test_bad_states_content_is_data_error(tmp_path, capsys):
     assert main(["build", str(path), "--normalize"]) == 0
 
 
-#: states files that once ran as width 1 with amplitudes 1 and 0, or that
-#: raised OverflowError from complex() or RecursionError from json.loads
+#: states files that once ran as width 1 with amplitudes 1 and 0, that
+#: raised OverflowError from complex() or RecursionError from json.loads, or
+#: whose squared amplitudes overflow, which printed numpy's RuntimeWarning
 @pytest.mark.parametrize("text, message", [
     pytest.param(
         '{"width": true, "states": [[true, false], [0.6, 0.8], [false, true], [0, 1]]}',
@@ -238,6 +247,10 @@ def test_bad_states_content_is_data_error(tmp_path, capsys):
     pytest.param(
         "[" * 100_000 + "]" * 100_000,
         "states.json: not valid JSON (maximum recursion depth", id="deep_nesting",
+    ),
+    pytest.param(
+        '{"width": 1, "states": [[1e200, 1e200], [1, 0]]}',
+        "state 1: amplitudes and their norm must be finite", id="overflowing_norm",
     ),
 ])
 def test_bad_states_values_are_data_errors(text, message, tmp_path, capsys):
@@ -300,12 +313,6 @@ def test_estimate_checks_out_dir_before_simulating(states_file, tmp_path, monkey
 def test_replay_rejects_bad_tolerance(tolerance, capsys):
     assert main(["replay", "bundled", "bundled", "--tolerance", tolerance]) == 2
     assert "tolerance must be finite and >= 0" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("width", ["0", "-1"])
-def test_export_table_rejects_bad_width(width, capsys):
-    assert main(["export-table", "--n", "8", "--width", width]) == 2
-    assert "--width must be >= 1" in capsys.readouterr().err
 
 
 def test_counts_header_names_the_variant_the_counts_hold(tmp_path, capsys):

@@ -15,8 +15,10 @@ import json
 import numpy as np
 import pytest
 
+from multiswap.builder import assemble, layout_plan
 from multiswap.cli import main
 from multiswap.fixtures import reference_estimates
+from multiswap.qasm import to_qasm
 
 RUNS = {
     "estimate_new": ["estimate", "bundled", "--engine", "statevector"],
@@ -207,3 +209,45 @@ def test_tolerated_norm_outputs_match_golden_digests(tmp_path, capsys):
     argv = ["estimate", str(states), "--shots", "2000", "--seed", "9", "--out-dir", str(out)]
     assert main(argv) == 0
     assert {path.name: _sha(path.read_bytes()) for path in out.iterdir()} == TOLERATED_DIGESTS
+
+
+#: built circuits, keyed (scheme, final variant, width, n): the SHA-256 of
+#: the repr of (OpenQASM text, qubit roles, measured (qubit, label) pairs),
+#: so gate order, roles and the measured layout are all pinned
+CIRCUIT_DIGESTS = {
+    ('new', None, 1, 4): "646dee9fc82b9d20d4efcb67e71fc9170cb98968ada27fa7137f91586c4cbffc",
+    ('new', None, 1, 8): "45078744c7d76f2c5be8bf67a856d631a37e993b8b4f447adfaf4ff1618847dc",
+    ('new', None, 2, 4): "dda2c03aaff1af6a629d011e1848dd38eb992869c89c6af8dc654ca46e89d5ba",
+    ('new', None, 2, 8): "b932b07da471c322fb452a8a266efc546c6d944038ecb9d73cdba8488302fc6b",
+    ('new', 'standard', 1, 4): "5181ae1fc78c5ffe69550c9c19c3776be27c277ecb38ca1e0f3186f69269dc65",
+    ('new', 'standard', 1, 8): "28ea062551a0a5ed64c1f67e73d94b71cf5f77ae91cbef44fa0d795f32416bcb",
+    ('new', 'standard', 2, 4): "dc3b8749de1f9984869f64f7b0c7094de0f0c30d10d410fc130a097accf52e39",
+    ('new', 'standard', 2, 8): "86ae6b61da90b4d208a2e4373b5d1925a09665187887fe6677a880f2783ad3a4",
+    ('new', 'destructive', 1, 4): "47dfae90f1367cbf47806ebe4341ddba8e904090e52948a7b4e8153033302724",
+    ('new', 'destructive', 1, 8): "89605e78a7f2f152fcd138fe585718d9951a14e20fa430ef4cdedc70e44e5f5a",
+    ('new', 'destructive', 2, 4): "5bcdb032771b086c722ac9a4d942e4e4dc6f4238354f69d954387cd5dd45e17b",
+    ('new', 'destructive', 2, 8): "fb9bbd64077469f3325b8c2775ac423f0692615aec2893a9875299e9b5fe46c1",
+    ('san', None, 1, 4): "d685a244d6afb9fc470e35196221a8581670e7cf2cd55999ad61ba620635dfcb",
+    ('san', None, 1, 8): "7a0d274507d228fb4497aeb428a170f4a1a333dbb1dccb948622a832990adcb3",
+    ('san', None, 2, 4): "0efe4fd80bbcbcd1e11acabd8071f934cd2b2e56bbf318900ff2012f17ff1fa1",
+    ('san', None, 2, 8): "3a65c3f17937811a0f8cbfd1713f5a3f9881b5a324c6ef7eee1778cac9fca725",
+    ('san', 'standard', 1, 4): "9471b5db1fc41b3768f1977bd4a098b02e09e24ae2a4b3188e652e26f76fe82c",
+    ('san', 'standard', 1, 8): "388fb82db5b63c67b0b24fe6732486d2c1d7f536f7bf8381a036d6d905b18de4",
+    ('san', 'standard', 2, 4): "2d7da5da289980465de54e1f79a74726e0a079e562483ed1ca0c7ba5fbebb4e3",
+    ('san', 'standard', 2, 8): "f56792baed2bb01656123bd87c0d7dac4736f48e17230766b77fe41ecc1ca53e",
+    ('san', 'destructive', 1, 4): "5cfbc08244330323204f8b9937eca195b4f8e26fa0548d531f8fcc956bc44ce2",
+    ('san', 'destructive', 1, 8): "b69ffb87752cd2d31a9612bf525682643535f34dbe65d9d1f9a4805b7ba6b3b5",
+    ('san', 'destructive', 2, 4): "b4927000acda813826757b2928fbb5186960ee9789cf3a247decd8bb9036249e",
+    ('san', 'destructive', 2, 8): "6806cbfe3e554964d5aecf9915fb6f8f45aa21804e9d77dc7b7f8c33a0a68c10",
+}
+
+
+@pytest.mark.parametrize(
+    "key", sorted(CIRCUIT_DIGESTS, key=repr),
+    ids=lambda key: f"{key[0]}-{key[1] or 'bare'}-w{key[2]}-n{key[3]}",
+)
+def test_built_circuits_match_golden_digests(key):
+    scheme, variant, width, n = key
+    circuit = assemble(layout_plan(scheme, n, width, variant))
+    produced = repr((to_qasm(circuit), circuit.roles, circuit.measured)).encode()
+    assert _sha(produced) == CIRCUIT_DIGESTS[key]

@@ -11,10 +11,11 @@ import functools
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_ensemble
+from conftest import random_ensemble, real_pair_coverage
 from multiswap import estimation, fileio
 from multiswap.builder import decode, layout_plan
 from multiswap.estimation import (
@@ -200,3 +201,21 @@ def test_sharded_oracle_and_tally_equal_one_shard(scheme, m, width, seed, shards
         sharded = _sharded(shards, tally, rows, layout, m)
         one = _sharded(1, tally, rows, layout, m)
         assert all(np.array_equal(a, b) for a, b in zip(sharded, one))
+
+
+@pytest.mark.parametrize("scheme, n, shots", [
+    ("new", 16, 2**14),
+    ("san", 16, 2**14),
+    ("new", 64, 2**15),
+])
+def test_sample_counts_follow_pair_coverage(scheme, n, shots):
+    # a pair sits in at most one slot per ancilla outcome, so its sample
+    # count is Binomial(shots, c / 2**d) for coverage c and d ancillas
+    ensemble = random_ensemble(np.random.default_rng(11), n)
+    result = estimate_all_overlaps(ensemble, scheme, shots, 11, engine="oracle")
+    pairs, coverage = real_pair_coverage(result.plan)
+    assert np.array_equal(result.estimates.pairs, pairs)
+    p = coverage / (1 << result.plan.ancilla_count)
+    assert (p > 0).all() and (p < 1).all()
+    z = (result.estimates.samples - shots * p) / np.sqrt(shots * p * (1 - p))
+    assert np.abs(z).max() <= 6.0
