@@ -10,17 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .builder import assemble, layout_plan
+from .builder import assemble, layout_plan, padded_size
 from .circuits import count_resources
 from .estimation import PairEstimates
-
-
-def _padded_size(n: int) -> int:
-    """Smallest power of two >= n (stepwise growth of the circuit size)."""
-    p = 2
-    while p < n:
-        p *= 2
-    return p
 
 
 @dataclass(frozen=True)
@@ -40,12 +32,13 @@ class PrecisionModel:
 
 
 def precision(n: int, shots: int) -> PrecisionModel:
-    """Evaluate the per-pair sample model at the padded circuit size."""
+    """Evaluate the per-pair sample model at the padded circuit size,
+    ``builder.padded_size(n)``: 2 or 3 states run on 4 registers."""
     if n < 2:
         raise ValueError("need at least two states")
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    size = _padded_size(n)
+    size = padded_size(n)
     baseline = 2.0 * shots / (size * (size - 1))
     multiplexed = shots / (size - 1)
     return PrecisionModel(size, shots, baseline, multiplexed, size / 2.0)

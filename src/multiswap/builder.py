@@ -132,11 +132,17 @@ class LayoutPlan:
         return tuple(label for _, label in self.measured)
 
 
+def padded_size(m: int) -> int:
+    """Registers the network runs for m inputs: the smallest power of two
+    >= max(m, 4)."""
+    return max(4, 1 << (m - 1).bit_length())
+
+
 def pad_inputs(ensemble: StateEnsemble) -> StateEnsemble:
-    """Pad to the smallest power of two >= max(m, 4) with |0...0> states,
-    appended as rows, so the m real inputs keep labels 1..m."""
+    """Pad to ``padded_size(m)`` registers with |0...0> states, appended as
+    rows, so the m real inputs keep labels 1..m."""
     m = ensemble.n
-    n = max(4, 1 << (m - 1).bit_length())
+    n = padded_size(m)
     if n == m:
         return ensemble
     pads = np.zeros((n - m, ensemble.amplitudes.shape[1]))

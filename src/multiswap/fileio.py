@@ -14,6 +14,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .builder import SCHEMES, LayoutPlan
 from .estimation import CountsTable, DataError
@@ -99,35 +100,71 @@ def save_states(path, ensemble: StateEnsemble, **extra) -> None:
     Path(path).write_text(json.dumps(doc, indent=1) + "\n")
 
 
+#: most digits of a count read in bulk; 18 digits never pass 2**63 - 1
+_DIGITS = 18
+#: the ASCII line breaks of ``str.splitlines``: \n \v \f \r and \x1c-\x1e
+_BREAKS = np.zeros(32, dtype=bool)
+_BREAKS[[10, 11, 12, 13, 28, 29, 30]] = True
+
+
 def read_counts(path) -> CountsTable:
     """Parse a counts file; duplicate bitstring lines merge by summation.
 
-    Data lines are gathered in one pass and checked in bulk: a bitstring
-    holds only 0s and 1s and a count only ASCII digits. The line number of
-    a malformed line is looked up only to report it.
+    A canonical data line, one ``0``/``1`` byte per label, one space, 1 to
+    18 ASCII digits and a line end, is read in bulk from the file's bytes.
+    Every other line goes through ``_line_rules``: first those that can
+    hold a header, which do not start with ``0`` or ``1`` or hold a
+    non-ASCII byte (``str.splitlines`` also breaks at \\x85, \\u2028 and
+    \\u2029), so the layout is known; then the data lines that are not
+    canonical. The line number of a malformed line is looked up only to
+    report it.
     """
     path = Path(path)
-    lines = _read_text(path).splitlines()
+    raw = path.read_bytes()
+    data = np.frombuffer(raw, dtype=np.uint8)
+    ascii_only = not data.size or data.max() < 0x80
+    if not ascii_only:
+        try:
+            raw.decode()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not readable as text ({exc})") from None
+    starts, ends = _line_bounds(data)
+    lead = data[starts]
+    maybe_data = (lead == ord("0")) | (lead == ord("1"))
+    if not ascii_only:
+        high = np.flatnonzero(data >= 0x80)
+        maybe_data[np.searchsorted(starts, high, side="right") - 1] = False
     labels: tuple[str, ...] | None = None
     scheme = ""
-    fields: list[list[str]] = []
-    for raw in lines:
-        parts = raw.split()
-        if not parts or parts[0][0] == "#":
-            continue
-        if parts[0].startswith("layout:"):
-            labels = tuple(raw.strip()[len("layout:") :].split())
-        elif parts[0].startswith("scheme:"):
-            scheme = raw.strip()[len("scheme:") :].strip()
-        else:
-            fields.append(parts)
-    shaped = not set(map(len, fields)) - {2}
-    keys, values = zip(*fields) if fields and shaped else ((), ())
+    fields: list[tuple[int, list[str]]] = []  # (line index, fields) of rule-read data
+
+    def by_rules(which: np.ndarray) -> None:
+        nonlocal labels, scheme
+        for i, start, end in zip(which.tolist(), starts[which].tolist(), ends[which].tolist()):
+            for line in raw[start:end].decode().splitlines():
+                kind, value = _line_rules(line)
+                if kind == "layout":
+                    labels = value
+                elif kind == "scheme":
+                    scheme = value
+                elif kind == "data":
+                    fields.append((i, value))
+
+    by_rules(np.flatnonzero(~maybe_data))
+    lines = np.flatnonzero(maybe_data)
+    bulk_bits, bulk_counts, canonical = _canonical_lines(
+        data, starts[lines], ends[lines], len(labels or ())
+    )
+    by_rules(lines[~canonical])
+    fields.sort(key=lambda item: item[0])  # stable: a line's own lines keep their order
+    parts = [value for _, value in fields]
+    shaped = not set(map(len, parts)) - {2}
+    keys, values = zip(*parts) if parts and shaped else ((), ())
     text, digits = "".join(keys), "".join(values)
     codes = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8) - ord("0")
     if not shaped or (codes > 1).any() or digits and not (digits.isascii() and digits.isdigit()):
-        lineno, raw = _first_malformed(lines)
-        raise DataError(f"{path}:{lineno}: expected '<bitstring> <count>', got {raw!r}")
+        lineno, line = _first_malformed(raw.decode().splitlines())
+        raise DataError(f"{path}:{lineno}: expected '<bitstring> <count>', got {line!r}")
     if not labels:
         raise DataError(f"{path}: missing or empty 'layout:' header")
     if scheme and scheme not in SCHEMES:
@@ -142,7 +179,75 @@ def read_counts(path) -> CountsTable:
         counts = np.array(values, dtype=np.int64)
     except OverflowError:
         raise DataError(f"{path}: a count exceeds the 64-bit range") from None
-    return CountsTable(labels, scheme, codes.reshape(len(keys), len(labels)), counts)
+    if keys:
+        bulk_bits = np.concatenate([bulk_bits, codes.reshape(len(keys), len(labels))])
+        bulk_counts = np.concatenate([bulk_counts, counts])
+    return CountsTable(labels, scheme, bulk_bits, bulk_counts)
+
+
+def _line_bounds(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end offsets of the lines ``str.splitlines`` finds in the
+    ASCII line breaks of ``data``, ``\\r\\n`` being one break; a line's
+    end is the offset of its break, or of the end of the data."""
+    low = np.flatnonzero(data < 0x20)
+    breaks = low[_BREAKS[data[low]]]
+    # the \n of a \r\n ends no line, and the next line starts past it
+    crlf = np.flatnonzero(
+        (np.diff(breaks) == 1) & (data[breaks[:-1]] == ord("\r")) & (data[breaks[1:]] == ord("\n"))
+    )
+    ends = np.delete(breaks, crlf + 1)
+    starts = np.concatenate([[0], np.delete(breaks, crlf) + 1])
+    if starts[-1] < len(data):  # a last line without a line end
+        return starts, np.append(ends, len(data))
+    return starts[:-1], ends
+
+
+def _canonical_lines(
+    data: np.ndarray, starts: np.ndarray, ends: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bits and counts of the canonical ones among the lines ``[starts,
+    ends)`` of ``data``, with the mask of which lines those are.
+
+    A line is canonical when it is ``width`` bytes of ``0``/``1``, one space
+    and 1 to ``_DIGITS`` ASCII digits. Bitstrings are rows of a sliding
+    window at the line starts; counts are the last bytes of each line,
+    right-aligned in as many columns as the longest count has digits,
+    zeroed ahead of the digits and weighted by place.
+    """
+    digits = ends - starts - width - 1
+    canonical = np.zeros(len(starts), dtype=bool)
+    sized = np.flatnonzero((digits >= 1) & (digits <= _DIGITS))
+    if not width or not sized.size:
+        return np.empty((0, width), dtype=np.uint8), np.empty(0, dtype=np.int64), canonical
+    starts, ends, digits = starts[sized], ends[sized], digits[sized]
+    bits = sliding_window_view(data, width)[starts]
+    bits -= ord("0")
+    column = np.arange(-int(digits.max()), 0)
+    tail = data[np.maximum(ends[:, None] + column, 0)] - ord("0")
+    tail *= column >= -digits[:, None]
+    good = data[starts + width] == ord(" ")
+    if bits.max() > 1:
+        good[np.flatnonzero(bits.reshape(-1) > 1) // width] = False
+    if tail.max() > 9:
+        good[np.flatnonzero(tail.reshape(-1) > 9) // len(column)] = False
+    canonical[sized[good]] = True
+    if not good.all():
+        bits, tail = bits[good], tail[good]
+    return bits, tail.astype(np.int64) @ 10 ** (-1 - column), canonical
+
+
+def _line_rules(line: str) -> tuple[str, object]:
+    """What one line of text says: ``("blank", None)`` for a blank or
+    comment line, else ``("layout", labels)``, ``("scheme", name)`` or
+    ``("data", fields)``."""
+    parts = line.split()
+    if not parts or parts[0][0] == "#":
+        return "blank", None
+    if parts[0].startswith("layout:"):
+        return "layout", tuple(line.strip()[len("layout:") :].split())
+    if parts[0].startswith("scheme:"):
+        return "scheme", line.strip()[len("scheme:") :].strip()
+    return "data", parts
 
 
 def _first_malformed(lines: list[str]) -> tuple[int, str]:

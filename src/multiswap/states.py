@@ -40,7 +40,7 @@ class PureState:
         v = _as_amplitudes(self.amplitudes)
         if v.size != 2**self.width:
             raise ValueError(f"width {self.width} needs {2**self.width} amplitudes, got {v.size}")
-        norm = np.linalg.norm(v)
+        norm = _norm(v)
         if abs(norm - 1.0) > NORM_ATOL:
             raise ValueError(f"state is not normalized (norm {norm!r}); use normalize()")
         v.flags.writeable = False
@@ -50,10 +50,24 @@ class PureState:
         return f"PureState(width={self.width}, amplitudes={np.round(self.amplitudes, 6)!r})"
 
 
+def _norm(v: np.ndarray, axis=None):
+    """``np.linalg.norm`` without numpy's overflow warning: a norm past the
+    float range is inf, which every caller refuses or rescales."""
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(v, axis=axis)
+
+
 def normalize(values) -> PureState:
-    """Scale a raw non-zero amplitude vector to unit norm, preserving direction."""
+    """Scale a raw non-zero amplitude vector to unit norm, preserving direction.
+
+    A finite vector whose norm passes the float range is first divided by
+    its largest real or imaginary part; any other vector is divided by its
+    norm alone, so its result keeps the bits of ``v / norm``."""
     v = _as_amplitudes(values)
-    norm = np.linalg.norm(v)
+    norm = _norm(v)
+    if np.isinf(norm):
+        v = v / max(np.abs(v.real).max(), np.abs(v.imag).max())
+        norm = _norm(v)
     if norm < 1e-12:
         raise ValueError("unnormalizable: zero vector")
     v = v / norm
@@ -103,7 +117,7 @@ class StateEnsemble:
         a = _as_amplitudes(np.array(self.amplitudes, dtype=np.complex128), ndim=2)
         if len(a) < 2:
             raise ValueError("ensemble needs at least 2 states")
-        norms = np.linalg.norm(a, axis=1)
+        norms = _norm(a, axis=1)
         off = np.flatnonzero(np.abs(norms - 1.0) > NORM_ATOL)
         if off.size:
             raise ValueError(f"state {off[0] + 1} is not normalized (norm {norms[off[0]]!r})")

@@ -9,7 +9,10 @@ from multiswap.analytics import (
     resource_report,
     scatter_data,
 )
+from multiswap.builder import pad_inputs
 from multiswap.estimation import PairEstimates, estimate_all_overlaps
+
+from conftest import random_ensemble
 
 
 def test_precision_model_at_recorded_run_size():
@@ -19,11 +22,18 @@ def test_precision_model_at_recorded_run_size():
     assert model.ratio == 4.0
 
 
-def test_precision_two_states_single_pair():
+def test_precision_two_states_run_on_four_registers():
     model = precision(2, 5000)
-    assert model.baseline_per_pair == 5000
-    assert model.multiplexed_per_pair == 5000
-    assert model.ratio == 1.0
+    assert model.n == 4
+    assert model.baseline_per_pair == pytest.approx(5000 / 6)
+    assert model.multiplexed_per_pair == pytest.approx(5000 / 3)
+    assert model.ratio == 2.0
+
+
+def test_precision_size_is_the_padded_ensemble_size():
+    rng = np.random.default_rng(9)
+    for m in range(2, 10):
+        assert precision(m, 100).n == pad_inputs(random_ensemble(rng, m)).n, m
 
 
 def test_precision_ratio_is_half_n():

@@ -36,6 +36,35 @@ def test_normalize_rejects_zero_vector():
         normalize([0.0, 0.0])
 
 
+def test_normalize_rescales_a_norm_past_the_float_range(recwarn):
+    s = normalize([1e200, 1e200])
+    assert np.array_equal(s.amplitudes, normalize([1, 1]).amplitudes)
+    assert np.array_equal(s.amplitudes, np.array([1, 1]) / np.sqrt(2))
+    assert np.allclose(normalize([1e308j, -1e308]).amplitudes, [1j / np.sqrt(2), -1 / np.sqrt(2)])
+    assert not recwarn.list  # numpy's overflow warning stays silent
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.floats(1e-6, 1e150) | st.floats(-1e150, -1e-6),
+        min_size=4,
+        max_size=4,
+    )
+)
+def test_normalize_keeps_the_bits_of_a_finite_norm(values):
+    v = np.array(values, dtype=np.complex128)
+    assert np.array_equal(normalize(values).amplitudes, v / np.linalg.norm(v))
+
+
+def test_ensemble_refuses_a_norm_past_the_float_range(recwarn):
+    with pytest.raises(ValueError, match=r"state 1 is not normalized \(norm np.float64\(inf\)\)"):
+        StateEnsemble([[1e200, 1e200], [1, 0]])
+    with pytest.raises(ValueError, match="not normalized"):
+        PureState(np.array([1e200, 1e200]), 1)
+    assert not recwarn.list
+
+
 def test_normalize_rejects_non_power_of_two():
     with pytest.raises(ValueError, match="power of two"):
         normalize([1.0, 0.0, 0.0])
