@@ -296,13 +296,23 @@ def _check_table(n: int, d: int):
         )
 
 
+def slot_pairs(plan: LayoutPlan, labels) -> np.ndarray:
+    """The input labels i, j in each slot's two registers as the flat index
+    (i - 1) * n + (j - 1) of an (n, n) matrix: the (R, slots) array for an
+    (n, R) ``decode`` label array."""
+    n = plan.n
+    pairs = labels[[a - 1 for a, _ in plan.slots]].astype(np.min_scalar_type(n * n + n))
+    pairs *= n
+    pairs += labels[[b - 1 for _, b in plan.slots]]
+    pairs -= n + 1
+    return pairs.T
+
+
 def pair_coverage(plan: LayoutPlan) -> np.ndarray:
     """(n, n) int64 matrix whose entry [i-1, j-1], i < j, counts the
     (ancilla outcome, slot) entries that test the unordered pair (i, j);
     every other entry is 0, so the matrix sums to 2**d times the slot count.
     """
-    labels = decode_all(plan).astype(np.intp) - 1
-    first = labels[[a - 1 for a, _ in plan.slots]]
-    second = labels[[b - 1 for _, b in plan.slots]]
-    index = np.minimum(first, second) * plan.n + np.maximum(first, second)
-    return np.bincount(index.ravel(), minlength=plan.n**2).reshape(plan.n, plan.n)
+    ordered = np.bincount(slot_pairs(plan, decode_all(plan)).ravel(), minlength=plan.n**2)
+    ordered = ordered.reshape(plan.n, plan.n)
+    return np.triu(ordered + ordered.T)

@@ -10,7 +10,11 @@ which the test suite checks to machine precision.
 
 Shots stay integer and bit arrays throughout: an ancilla outcome is decoded
 into its slot pairs by ``builder.decode`` straight from the layout plan, and
-bitstrings appear only in ``fileio``.
+bitstrings appear only in ``fileio``. A pair (i, j) has one address, entry
+[i-1, j-1] of an (n, n) matrix: ``StateEnsemble.overlaps`` holds the exact
+values there, ``builder.slot_pairs`` maps decoded slots to it, and ``tally``
+returns its verdict counts there. ``_estimate_pairs`` alone turns the real
+pairs into ``PairEstimates`` rows.
 
 The oracle sampler and ``tally`` split their rows into contiguous shards,
 one thread each, once every shard gets ``_MIN_SHARD_ROWS`` rows. Shard
@@ -29,7 +33,10 @@ from functools import partial
 import numpy as np
 
 from . import sim
-from .builder import LayoutPlan, assemble, decode, input_factors, layout_plan, pad_inputs
+from .builder import (
+    FINAL_VARIANTS, LayoutPlan, assemble, decode, input_factors, layout_plan, pad_inputs,
+    slot_pairs,
+)
 from .circuits import index_bits
 from .sim import draw_stream, draw_thresholds, measured_distribution, sample_from_distribution
 from .states import StateEnsemble
@@ -38,7 +45,7 @@ from .swaptest import destructive_decode
 ENGINES = ("statevector", "oracle", "auto")
 
 # the functions shard workers call, bound where no tracer rebinds them
-_decode, _index_bits, _draw_stream = decode, index_bits, draw_stream
+_decode, _index_bits, _draw_stream, _slot_pairs = decode, index_bits, draw_stream, slot_pairs
 
 #: threads a run's rows are split across at most: the CPUs it may run on
 _SHARDS = (
@@ -98,10 +105,8 @@ class CountsTable:
         starts = np.ones(len(words), dtype=bool)
         starts[1:] = (words[1:] != words[:-1]).any(axis=1)
         first = np.flatnonzero(starts)
-        merged = np.add.reduceat(counts[order], first)
-        rows = packed[order[first]]
-        object.__setattr__(self, "bits", np.unpackbits(rows, axis=1, count=width))
-        object.__setattr__(self, "counts", merged)
+        object.__setattr__(self, "bits", bits[order[first]])
+        object.__setattr__(self, "counts", np.add.reduceat(counts[order], first))
 
     @property
     def total_shots(self) -> int:
@@ -196,26 +201,28 @@ def _in_shards(rows: int, work) -> list:
     return results
 
 
-def tally(
-    counts: CountsTable, plan: LayoutPlan, real: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pool verdict counts per unordered real pair across outcomes and slots.
+def _check_variant(final_variant) -> None:
+    if final_variant not in FINAL_VARIANTS:
+        raise ValueError(
+            f"unknown final variant {final_variant!r}; expected one of {FINAL_VARIANTS}"
+        )
+
+
+def tally(counts: CountsTable, plan: LayoutPlan) -> tuple[np.ndarray, np.ndarray]:
+    """Pool verdict counts per unordered label pair across outcomes and slots.
 
     Each distinct ancilla prefix is decoded once into the pair sitting in
     every slot; the slot's verdict then increments t0 or t1 of that pair. A
     standard-variant verdict is the slot's result bit; a destructive-variant
     verdict is ``swaptest.destructive_decode`` of the slot's two registers.
-    Ordered duplicates such as (1,4) and (4,1) pool together: swap-test
-    verdicts are symmetric in the two registers. Labels 1..real are the real
-    inputs, any above them padding; every pair of real labels gets a row,
-    with zero counts if no shot reached it.
+    The plan must end in one of ``FINAL_VARIANTS``.
 
-    Returns ``(pairs, t0, t1)``: the (P, 2) 1-based pairs i < j in
-    ``itertools.combinations`` order and their int64 verdict-0 and
-    verdict-1 counts.
+    Returns ``(t0, t1)``: symmetric (n, n) int64 matrices of verdict-0 and
+    verdict-1 counts whose entry [i-1, j-1] is pair (i, j), the address of
+    ``StateEnsemble.overlaps``; verdicts are symmetric in the two registers,
+    so (1,4) and (4,1) pool together.
     """
-    if not 1 <= real <= plan.n:
-        raise ValueError(f"real label count must be in 1..{plan.n}, got {real}")
+    _check_variant(plan.final_variant)
     expected = plan.measured_labels()
     if counts.labels != expected:
         raise ValueError(
@@ -230,6 +237,7 @@ def tally(
     group = np.cumsum(starts) - 1
     heads = np.flatnonzero(starts)
     labels = decode(plan, ancilla[heads])
+    labels -= 1  # 0-based labels a, b: the pair address is a * n + b
     shots = np.add.reduceat(counts.counts, heads)
     if plan.final_variant == "standard":
         verdicts = counts.bits[:, d:]
@@ -241,23 +249,24 @@ def tally(
         verdicts = destructive_decode(counts.bits[:, registers].reshape(-1, 2 * w), w)
         verdicts = verdicts.reshape(len(ancilla), len(plan.slots))
     work = partial(_tally_rows, plan, counts.counts, group, heads, labels, shots, verdicts)
-    sampled, failed = sum(_in_shards(len(group), work))
+    total, *rest = _in_shards(len(group), work)
+    while rest:  # one accumulator: each shard's is freed once added
+        total += rest.pop()
+    sampled, failed = total.reshape(2, n, n)
     # a pair counts in either order
-    sampled = sampled.reshape(n + 1, n + 1) + sampled.reshape(n + 1, n + 1).T
-    failed = failed.reshape(n + 1, n + 1) + failed.reshape(n + 1, n + 1).T
-    pairs = np.stack(np.triu_indices(real, k=1), axis=1) + 1
-    t1 = failed[pairs[:, 0], pairs[:, 1]]
-    t0 = sampled[pairs[:, 0], pairs[:, 1]] - t1
-    return pairs, t0, t1
+    t1 = failed + failed.T
+    t0 = sampled + sampled.T
+    t0 -= t1
+    return t0, t1
 
 
 def _tally_rows(plan, counts, group, heads, labels, shots, verdicts, lo, hi) -> np.ndarray:
-    """``tally``'s totals over rows lo..hi of a sorted table: a (2, (n+1)**2)
-    array of sampled and failed counts per ordered label pair (a, b) at
-    index a * (n + 1) + b. A shard counts the shots of the ancilla groups
+    """``tally``'s totals over rows lo..hi of a sorted table: a (2, n**2)
+    array of sampled and failed counts per ordered pair of 0-based labels
+    (a, b) at index a * n + b. A shard counts the shots of the ancilla groups
     whose first row it holds, and the failed verdicts of its own rows."""
     n = plan.n
-    totals = np.zeros((2, (n + 1) ** 2), dtype=np.int64)
+    totals = np.zeros((2, n * n), dtype=np.int64)
     if lo == hi:  # a table with no rows
         return totals
     touched = slice(group[lo], group[hi - 1] + 1)
@@ -267,25 +276,12 @@ def _tally_rows(plan, counts, group, heads, labels, shots, verdicts, lo, hi) -> 
     sampled, failed = totals
     for s, (ra, rb) in enumerate(plan.slots):
         pair = labels[ra - 1, touched].astype(np.intp)
-        pair *= n + 1
+        pair *= n
         pair += labels[rb - 1, touched]
         np.add.at(sampled, pair[own], shots[touched][own])
         rows = np.flatnonzero(failing[s])
         np.add.at(failed, pair[rows_group[rows]], counts[lo:hi][rows])
     return totals
-
-
-def _slot_pairs(plan: LayoutPlan, outcomes) -> np.ndarray:
-    """The input labels i, j in each slot's two registers as the flat index
-    (i - 1) * n + (j - 1) of an (n, n) matrix: a (len(outcomes), slots)
-    array for the given ancilla outcome indices."""
-    n = plan.n
-    labels = _decode(plan, _index_bits(outcomes, plan.ancilla_count))
-    pairs = labels[[a - 1 for a, _ in plan.slots]].astype(np.min_scalar_type(n * n + n))
-    pairs *= n
-    pairs += labels[[b - 1 for _, b in plan.slots]]
-    pairs -= n + 1
-    return pairs.T
 
 
 def _oracle_rows(rows, plan, thresholds, seed, lo, hi) -> None:
@@ -299,7 +295,7 @@ def _oracle_rows(rows, plan, thresholds, seed, lo, hi) -> None:
         out = rows[start : min(hi, start + chunk)]
         anc = ancillas.random_raw(len(out)) >> np.uint64(64 - d)
         outcomes, which = np.unique(anc, return_inverse=True)
-        table = thresholds.ravel()[_slot_pairs(plan, outcomes)]
+        table = thresholds.ravel()[_slot_pairs(plan, _decode(plan, _index_bits(outcomes, d)))]
         out[:, :d] = _index_bits(anc, d)
         for b in range(0, len(out), step):
             block = out[b : b + step]
@@ -346,7 +342,8 @@ def oracle_distribution(ensemble: StateEnsemble, plan: LayoutPlan) -> np.ndarray
         raise ValueError("analytic distribution too large to enumerate")
     if ensemble.n != plan.n:
         raise ValueError("ensemble size does not match the plan (pad first)")
-    p0 = ensemble.overlaps.ravel()[_slot_pairs(plan, np.arange(1 << d))]
+    labels = decode(plan, index_bits(np.arange(1 << d), d))
+    p0 = ensemble.overlaps.ravel()[_slot_pairs(plan, labels)]
     p0 += 1.0
     p0 /= 2.0
     probs = np.full((1 << d, 1), 1.0 / (1 << d))
@@ -376,8 +373,9 @@ def estimate_all_overlaps(
 ) -> RunResult:
     """One-call pipeline: sample counts, tally, and estimate every real pair.
 
-    It checks engine, shots and seed; ``builder.layout_plan`` checks scheme
-    and final variant. ``engine="auto"`` uses the dense statevector whenever
+    It checks engine, final variant (one of ``FINAL_VARIANTS``: a bare
+    network has no verdicts), shots and seed; ``builder.layout_plan`` checks
+    the scheme. ``engine="auto"`` uses the dense statevector whenever
     the circuit fits under the qubit cap ``sim.MAX_QUBITS`` (which
     ``sim._check_size`` enforces) and the permutation oracle otherwise. The
     oracle engine always emits standard-variant verdict bits, so its result
@@ -385,6 +383,7 @@ def estimate_all_overlaps(
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+    _check_variant(final_variant)
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     if not 0 <= seed < 1 << 64:
@@ -408,8 +407,13 @@ def estimate_all_overlaps(
 def _estimate_pairs(
     counts: CountsTable, plan: LayoutPlan, padded: StateEnsemble, real: int
 ) -> PairEstimates:
-    pairs, t0, t1 = tally(counts, plan, real)
-    exact = padded.overlaps[pairs[:, 0] - 1, pairs[:, 1] - 1]
+    """The one place pairs become rows: the real pairs i < j in combinations
+    order, read from ``tally``'s matrices, which go before the estimates."""
+    t0, t1 = tally(counts, plan)
+    pairs = np.stack(np.triu_indices(real, k=1), axis=1)
+    i, j = pairs.T
+    t0, t1, exact = t0[i, j], t1[i, j], padded.overlaps[i, j]
+    pairs += 1
     return PairEstimates.from_verdicts(pairs, t0, t1, exact)
 
 
@@ -445,16 +449,14 @@ def _aligned(reference: dict[tuple[int, int], float], pairs: np.ndarray) -> np.n
     (n the largest label in ``pairs``) is dropped while it is Python ints.
     """
     n = int(pairs.max())
-    table = np.full((n + 1, n + 1), np.nan)
     reference = {key: value for key, value in reference.items() if 1 <= min(key) <= max(key) <= n}
-    keys = np.sort(np.array(list(reference), dtype=np.int64).reshape(-1, 2), axis=1)
-    # sorted rows and an adjacent comparison: np.unique(axis=0) imports numpy.ma
-    ordered = keys[np.lexsort(keys.T[::-1])]
-    if (ordered[1:] == ordered[:-1]).all(axis=1).any():
+    keys = np.sort(np.array(list(reference), dtype=np.int64).reshape(-1, 2), axis=1) - 1
+    address = keys[:, 0] * n + keys[:, 1]  # entry [i-1, j-1] of an (n, n) matrix
+    if (np.diff(np.sort(address)) == 0).any():
         raise ValueError("reference lists a pair in both orders")
-    values = np.fromiter(reference.values(), dtype=float, count=len(reference))
-    table[keys[:, 0], keys[:, 1]] = values
-    return table[pairs[:, 0], pairs[:, 1]]
+    table = np.full(n * n, np.nan)
+    table[address] = np.fromiter(reference.values(), dtype=float, count=len(reference))
+    return table[(pairs[:, 0] - 1) * n + pairs[:, 1] - 1]
 
 
 def replay(

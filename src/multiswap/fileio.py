@@ -177,7 +177,7 @@ def read_counts(path) -> CountsTable:
         )
     try:
         counts = np.array(values, dtype=np.int64)
-    except OverflowError:
+    except (OverflowError, ValueError):  # ValueError: past Python's int-string limit
         raise DataError(f"{path}: a count exceeds the 64-bit range") from None
     if keys:
         bulk_bits = np.concatenate([bulk_bits, codes.reshape(len(keys), len(labels))])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from multiswap.builder import pair_coverage
+from multiswap import builder
 from multiswap.fixtures import load_ensemble, reference_table_rows
 from multiswap.states import PureState, StateEnsemble
 
@@ -31,18 +31,18 @@ def reference_labels(name: str) -> np.ndarray:
 
 
 def slot_pairs(plan, labels) -> np.ndarray:
-    """(outcomes, slots, 2) array of the ordered label pair each slot tests."""
-    first = labels[[a - 1 for a, _ in plan.slots]]
-    second = labels[[b - 1 for _, b in plan.slots]]
-    return np.stack([first.T, second.T], axis=-1)
+    """(outcomes, slots, 2) array of the ordered label pair each slot tests,
+    read back from ``builder.slot_pairs``'s address (i - 1) * n + (j - 1)."""
+    first, second = np.divmod(builder.slot_pairs(plan, labels).astype(np.int64), plan.n)
+    return np.stack([first, second], axis=-1) + 1
 
 
 def real_pair_coverage(plan, real=None):
     """(pairs, coverage): the pairs i < j of the real labels 1..real (all n
-    labels by default) in combinations order and their entries of
-    ``builder.pair_coverage``."""
-    pairs = np.stack(np.triu_indices(real or plan.n, k=1), axis=1) + 1
-    return pairs, pair_coverage(plan)[pairs[:, 0] - 1, pairs[:, 1] - 1]
+    labels by default) in combinations order and their entries [i-1, j-1]
+    of ``builder.pair_coverage``."""
+    i, j = np.triu_indices(real or plan.n, k=1)
+    return np.stack([i, j], axis=1) + 1, builder.pair_coverage(plan)[i, j]
 
 
 @pytest.fixture(scope="session")

@@ -386,6 +386,16 @@ def test_replay_unknown_scheme_is_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("digits", [19, 5000])
+def test_replay_count_beyond_64_bits_is_data_error(digits, tmp_path, capsys):
+    # 5000 digits is past Python's int-string limit as well as int64
+    bad = tmp_path / "counts.txt"
+    bad.write_text(f"layout: s1 s2 s3 s4 r1 r2 r3 r4\nscheme: new\n00000000 {'9' * digits}\n")
+    assert main(["replay", str(bad), "bundled"]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and f"{bad}: a count exceeds the 64-bit range" in err
+
+
 @pytest.mark.parametrize("count", ["²", "١٢"], ids=["superscript", "arabic_indic"])
 def test_replay_non_ascii_count_is_data_error(count, tmp_path, capsys):
     bad = tmp_path / "counts.txt"

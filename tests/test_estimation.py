@@ -6,6 +6,7 @@ import pytest
 
 from multiswap import estimation, sim
 from multiswap.estimation import (
+    ENGINES,
     CountsTable,
     DataError,
     PairEstimates,
@@ -17,7 +18,7 @@ from multiswap.estimation import (
     tally,
 )
 from multiswap.fixtures import reference_counts, reference_estimates
-from multiswap.builder import assemble, decode, input_factors
+from multiswap.builder import assemble, decode, input_factors, layout_plan, pair_coverage
 from multiswap.circuits import index_bits
 from multiswap.sim import measured_distribution
 from multiswap.states import StateEnsemble, basis_state, exact_overlap, tensor_product
@@ -60,18 +61,24 @@ def test_tally_worked_example_from_recorded_counts(d0):
     assert counts.total_shots == 8192
     assert outcome_count(counts, "11111010") == 48  # duplicate rows merged
     _, plan = layout_for(d0, "new", "standard")
-    pairs, t0, t1 = tally(counts, plan, 8)
-    row = pairs.tolist().index([6, 7])
-    assert (t0[row], t1[row]) == (601, 403)
-    assert pairs.tolist() == [list(p) for p in itertools.combinations(range(1, 9), 2)]
-    assert (t0 + t1 > 0).all()
+    t0, t1 = tally(counts, plan)
+    assert t0.shape == t1.shape == (8, 8) and t0.dtype == t1.dtype == np.int64
+    assert (t0[5, 6], t1[5, 6]) == (601, 403)  # pair (6, 7), in either order
+    assert np.array_equal(t0, t0.T) and np.array_equal(t1, t1.T)
+    # rows are the pairs i < j in combinations order, read at [i-1, j-1]
+    est = replay(counts, d0).estimates
+    assert est.pairs.tolist() == [list(p) for p in itertools.combinations(range(1, 9), 2)]
+    i, j = est.pairs.T - 1
+    assert np.array_equal(est.samples, (t0 + t1)[i, j])
+    assert (t0 + t1)[i, j].min() > 0
+    assert not np.diag(t0 + t1).any()
 
 
 def test_tally_rejects_wrong_layout(d0):
     _, plan = layout_for(d0, "new", "standard")
     bad = CountsTable(("s1", "s2", "r1"), "new", np.zeros((1, 3)), [1])
     with pytest.raises(ValueError, match="expected"):
-        tally(bad, plan, 8)
+        tally(bad, plan)
 
 
 @pytest.mark.parametrize("final", ["standard", "destructive"])
@@ -79,8 +86,8 @@ def test_tally_of_a_table_with_no_rows_counts_nothing(d0, final):
     _, plan = layout_for(d0, "new", final)
     labels = plan.measured_labels()
     empty = CountsTable(labels, "new", np.zeros((0, len(labels))), [])
-    pairs, t0, t1 = tally(empty, plan, 8)
-    assert len(pairs) == 28
+    t0, t1 = tally(empty, plan)
+    assert t0.shape == t1.shape == (8, 8)  # 28 pairs above the diagonal
     assert not t0.any() and not t1.any()
 
 
@@ -90,9 +97,42 @@ def test_tally_uniform_synthetic_counts_cover_every_pair(d0):
     labels = plan.measured_labels()
     bits = np.array(list(itertools.product((0, 1), repeat=4)))
     counts = CountsTable(labels, "new", bits, np.full(16, 5))
-    pairs, t0, t1 = tally(counts, plan, 4)
-    assert len(pairs) == 6
-    assert (t0 + t1 > 0).all()
+    t0, t1 = tally(counts, plan)
+    assert t0.shape == (4, 4)  # 6 pairs above the diagonal
+    assert ((t0 + t1)[np.triu_indices(4, k=1)] > 0).all()
+
+
+@pytest.mark.parametrize(
+    "scheme, n", [("new", 2**k) for k in range(2, 7)] + [("san", 2**k) for k in range(2, 6)]
+)
+def test_tally_of_every_outcome_once_is_the_pair_coverage(scheme, n):
+    # tally addresses pairs itself; one shot of each ancilla outcome with
+    # every verdict 0 must land exactly where builder.slot_pairs puts them
+    plan = layout_plan(scheme, n, 1, "standard")
+    d = plan.ancilla_count
+    bits = np.zeros((1 << d, d + len(plan.slots)), dtype=np.uint8)
+    bits[:, :d] = index_bits(np.arange(1 << d), d)
+    counts = CountsTable(plan.measured_labels(), scheme, bits, np.ones(1 << d))
+    t0, t1 = tally(counts, plan)
+    assert not t1.any()
+    assert np.array_equal(np.triu(t0), pair_coverage(plan))
+
+
+def test_tally_refuses_a_plan_without_final_tests():
+    plan = layout_plan("new", 8)  # the bare network measures only ancillas
+    counts = CountsTable(plan.measured_labels(), "new", np.zeros((1, 4)), [1])
+    with pytest.raises(ValueError, match=r"final variant None; expected one of \('standard'"):
+        tally(counts, plan)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_estimate_refuses_a_bare_network(d0, engine, monkeypatch):
+    def no_plan(*args, **kwargs):
+        raise AssertionError("a plan was built")
+
+    monkeypatch.setattr(estimation, "layout_for", no_plan)
+    with pytest.raises(ValueError, match=r"final variant None; expected one of \('standard'"):
+        estimate_all_overlaps(d0, final_variant=None, engine=engine)
 
 
 def _same_counts(a: CountsTable, b: CountsTable) -> bool:
@@ -193,12 +233,14 @@ def test_estimator_is_unbiased_across_seeds():
     ensemble = random_ensemble(rng, 4)
     _, plan = layout_for(ensemble, "new", "standard")
     shots, seeds = 2000, 60
+    first, second = np.triu_indices(4, k=1)  # the 6 pairs, at [i-1, j-1]
     sums = np.zeros(6)
     for seed in range(seeds):
         counts = oracle_sample(ensemble, plan, shots, seed)
-        pairs, t0, t1 = tally(counts, plan, 4)
-        sums += 2.0 * t0 / (t0 + t1) - 1.0
-    for (i, j), total in zip(pairs.tolist(), sums):
+        t0, t1 = tally(counts, plan)
+        t0, m = t0[first, second], (t0 + t1)[first, second]
+        sums += 2.0 * t0 / m - 1.0
+    for i, j, total in zip(first + 1, second + 1, sums):
         o = exact_overlap(ensemble.state(i), ensemble.state(j))
         mean = total / seeds
         # per-seed sd is at most 1/sqrt(m); the mean tightens by sqrt(seeds)
@@ -451,9 +493,9 @@ def test_tally_shards_sum_to_the_serial_tally(final, monkeypatch, fast_switching
         bits = rng.integers(0, 2, size=(3000, len(labels)))
         bits[:, : plan.ancilla_count] = rng.integers(0, 2, size=(3000, 1))  # few groups
         counts = CountsTable(labels, "new", bits, rng.integers(1, 4, size=3000))
-    serial = tally(counts, plan, 16)
+    serial = tally(counts, plan)
     monkeypatch.setattr(estimation, "_MIN_SHARD_ROWS", 1)
     for shards in (2, 7, 13):
         monkeypatch.setattr(estimation, "_SHARDS", shards)
-        sharded = tally(counts, plan, 16)
+        sharded = tally(counts, plan)
         assert all(np.array_equal(a, b) for a, b in zip(sharded, serial))

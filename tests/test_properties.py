@@ -198,8 +198,8 @@ def test_sharded_oracle_and_tally_equal_one_shard(scheme, m, width, seed, shards
     ]
     table = CountsTable(labels, scheme, bits, rng.integers(1, 4, size=shots))
     for layout, rows in ((plan, counts), (destructive, table)):
-        sharded = _sharded(shards, tally, rows, layout, m)
-        one = _sharded(1, tally, rows, layout, m)
+        sharded = _sharded(shards, tally, rows, layout)
+        one = _sharded(1, tally, rows, layout)
         assert all(np.array_equal(a, b) for a, b in zip(sharded, one))
 
 

@@ -84,6 +84,7 @@ def test_traced_sharded_oracle_estimate_matches_the_untraced_run(tmp_path, capsy
     # shard workers call no public function: the one decode is the tally's
     assert names.count("builder.decode") == 1
     assert "circuits.index_bits" not in names
+    assert "builder.slot_pairs" not in names
 
 
 def test_traced_gate_probes_time_each_gate_kind():
