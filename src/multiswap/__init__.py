@@ -38,7 +38,6 @@ from .states import (
 from .swaptest import (
     build_swap_test,
     destructive_decode,
-    estimated_overlap,
     overlap_from_prob,
 )
 

@@ -7,10 +7,17 @@ with the registers split into four equal groups, rule 1 exchanges groups 2
 and 3 pointwise and rule 2 exchanges groups 2 and 4 pointwise. Each level
 applies both rules under ancilla control and recurses into the two halves.
 
-``layout_plan`` plans either scheme, taking the baseline's wiring from
-module ``san``, and ``assemble`` turns a plan into its gate list: the
-controlled swaps, then the ``swaptest`` fragment of the plan's final variant
-placed on each slot. ``LayoutPlan.measured`` is the one measured layout.
+The baseline scheme uses three ancillas per level and one measured slot.
+Its four-register block has three controlled swaps, each driven by its own
+ancilla, arranged so every one of the six register pairs reaches registers
+(1, 2) for some ancilla outcome. Larger inputs apply the block within groups
+first (parallel groups share the level's ancilla triple), then across the
+groups' lead registers, and finish with one swap test on registers (1, 2).
+
+``layout_plan`` plans either scheme from this module's wiring, and
+``assemble`` turns a plan into its gate list: the controlled swaps, then the
+``swaptest`` fragment of the plan's final variant placed on each slot.
+``LayoutPlan.measured`` is the one measured layout.
 
 Within a level's ancilla pair, the first ancilla controls the rule-2 fan and
 the second the rule-1 fan, with the rule-1 fan earlier in gate order; this
@@ -26,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import san
 from .circuits import CircuitIR, Gate, index_bits
 from .states import PureState, StateEnsemble, basis_state
 from .swaptest import build_swap_test
@@ -34,7 +40,7 @@ from .swaptest import build_swap_test
 #: swap rule kinds: rule1 exchanges groups 2 and 3, rule2 exchanges 2 and 4
 SWAP_RULES = ("rule1", "rule2")
 
-#: constructions: the new network and the baseline of module ``san``
+#: constructions: the new network and the baseline (three ancillas per level)
 SCHEMES = ("new", "san")
 
 #: final swap-test variants a full circuit can end with
@@ -167,6 +173,40 @@ def _network_swaps(n: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(swaps)
 
 
+#: the baseline's four-register block: (ancilla offset within the triple,
+#: position pair), in gate order; positions are 1-based within the block.
+#: Of all one-swap-per-ancilla wirings, this is the one that agrees with the
+#: bundled reference outcome table in 7 of its 8 cells; the table is
+#: internally inconsistent, so no wiring matches all 8 (``test_san`` pins it).
+U4_BLOCK = ((0, (1, 3)), (2, (2, 3)), (1, (1, 4)))
+
+
+def _san_groups(n: int) -> list[list[tuple[int, int, int, int]]]:
+    """Register quadruples per stage; stage j acts on stage j-1 lead pairs."""
+    stages = []
+    groups = [(4 * m + 1, 4 * m + 2, 4 * m + 3, 4 * m + 4) for m in range(n // 4)]
+    stages.append(groups)
+    while len(groups) > 1:
+        groups = [
+            (groups[2 * m][0], groups[2 * m][1], groups[2 * m + 1][0], groups[2 * m + 1][1])
+            for m in range(len(groups) // 2)
+        ]
+        stages.append(groups)
+    return stages
+
+
+def _san_swaps(n: int) -> tuple[tuple[int, int, int], ...]:
+    """Register-level controlled swaps of the baseline on n registers, in
+    gate order."""
+    swaps: list[tuple[int, int, int]] = []
+    for stage_idx, groups in enumerate(_san_groups(n)):
+        triple_base = 3 * stage_idx
+        for quad in groups:
+            for offset, (pa, pb) in U4_BLOCK:
+                swaps.append((triple_base + offset, quad[pa - 1], quad[pb - 1]))
+    return tuple(swaps)
+
+
 def _ancilla_count(
     scheme: str, n: int, width: int = 1, final_variant: str | None = None
 ) -> int:
@@ -200,7 +240,7 @@ def layout_plan(
         swaps = _network_swaps(n)
         slots = tuple((2 * i + 1, 2 * i + 2) for i in range(n // 2))
     else:
-        swaps, slots = san.controlled_swaps(n), ((1, 2),)
+        swaps, slots = _san_swaps(n), ((1, 2),)
     return LayoutPlan(scheme, n, n.bit_length() - 1, width, d, swaps, slots, final_variant)
 
 

@@ -43,18 +43,6 @@ def reference_estimates() -> dict[tuple[int, int], float]:
         return read_reference_estimates(path)
 
 
-def reference_exact_overlaps() -> dict[tuple[int, int], float]:
-    """The recorded run's published exact overlaps."""
-    import csv
-
-    out: dict[tuple[int, int], float] = {}
-    with resources.as_file(_data("reference_estimates.csv")) as path:
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                out[(int(row["pair_i"]), int(row["pair_j"]))] = float(row["exact"])
-    return out
-
-
 def reference_tables() -> dict:
     """Outcome tables accompanying the recorded run, with defect notes."""
     return json.loads(_data("reference_tables.json").read_text())

@@ -13,7 +13,7 @@ import numpy as np
 
 from .circuits import CircuitIR, Gate, index_bits
 from .sim import measured_distribution
-from .states import PureState, basis_state, exact_overlap, tensor_product
+from .states import PureState, basis_state, tensor_product
 
 VARIANTS = ("standard", "ccz", "deferred", "destructive")
 
@@ -106,12 +106,3 @@ def verdict_probability(variant: str, a: PureState, b: PureState) -> float:
     verdicts = destructive_decode(index_bits(np.arange(len(probs)), 2 * a.width), a.width)
     return float(probs[verdicts == 0].sum())
 
-
-def estimated_overlap(variant: str, a: PureState, b: PureState) -> float:
-    """Overlap through the variant's exact success probability (no sampling)."""
-    return overlap_from_prob(verdict_probability(variant, a, b))
-
-
-def theoretical_success_probability(a: PureState, b: PureState) -> float:
-    """(1 + |<a|b>|**2) / 2, the common functional all variants realize."""
-    return (1.0 + exact_overlap(a, b)) / 2.0

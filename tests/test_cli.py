@@ -379,6 +379,22 @@ def test_no_command_imports_numpy_ma(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("step", ["import", "replay"])
+def test_start_up_and_replay_do_not_import_numpy_random(step):
+    # numpy.random loads on first attribute access; only drawing shots needs
+    # it, so neither start-up nor a replay of the bundled counts file pays
+    # for its import
+    script = "import sys\nfrom multiswap.cli import main\n"
+    if step == "replay":
+        script += "assert main(['replay', 'bundled', 'bundled']) == 0\n"
+    script += "assert 'numpy.random' not in sys.modules, sorted(sys.modules)\n"
+    src = str(Path(multiswap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_replay_unknown_scheme_is_data_error(tmp_path, capsys):
     bad = tmp_path / "counts.txt"
     bad.write_text("layout: s1 s2 s3 s4 r1 r2 r3 r4\nscheme: bogus\n00000000 4\n")

@@ -1,10 +1,11 @@
 import itertools
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from multiswap import estimation, sim
+from multiswap import builder, estimation, sim
 from multiswap.estimation import (
     ENGINES,
     CountsTable,
@@ -181,6 +182,71 @@ def test_oracle_distribution_matches_full_circuit(n):
     _, full = measured_distribution(circuit, tensor_product(input_factors(padded, plan)))
     model = oracle_distribution(padded, plan)
     tv = 0.5 * np.abs(full - model).sum()
+    assert tv <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "scheme, n, width",
+    [("new", 16, 1), ("new", 32, 1), ("san", 16, 1), ("san", 32, 1), ("new", 16, 2), ("san", 16, 2)],
+)
+def test_oracle_distribution_matches_full_circuit_at_scale(scheme, n, width, monkeypatch):
+    # the marginal branches on the ancillas and never builds the 2**Q state,
+    # so the dense cap is lifted: new n=32 is 56 qubits, and its largest
+    # array is the 2**24-entry marginal
+    monkeypatch.setattr(sim, "MAX_QUBITS", 64)
+    rng = np.random.default_rng(60 + n + width)
+    padded, plan = layout_for(random_ensemble(rng, n, width), scheme, "standard")
+    _, full = measured_distribution(assemble(plan), input_factors(padded, plan))
+    tv = 0.5 * np.abs(full - oracle_distribution(padded, plan)).sum()
+    assert tv <= 1e-9
+
+
+def oracle_slot_marginal(ensemble, plan, slots) -> np.ndarray:
+    """The oracle's distribution over the ancillas and the verdicts of the
+    0-based ``slots`` only: each ancilla outcome has weight 2**-d, and a
+    slot holding pair (i, j) gives verdict 0 with probability
+    (1 + overlap) / 2. Indexed like ``sim.measured_distribution`` over the
+    ancilla labels, then the slots' result labels in ``slots`` order."""
+    d = plan.ancilla_count
+    labels = decode(plan, index_bits(np.arange(1 << d), d))
+    p0 = (1 + ensemble.overlaps.ravel()[builder.slot_pairs(plan, labels)[:, slots]]) / 2
+    probs = np.full((1 << d, 1), 1.0 / (1 << d))
+    for c in range(len(slots)):
+        verdict = np.stack([p0[:, c], 1 - p0[:, c]], axis=1)
+        probs = (probs[:, :, None] * verdict[:, None, :]).reshape(1 << d, -1)
+    return probs.reshape(-1)
+
+
+@pytest.mark.parametrize("scheme, n", [("new", 8), ("new", 16), ("san", 8)])
+def test_slot_marginal_of_every_slot_is_the_oracle_distribution(scheme, n):
+    rng = np.random.default_rng(70 + n)
+    padded, plan = layout_for(random_ensemble(rng, n), scheme, "standard")
+    model = oracle_slot_marginal(padded, plan, list(range(len(plan.slots))))
+    assert np.allclose(model, oracle_distribution(padded, plan), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "scheme, n, slots, unbranched", [("new", 64, 3, 0), ("new", 128, 2, 0), ("san", 64, 1, 3)]
+)
+def test_oracle_slot_marginal_matches_full_circuit(scheme, n, slots, unbranched, monkeypatch):
+    # the circuit measures the ancillas and a few slots' result qubits only,
+    # so components that no measurement reads are never evolved
+    monkeypatch.setattr(sim, "MAX_QUBITS", 256)
+    rng = np.random.default_rng(80 + n)
+    padded, plan = layout_for(random_ensemble(rng, n), scheme, "standard")
+    chosen = sorted(rng.choice(len(plan.slots), slots, replace=False).tolist())
+    circuit = assemble(plan)
+    d = plan.ancilla_count
+    # the marginal branches on at most 2**Q / (_BRANCH_BLOCKS * _BLOCK)
+    # outcomes, so this branches on the first d - unbranched ancillas and
+    # evolves the rest as ordinary qubits: for san n=64 that is the last
+    # stage's triple, so 4,096 passes over the gates replace 32,768 and the
+    # controlled swaps run in the buffer at this size as well
+    per_branch = 1 << (circuit.qubit_count - d + unbranched)
+    monkeypatch.setattr(sim, "_BRANCH_BLOCKS", per_branch // sim._BLOCK)
+    measured = circuit.measured[:d] + tuple(circuit.measured[d + s] for s in chosen)
+    _, full = measured_distribution(replace(circuit, measured=measured), input_factors(padded, plan))
+    tv = 0.5 * np.abs(full - oracle_slot_marginal(padded, plan, chosen)).sum()
     assert tv <= 1e-9
 
 

@@ -1,23 +1,32 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from multiswap.builder import assemble, decode_all, layout_plan, pair_coverage
-from multiswap.circuits import count_resources
+from multiswap.builder import U4_BLOCK, assemble, decode, decode_all, layout_plan, pair_coverage
+from multiswap.circuits import count_resources, index_bits
 from multiswap.fixtures import reference_table_rows
-from multiswap.san import U4_BLOCK, block_outcome_rows, search_u4_wirings
 
 from conftest import real_pair_coverage
 
 
+def block_rows(plan) -> dict[str, tuple[int, ...]]:
+    """The four-register block's outcome table: the register contents
+    ``decode`` gives for each of the 8 ancilla outcomes, keyed by bitstring."""
+    labels = decode(plan, index_bits(np.arange(8), 3))
+    return {format(r, "03b"): tuple(labels[:, r].tolist()) for r in range(8)}
+
+
 def test_block_anchor_rows():
-    rows = block_outcome_rows()
+    rows = block_rows(layout_plan("san", 4))
     assert rows["000"] == (1, 2, 3, 4)
     assert rows["001"] == (1, 3, 2, 4)  # third ancilla alone
     assert rows["011"] == (4, 3, 2, 1)
 
 
 def test_block_matches_reference_in_seven_of_eight_cells():
-    rows = block_outcome_rows()
+    rows = block_rows(layout_plan("san", 4))
     reference = reference_table_rows("san_n4")
     mismatches = [o for o in reference if rows[o] != reference[o]]
     assert mismatches == ["010"]
@@ -26,9 +35,22 @@ def test_block_matches_reference_in_seven_of_eight_cells():
 
 def test_exhaustive_search_confirms_wiring_is_optimal():
     # the reference table is internally inconsistent; no one-swap-per-ancilla
-    # wiring reproduces all 8 rows, and ours achieves the maximum 7
+    # wiring reproduces all 8 rows, and ours achieves the maximum 7. Every
+    # assignment of a position pair to each ancilla, in every gate order, is
+    # decoded as a plan of its own and scored by the reference rows it hits.
     reference = reference_table_rows("san_n4")
-    best_score, best = search_u4_wirings(reference)
+    plan = layout_plan("san", 4)
+    best_score, best = -1, []
+    for targets in itertools.product(itertools.combinations(range(1, 5), 2), repeat=3):
+        for order in itertools.permutations(range(3)):
+            wiring = tuple((offset, targets[offset]) for offset in order)
+            swaps = tuple((offset, a, b) for offset, (a, b) in wiring)
+            rows = block_rows(replace(plan, controlled_swaps=swaps))
+            score = sum(rows[o] == reference[o] for o in rows)
+            if score > best_score:
+                best_score, best = score, [wiring]
+            elif score == best_score:
+                best.append(wiring)
     assert best_score == 7
     assert U4_BLOCK in best
 

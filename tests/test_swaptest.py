@@ -3,15 +3,13 @@ import pytest
 
 from multiswap.circuits import index_bits
 from multiswap.sim import measured_distribution
-from multiswap.states import basis_state, normalize
+from multiswap.states import basis_state, exact_overlap, normalize
 from multiswap.swaptest import (
     VARIANTS,
     build_swap_test,
     destructive_decode,
-    estimated_overlap,
     overlap_from_prob,
     pair_input,
-    theoretical_success_probability,
     verdict_probability,
 )
 
@@ -103,9 +101,9 @@ def test_variant_equivalence_chain(variant, width):
     rng = np.random.default_rng(17)
     for _ in range(6):
         a, b = random_state(rng, width), random_state(rng, width)
-        expected = theoretical_success_probability(a, b)
+        expected = (1 + exact_overlap(a, b)) / 2
         assert verdict_probability(variant, a, b) == pytest.approx(expected, abs=1e-10)
-        assert estimated_overlap(variant, a, b) == pytest.approx(
+        assert overlap_from_prob(verdict_probability(variant, a, b)) == pytest.approx(
             2 * expected - 1, abs=1e-10
         )
 
