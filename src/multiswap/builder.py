@@ -82,26 +82,15 @@ class LayoutPlan:
 
     scheme: str
     n: int
-    k: int
     width: int
     ancilla_count: int
     controlled_swaps: tuple[tuple[int, int, int], ...]
     slots: tuple[tuple[int, int], ...]
     final_variant: str | None = None
 
-    @property
-    def register_swap_count(self) -> int:
-        """Controlled swaps at register granularity; qubit-level CSWAPs are
-        this times the register width."""
-        return len(self.controlled_swaps)
-
-    @property
-    def data_qubit_base(self) -> int:
-        return self.ancilla_count
-
     def register_qubits(self, reg: int) -> range:
         """Qubits of 1-based register ``reg``."""
-        start = self.data_qubit_base + (reg - 1) * self.width
+        start = self.ancilla_count + (reg - 1) * self.width
         return range(start, start + self.width)
 
     @property
@@ -241,7 +230,7 @@ def layout_plan(
         slots = tuple((2 * i + 1, 2 * i + 2) for i in range(n // 2))
     else:
         swaps, slots = _san_swaps(n), ((1, 2),)
-    return LayoutPlan(scheme, n, n.bit_length() - 1, width, d, swaps, slots, final_variant)
+    return LayoutPlan(scheme, n, width, d, swaps, slots, final_variant)
 
 
 def _swap_gates(plan: LayoutPlan) -> list[Gate]:
@@ -318,16 +307,18 @@ def decode(plan: LayoutPlan, ancilla_bits) -> np.ndarray:
 
 def decode_all(plan: LayoutPlan) -> np.ndarray:
     """``decode`` of every ancilla outcome: the (n, 2**d) label array whose
-    column r is outcome r, s1 being its most significant bit. Tables above
-    ``MAX_TABLE_ENTRIES`` labels are refused before any is built."""
+    column r is outcome r, s1 being its most significant bit. Tables that
+    ``check_table`` refuses are refused before any label is built."""
+    check_table(plan.scheme, plan.n)
     d = plan.ancilla_count
-    _check_table(plan.n, d)
     return decode(plan, index_bits(np.arange(1 << d), d))
 
 
-def _check_table(n: int, d: int):
-    """Refuse a decoder table of 2**d outcomes x n registers over the limit;
+def check_table(scheme: str, n: int):
+    """Refuse the decoder table of ``scheme`` on n registers (2**d outcomes
+    x n registers) above ``MAX_TABLE_ENTRIES`` labels, or a bad scheme or n;
     its size follows from the configuration, so no plan is needed."""
+    d = _ancilla_count(scheme, n)
     entries = n << d
     if entries > MAX_TABLE_ENTRIES:
         raise ValueError(

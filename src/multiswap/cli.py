@@ -16,9 +16,8 @@ from . import analytics, fixtures
 from .builder import (
     FINAL_VARIANTS,
     SCHEMES,
-    _ancilla_count,
-    _check_table,
     assemble,
+    check_table,
     decode_all,
     layout_plan,
 )
@@ -111,7 +110,7 @@ def cmd_build(args) -> int:
     ensemble = _load(args.states, args.normalize)
     padded, plan = layout_for(ensemble, args.scheme, args.final)
     circuit = assemble(plan)
-    network_cswaps = plan.register_swap_count * plan.width
+    network_cswaps = len(plan.controlled_swaps) * plan.width
     print(f"scheme: {args.scheme}")
     if padded.n > ensemble.n:
         pads = padded.n - ensemble.n
@@ -230,14 +229,11 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_export_table(args) -> int:
-    n = args.n
     # the table's size follows from scheme and n: refuse before planning
-    _check_table(n, _ancilla_count(args.scheme, n))
-    plan = layout_plan(args.scheme, n)
-    ref_name = {("new", 4): "new_n4", ("new", 8): "new_n8", ("san", 4): "san_n4"}.get(
-        (args.scheme, n)
-    )
-    reference = fixtures.reference_table_rows(ref_name) if ref_name else None
+    check_table(args.scheme, args.n)
+    plan = layout_plan(args.scheme, args.n)
+    name = f"{args.scheme}_n{args.n}"
+    reference = fixtures.reference_table_rows(name) if name in fixtures.reference_tables() else None
     doc = table_to_dict(plan, decode_all(plan), reference_rows=reference)
     text = json.dumps(doc, indent=1)
     if args.output:
@@ -262,10 +258,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, ValueError) as exc:

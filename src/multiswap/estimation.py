@@ -309,7 +309,8 @@ def oracle_sample(
 ) -> CountsTable:
     """Sample counts from the closed-form model: uniform ancilla outcome,
     then one Bernoulli verdict per slot. Scales to register counts far beyond
-    the dense statevector cap; emits standard-variant verdict bits.
+    the dense statevector cap; draws standard-variant verdict bits, so the
+    plan must end in the standard variant.
 
     Draws follow ``sim.draw_thresholds``: shot i's ancilla outcome is the
     top d bits of word i of the stream at counter 0, and its verdict in slot
@@ -322,7 +323,11 @@ def oracle_sample(
         raise ValueError("shots must be >= 1")
     if ensemble.n != plan.n:
         raise ValueError("ensemble size does not match the plan (pad first)")
-    labels = replace(plan, final_variant="standard").measured_labels()
+    if plan.final_variant != "standard":
+        raise ValueError(
+            f"the oracle draws standard-variant verdicts; the plan ends in {plan.final_variant!r}"
+        )
+    labels = plan.measured_labels()
     rows = np.empty((shots, len(labels)), dtype=np.uint8)
     thresholds = draw_thresholds((ensemble.overlaps + 1.0) / 2.0)
     work = partial(_oracle_rows, rows, plan, thresholds, seed)
@@ -377,7 +382,7 @@ def estimate_all_overlaps(
     network has no verdicts), shots and seed; ``builder.layout_plan`` checks
     the scheme. ``engine="auto"`` uses the dense statevector whenever
     the circuit fits under the qubit cap ``sim.MAX_QUBITS`` (which
-    ``sim._check_size`` enforces) and the permutation oracle otherwise. The
+    ``sim.check_size`` enforces) and the permutation oracle otherwise. The
     oracle engine always emits standard-variant verdict bits, so its result
     carries the standard plan.
     """
@@ -395,7 +400,7 @@ def estimate_all_overlaps(
         plan = replace(plan, final_variant="standard")
         counts = oracle_sample(padded, plan, shots, seed)
     else:
-        sim._check_size(plan.total_qubits)
+        sim.check_size(plan.total_qubits)
         labels, probs = measured_distribution(assemble(plan), input_factors(padded, plan))
         idx = sample_from_distribution(probs, shots, seed)
         values, cnts = np.unique(idx, return_counts=True)

@@ -108,7 +108,8 @@ def _state_bytes(qubit_count: int) -> str:
     return f"{size} {unit}"
 
 
-def _check_size(qubit_count: int):
+def check_size(qubit_count: int):
+    """Refuse a dense run of ``qubit_count`` qubits above ``MAX_QUBITS``."""
     if qubit_count > MAX_QUBITS:
         raise ValueError(
             f"circuit has {qubit_count} qubits ({_state_bytes(qubit_count)} statevector), "
@@ -400,7 +401,7 @@ def run_statevector(circuit: CircuitIR, input_state: InputState) -> PureState:
     """
     factors = _factors(circuit, input_state)
     q = circuit.qubit_count
-    _check_size(q)
+    check_size(q)
     gates, wire = _rewrite(circuit, {})
     # each factor's qubits enter the buffer in output order
     psi, pos = _evolve(gates, factors, {s: qb for qb, s in enumerate(wire)}.get)
@@ -424,7 +425,7 @@ def measured_distribution(
         raise ValueError("circuit declares no measured qubits")
     factors = _factors(circuit, input_state)
     q = circuit.qubit_count
-    _check_size(q)
+    check_size(q)
     # at most 2**q / (_BRANCH_BLOCKS * _BLOCK) branches, so their Python work
     # stays below that of walking the full state in blocks
     cap = max(0, ((1 << q) // (_BRANCH_BLOCKS * _BLOCK)).bit_length() - 1)

@@ -165,6 +165,22 @@ def test_analyze_rejects_bad_k(capsys):
     assert main(["analyze", "--max-k", "1"]) == 2
 
 
+def test_analyze_rejects_zero_shots(tmp_path, capsys):
+    assert main(["analyze", "--shots", "0", "--out-dir", str(tmp_path / "out")]) == 2
+    assert "--shots must be >= 1" in capsys.readouterr().err
+
+
+def test_analyze_measures_only_up_to_the_measure_limit(tmp_path, capsys):
+    # n = 2048 is past the 1024 registers whose circuits are built and counted
+    out = tmp_path / "analysis"
+    assert main(["analyze", "--max-k", "11", "--out-dir", str(out)]) == 0
+    header, *rows = (out / "resources.csv").read_text().splitlines()
+    measured = [i for i, name in enumerate(header.split(",")) if name.endswith("_measured")]
+    cells = {row.split(",")[0]: [row.split(",")[i] for i in measured] for row in rows}
+    assert cells["1024"] == ["4608", "18", "1533", "27"]
+    assert cells["2048"] == ["", "", "", ""]
+
+
 def test_analyze_refuses_k_past_the_float_range(tmp_path, capsys):
     # 2**512 * (2**512 - 1) is past the largest float, so precision() overflowed
     out = tmp_path / "analysis"
@@ -183,6 +199,13 @@ def test_export_table_json(tmp_path):
     # the audit export records where the derived table departs from the
     # bundled reference table (its duplicated 0011 row)
     assert [m["outcome"] for m in doc["reference_mismatches"]] == ["0011"]
+
+
+def test_export_table_prints_its_json_without_an_output_path(capsys):
+    assert main(["export-table", "--n", "4"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["rows"]["01"]["permutation"] == [1, 3, 2, 4]
+    assert doc["reference_mismatches"] == []
 
 
 def test_export_table_san_mismatch_audit(tmp_path):
@@ -252,6 +275,9 @@ def test_bad_states_content_is_data_error(tmp_path, capsys):
         '{"width": 1, "states": [[1e200, 1e200], [1, 0]]}',
         "state 1: amplitudes and their norm must be finite", id="overflowing_norm",
     ),
+    pytest.param('{"states": [[1, 0], [0, 1]]}', "needs 'width' and 'states'", id="no_width"),
+    pytest.param('{"width": 1}', "needs 'width' and 'states'", id="no_states"),
+    pytest.param('{"width": 1, "states": [[1, 0]]}', "at least two states", id="one_state"),
 ])
 def test_bad_states_values_are_data_errors(text, message, tmp_path, capsys):
     path = tmp_path / "states.json"
@@ -259,6 +285,13 @@ def test_bad_states_values_are_data_errors(text, message, tmp_path, capsys):
     assert main(["estimate", str(path), "--out-dir", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and message in err
+
+
+def test_zero_vector_is_a_data_error_under_normalize(tmp_path, capsys):
+    path = tmp_path / "states.json"
+    path.write_text('{"width": 1, "states": [[1, 0], [0, 0]]}')
+    assert main(["build", str(path), "--normalize"]) == 3
+    assert "state 2: unnormalizable: zero vector" in capsys.readouterr().err
 
 
 def test_replay_ignores_reference_labels_beyond_int64(tmp_path, capsys):

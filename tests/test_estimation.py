@@ -23,6 +23,7 @@ from multiswap.builder import assemble, decode, input_factors, layout_plan, pair
 from multiswap.circuits import index_bits
 from multiswap.sim import measured_distribution
 from multiswap.states import StateEnsemble, basis_state, exact_overlap, tensor_product
+from multiswap.swaptest import destructive_decode
 
 from conftest import outcome_count, random_ensemble
 
@@ -256,6 +257,27 @@ def test_oracle_identical_states_all_verdicts_zero():
     counts = oracle_sample(ensemble, plan, shots=400, seed=5)
     assert counts.total_shots == 400
     assert not counts.bits[:, 2:].any()
+
+
+@pytest.mark.parametrize("members, final, shots, message", [
+    pytest.param(8, "standard", 0, "shots must be >= 1", id="zero_shots"),
+    pytest.param(4, "standard", 10, "ensemble size does not match", id="size_mismatch"),
+    pytest.param(8, "destructive", 10, "plan ends in 'destructive'", id="destructive_plan"),
+])
+def test_oracle_sample_refusals(d0, members, final, shots, message):
+    _, plan = layout_for(d0, "new", final)
+    with pytest.raises(ValueError, match=message):
+        oracle_sample(StateEnsemble(d0.amplitudes[:members]), plan, shots, seed=0)
+
+
+@pytest.mark.parametrize("n, members, message", [
+    pytest.param(64, 64, "too large to enumerate", id="over_24_bits"),  # 10 + 32 bits
+    pytest.param(8, 4, "ensemble size does not match", id="size_mismatch"),
+])
+def test_oracle_distribution_refusals(n, members, message):
+    ensemble = random_ensemble(np.random.default_rng(3), members)
+    with pytest.raises(ValueError, match=message):
+        oracle_distribution(ensemble, layout_plan("new", n, 1, "standard"))
 
 
 def test_oracle_scales_past_the_statevector_cap():
@@ -565,3 +587,44 @@ def test_tally_shards_sum_to_the_serial_tally(final, monkeypatch, fast_switching
         monkeypatch.setattr(estimation, "_SHARDS", shards)
         sharded = tally(counts, plan)
         assert all(np.array_equal(a, b) for a, b in zip(sharded, serial))
+
+
+def _row_by_row_tally(plan, bits, counts):
+    """``tally`` one raw row at a time: the row's ancilla bits decoded alone,
+    its count added to t0 or t1 of each slot's pair, in both orders."""
+    d = plan.ancilla_count
+    column = {q: c for c, (q, _) in enumerate(plan.measured)}
+    t = np.zeros((2, plan.n, plan.n), dtype=np.int64)
+    for row, count in zip(bits, counts):
+        labels = decode(plan, row[None, :d])[:, 0]
+        for s, (ra, rb) in enumerate(plan.slots):
+            if plan.final_variant == "standard":
+                verdict = row[d + s]
+            else:
+                data = [column[q] for r in (ra, rb) for q in plan.register_qubits(r)]
+                verdict = destructive_decode(row[None, data], plan.width)[0]
+            i, j = labels[ra - 1] - 1, labels[rb - 1] - 1
+            t[verdict, i, j] += count
+            t[verdict, j, i] += count
+    return t[0], t[1]
+
+
+@pytest.mark.parametrize("shards", [1, 3])
+@pytest.mark.parametrize("final", ["standard", "destructive"])
+@pytest.mark.parametrize("scheme", ["new", "san"])
+def test_tally_matches_a_row_by_row_reference(scheme, final, shards, monkeypatch):
+    monkeypatch.setattr(estimation, "_SHARDS", shards)
+    monkeypatch.setattr(estimation, "_MIN_SHARD_ROWS", 1)
+    rng = np.random.default_rng(41)
+    for n, width in itertools.product((4, 8, 16, 32), (1, 2)):
+        plan = layout_plan(scheme, n, width, final)
+        labels = plan.measured_labels()
+        # 30 rows under 5 ancilla prefixes, so each group holds several rows
+        prefixes = rng.integers(0, 2, size=(5, plan.ancilla_count))
+        bits = rng.integers(0, 2, size=(30, len(labels)), dtype=np.uint8)
+        bits[:, : plan.ancilla_count] = prefixes[rng.integers(0, 5, size=30)]
+        counts = rng.integers(1, 6, size=30)
+        t0, t1 = tally(CountsTable(labels, scheme, bits, counts), plan)
+        r0, r1 = _row_by_row_tally(plan, bits, counts)
+        assert np.array_equal(t0, r0), (n, width)
+        assert np.array_equal(t1, r1), (n, width)

@@ -17,7 +17,7 @@ from multiswap.fileio import (
     write_counts,
     write_csv,
 )
-from multiswap.fixtures import reference_table_rows
+from multiswap.fixtures import load_ensemble, reference_table_rows
 
 
 def test_states_round_trip(tmp_path, d0):
@@ -143,6 +143,16 @@ def test_table_export_includes_reference_mismatches():
     assert doc["rows"]["01"]["permutation"] == [1, 3, 2, 4]
     assert doc["rows"]["01"]["slot_pairs"] == [[1, 3], [2, 4]]
     assert doc["reference_mismatches"] == []
+
+
+@pytest.mark.parametrize("load, message", [
+    pytest.param(lambda: load_ensemble(10), "ensemble index must be in", id="ensemble_10"),
+    pytest.param(lambda: reference_table_rows("note"), "unknown reference table 'note'",
+                 id="table_note"),
+])
+def test_bundled_data_refuses_unknown_names(load, message):
+    with pytest.raises(ValueError, match=message):
+        load()
 
 
 def test_reference_estimates_reader(tmp_path):

@@ -3,6 +3,7 @@ import re
 import pytest
 
 from multiswap.builder import assemble, layout_plan
+from multiswap.circuits import CircuitIR, Gate
 from multiswap.qasm import to_qasm
 from multiswap.swaptest import build_swap_test
 
@@ -72,6 +73,15 @@ def test_decompose_flag_removes_cswap():
     assert "cswap" not in text
     assert "ccx" in text
     check_qasm(text)
+
+
+@pytest.mark.parametrize("decompose, lines", [
+    (False, ["swap q[0],q[1];"]),
+    (True, ["cx q[0],q[1];", "cx q[1],q[0];", "cx q[0],q[1];"]),
+])
+def test_swap_exports_whole_or_as_three_cx(decompose, lines):
+    circuit = CircuitIR(2, ("data", "data"), (Gate("SWAP", (0, 1)),))
+    assert to_qasm(circuit, decompose_cswap=decompose).splitlines()[3:] == lines
 
 
 def test_gate_counts_match_ir():

@@ -63,7 +63,7 @@ def test_qubit_cap_enforced(monkeypatch):
         run_statevector(_circuit(5, []), basis_state(5))
     monkeypatch.setattr(sim, "MAX_QUBITS", 26)
     with pytest.raises(ValueError, match=r"30 qubits \(16 GiB statevector\).*26 qubits \(1 GiB\)"):
-        sim._check_size(30)
+        sim.check_size(30)
 
 
 @pytest.mark.parametrize("kind,qubits", [
@@ -170,6 +170,15 @@ def test_sampling_same_seed_same_multiset():
     assert not np.array_equal(first, third)
 
 
+@pytest.mark.parametrize("probs, shots, message", [
+    pytest.param([0.5, 0.5], 0, "shots must be >= 1", id="zero_shots"),
+    pytest.param([0.5, 0.25], 10, "probabilities sum to 0.75, not 1", id="short_sum"),
+])
+def test_sampler_refusals(probs, shots, message):
+    with pytest.raises(ValueError, match=message):
+        sample_from_distribution(np.array(probs), shots, seed=0)
+
+
 def test_sampler_picks_what_the_float_draw_of_the_same_word_picks():
     # integer thresholds against raw words give numpy's searchsorted of its
     # uniform doubles, including a cumulative probability equal to a draw
@@ -195,6 +204,11 @@ def test_project_qubits_conditions_and_normalizes():
     assert prob == pytest.approx(0.5, abs=1e-12)
     expected = tensor_product([a, b])
     assert np.allclose(rest.amplitudes, expected.amplitudes, atol=1e-12)
+
+
+def test_project_qubits_on_an_impossible_outcome_is_empty():
+    state = tensor_product([basis_state(1), normalize([1, 1])])
+    assert project_qubits(state, [0], [1]) == (0.0, None)
 
 
 def _reference_unitary(gate: Gate, q: int) -> np.ndarray:
