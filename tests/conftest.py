@@ -1,9 +1,32 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import multiswap
 from multiswap import builder
 from multiswap.fixtures import load_ensemble, reference_table_rows
 from multiswap.states import PureState, StateEnsemble
+
+
+SRC = str(Path(multiswap.__file__).resolve().parents[1])
+
+
+def run_python(*args, env=None, **kwargs) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports multiswap from
+    ``SRC``, with text output captured. ``env`` (default: this process's
+    environment) is copied, and ``SRC`` goes first on its ``PYTHONPATH``;
+    empty entries are dropped, since one would put the working directory on
+    ``sys.path``."""
+    env = dict(os.environ if env is None else env)
+    paths = [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env["PYTHONPATH"] = os.pathsep.join([SRC, *paths])
+    kwargs.setdefault("timeout", 120)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, **kwargs)
 
 
 def random_state(rng: np.random.Generator, width: int) -> PureState:

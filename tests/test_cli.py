@@ -1,18 +1,17 @@
 import json
 import os
-import subprocess
-import sys
 import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import multiswap
 from multiswap import builder, cli
 from multiswap.cli import main
 from multiswap.fileio import save_states
 from multiswap.states import StateEnsemble
+
+from conftest import run_python
 
 
 @pytest.fixture()
@@ -405,10 +404,7 @@ def test_no_command_imports_numpy_ma(tmp_path):
             assert main(argv) == 0, argv
             assert "numpy.ma" not in sys.modules, argv
     """)
-    src = str(Path(multiswap.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, cwd=tmp_path, timeout=120)
+    proc = run_python("-c", script, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -421,11 +417,71 @@ def test_start_up_and_replay_do_not_import_numpy_random(step):
     if step == "replay":
         script += "assert main(['replay', 'bundled', 'bundled']) == 0\n"
     script += "assert 'numpy.random' not in sys.modules, sorted(sys.modules)\n"
-    src = str(Path(multiswap.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=60)
+    proc = run_python("-c", script, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_multiswap_loads_no_submodule_and_no_numpy():
+    script = textwrap.dedent("""
+        import sys
+        import multiswap
+        loaded = [m for m in sys.modules if m == "numpy" or m.startswith("multiswap.")]
+        assert not loaded, loaded
+    """)
+    proc = run_python("-c", script, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _without_blas_threads() -> dict:
+    """This environment minus OPENBLAS_NUM_THREADS, which an in-process
+    ``import multiswap.cli`` has set here."""
+    return {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+
+
+def _openblas() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # an older numpy has no mode="dicts"
+        return False
+    return "openblas" in blas.get("name", "").lower()
+
+
+@pytest.mark.skipif(not _openblas() or not Path("/proc/self/status").exists(),
+                    reason="needs numpy on OpenBLAS and /proc/self/status")
+def test_command_starts_numpy_without_a_blas_pool():
+    # an idle OpenBLAS worker thread cost every run 0.1-0.15 s of CPU
+    script = textwrap.dedent("""
+        import os
+        import multiswap.cli
+        with open("/proc/self/status") as fh:
+            print(next(line.split()[1] for line in fh if line.startswith("Threads:")))
+        print(os.environ.get("OPENBLAS_NUM_THREADS", "unset"))
+    """)
+    proc = run_python("-c", script, env=_without_blas_threads(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "1"]
+
+
+def test_caller_blas_threads_win_and_leave_outputs_unchanged(tmp_path):
+    script = textwrap.dedent("""
+        import os
+        import sys
+        from multiswap.cli import main
+        print(os.environ["OPENBLAS_NUM_THREADS"])
+        sys.exit(main(sys.argv[1:]))
+    """)
+    runs = {}
+    for name, env in (("default", _without_blas_threads()),
+                      ("2", dict(os.environ, OPENBLAS_NUM_THREADS="2"))):
+        out = tmp_path / name
+        proc = run_python("-c", script, "estimate", "bundled", "--engine", "oracle",
+                          "--out-dir", str(out), env=env)
+        assert proc.returncode == 0, proc.stderr
+        files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        runs[name] = proc.stdout.split()[0], files
+    assert runs["default"][0] == "1"
+    assert runs["2"][0] == "2"
+    assert runs["2"][1] == runs["default"][1]
 
 
 def test_replay_unknown_scheme_is_data_error(tmp_path, capsys):

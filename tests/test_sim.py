@@ -1,14 +1,9 @@
 import functools
-import os
-import subprocess
-import sys
 import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import multiswap
 from multiswap import sim
 from multiswap.builder import assemble, input_factors, layout_plan
 from multiswap.circuits import GATE_ARITY, CircuitIR, Gate
@@ -21,7 +16,7 @@ from multiswap.sim import (
 from multiswap.states import PureState, basis_state, normalize, tensor_product
 from multiswap.swaptest import build_swap_test, pair_input
 
-from conftest import random_ensemble, random_state
+from conftest import random_ensemble, random_state, run_python
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -513,10 +508,7 @@ def _child_peak_bytes(code: str) -> int:
         with open("/proc/self/status") as fh:
             print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
     """)
-    src = str(Path(multiswap.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60)
+    proc = run_python("-c", code, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return int(proc.stdout.split()[-1]) * 1024  # VmHWM is in KiB
 

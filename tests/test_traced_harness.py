@@ -6,10 +6,7 @@ benchmark; this test runs it as the benchmark does, in a fresh interpreter.
 """
 
 import json
-import os
 import runpy
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,24 +16,18 @@ from multiswap.cli import main
 from multiswap.fileio import save_states
 from multiswap.states import StateEnsemble
 
+from conftest import run_python
+
 ROOT = Path(__file__).resolve().parents[1]
 TRACED = ROOT / "benchmarks" / "traced.py"
 
 
-def _env():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    return env
-
-
 def test_traced_statevector_estimate_writes_spans(tmp_path):
     trace = tmp_path / "trace.json"
-    proc = subprocess.run(
-        [sys.executable, str(TRACED), str(trace), "estimate", "bundled",
-         "--shots", "64", "--engine", "statevector", "--out-dir", str(tmp_path / "out")],
-        env=_env(), cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    proc = run_python(
+        str(TRACED), str(trace), "estimate", "bundled",
+        "--shots", "64", "--engine", "statevector", "--out-dir", str(tmp_path / "out"),
+        cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(trace.read_text())
@@ -68,10 +59,8 @@ def test_traced_sharded_oracle_estimate_matches_the_untraced_run(tmp_path, capsy
     args = ["estimate", str(states), "--engine", "oracle", "--shots", "70000", "--seed", "3"]
     assert main(args + ["--out-dir", str(tmp_path / "plain")]) == 0
     trace = tmp_path / "trace.json"
-    proc = subprocess.run(
-        [sys.executable, str(TRACED), str(trace), *args, "--out-dir", str(tmp_path / "traced")],
-        env=_env(), cwd=tmp_path, capture_output=True, text=True, timeout=120,
-    )
+    proc = run_python(str(TRACED), str(trace), *args, "--out-dir", str(tmp_path / "traced"),
+                      cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     for name in ("counts.txt", "estimates.csv", "scatter.csv"):
         traced = (tmp_path / "traced" / name).read_bytes()
