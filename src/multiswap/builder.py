@@ -196,6 +196,14 @@ def _san_swaps(n: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(swaps)
 
 
+def check_final_variant(final_variant) -> None:
+    """Refuse a final variant outside ``FINAL_VARIANTS``, ``None`` included."""
+    if final_variant not in FINAL_VARIANTS:
+        raise ValueError(
+            f"unknown final variant {final_variant!r}; expected one of {FINAL_VARIANTS}"
+        )
+
+
 def _ancilla_count(
     scheme: str, n: int, width: int = 1, final_variant: str | None = None
 ) -> int:
@@ -208,10 +216,8 @@ def _ancilla_count(
         raise ValueError(f"register count must be a power of two >= 4, got {n}; pad first")
     if width < 1:
         raise ValueError(f"register width must be >= 1, got {width}")
-    if final_variant is not None and final_variant not in FINAL_VARIANTS:
-        raise ValueError(
-            f"unknown final variant {final_variant!r}; expected one of {FINAL_VARIANTS}"
-        )
+    if final_variant is not None:
+        check_final_variant(final_variant)
     return (2 if scheme == "new" else 3) * (n.bit_length() - 2)
 
 

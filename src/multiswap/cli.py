@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 configuration error, 3 data error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -35,6 +36,10 @@ from .fileio import (
     write_csv,
 )
 from .qasm import to_qasm
+
+# the start-up objects live as long as the process: later collections skip them
+# and exit does not walk them (exit 21-33 -> 5-11 ms per run on 2 CPUs); gc stays on
+gc.freeze()
 
 # flagged pairs ``replay`` prints when it also writes them to replay.csv
 _REPLAY_SHOWN = 20

@@ -27,15 +27,15 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from . import sim
 from .builder import (
-    FINAL_VARIANTS, LayoutPlan, assemble, decode, input_factors, layout_plan, pad_inputs,
-    slot_pairs,
+    FINAL_VARIANTS, LayoutPlan, assemble, check_final_variant, decode, input_factors,
+    layout_plan, pad_inputs, slot_pairs,
 )
 from .circuits import index_bits
 from .sim import draw_stream, draw_thresholds, measured_distribution, sample_from_distribution
@@ -201,13 +201,6 @@ def _in_shards(rows: int, work) -> list:
     return results
 
 
-def _check_variant(final_variant) -> None:
-    if final_variant not in FINAL_VARIANTS:
-        raise ValueError(
-            f"unknown final variant {final_variant!r}; expected one of {FINAL_VARIANTS}"
-        )
-
-
 def tally(counts: CountsTable, plan: LayoutPlan) -> tuple[np.ndarray, np.ndarray]:
     """Pool verdict counts per unordered label pair across outcomes and slots.
 
@@ -222,7 +215,7 @@ def tally(counts: CountsTable, plan: LayoutPlan) -> tuple[np.ndarray, np.ndarray
     ``StateEnsemble.overlaps``; verdicts are symmetric in the two registers,
     so (1,4) and (4,1) pool together.
     """
-    _check_variant(plan.final_variant)
+    check_final_variant(plan.final_variant)
     expected = plan.measured_labels()
     if counts.labels != expected:
         raise ValueError(
@@ -309,8 +302,8 @@ def oracle_sample(
 ) -> CountsTable:
     """Sample counts from the closed-form model: uniform ancilla outcome,
     then one Bernoulli verdict per slot. Scales to register counts far beyond
-    the dense statevector cap; draws standard-variant verdict bits, so the
-    plan must end in the standard variant.
+    the dense statevector cap; draws standard-variant verdict bits only, so
+    it refuses a plan ending in any other variant before any draw.
 
     Draws follow ``sim.draw_thresholds``: shot i's ancilla outcome is the
     top d bits of word i of the stream at counter 0, and its verdict in slot
@@ -325,7 +318,9 @@ def oracle_sample(
         raise ValueError("ensemble size does not match the plan (pad first)")
     if plan.final_variant != "standard":
         raise ValueError(
-            f"the oracle draws standard-variant verdicts; the plan ends in {plan.final_variant!r}"
+            "the oracle draws standard-variant verdicts only, and the plan ends in "
+            f"{plan.final_variant!r}: run the standard variant, or the statevector "
+            f"engine within its {sim.MAX_QUBITS}-qubit cap"
         )
     labels = plan.measured_labels()
     rows = np.empty((shots, len(labels)), dtype=np.uint8)
@@ -378,17 +373,15 @@ def estimate_all_overlaps(
 ) -> RunResult:
     """One-call pipeline: sample counts, tally, and estimate every real pair.
 
-    It checks engine, final variant (one of ``FINAL_VARIANTS``: a bare
-    network has no verdicts), shots and seed; ``builder.layout_plan`` checks
-    the scheme. ``engine="auto"`` uses the dense statevector whenever
-    the circuit fits under the qubit cap ``sim.MAX_QUBITS`` (which
-    ``sim.check_size`` enforces) and the permutation oracle otherwise. The
-    oracle engine always emits standard-variant verdict bits, so its result
-    carries the standard plan.
+    It checks engine, final variant (``builder.check_final_variant``), shots
+    and seed; ``builder.layout_plan`` checks the scheme. ``engine="auto"``
+    uses the dense statevector whenever the circuit fits under the qubit cap
+    ``sim.MAX_QUBITS`` (which ``sim.check_size`` enforces), and otherwise
+    the permutation oracle, which refuses any but the standard variant.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    _check_variant(final_variant)
+    check_final_variant(final_variant)
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     if not 0 <= seed < 1 << 64:
@@ -397,7 +390,6 @@ def estimate_all_overlaps(
     if engine == "auto":
         engine = "statevector" if plan.total_qubits <= sim.MAX_QUBITS else "oracle"
     if engine == "oracle":
-        plan = replace(plan, final_variant="standard")
         counts = oracle_sample(padded, plan, shots, seed)
     else:
         sim.check_size(plan.total_qubits)
@@ -482,16 +474,17 @@ def replay(
     """
     if not np.isfinite(tolerance) or tolerance < 0:
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
-    padded, plan = layout_for(ensemble, counts.scheme or "new")
-    expected = plan.measured_labels()
-    if counts.labels != expected:
-        plan = replace(plan, final_variant="destructive")
-        if counts.labels != plan.measured_labels():
-            raise DataError(
-                "counts layout does not match the states: expected "
-                f"{' '.join(expected)} (or the destructive form), found "
-                f"{' '.join(counts.labels)}"
-            )
+    padded = pad_inputs(ensemble)
+    plans = [layout_plan(counts.scheme or "new", padded.n, padded.width, variant)
+             for variant in FINAL_VARIANTS]
+    layouts = [plan.measured_labels() for plan in plans]
+    if counts.labels not in layouts:
+        raise DataError(
+            "counts layout does not match the states: expected "
+            f"{' '.join(layouts[0])} (or the destructive form), found "
+            f"{' '.join(counts.labels)}"
+        )
+    plan = plans[layouts.index(counts.labels)]
     estimates = _estimate_pairs(counts, plan, padded, ensemble.n)
     ref = estimates.exact if reference is None else _aligned(reference, estimates.pairs)
     deviates = np.abs(estimates.estimate - ref) > tolerance

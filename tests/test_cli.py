@@ -348,10 +348,9 @@ def test_replay_rejects_bad_tolerance(tolerance, capsys):
 
 
 def test_counts_header_names_the_variant_the_counts_hold(tmp_path, capsys):
-    # the oracle engine emits standard-variant verdict bits whatever --final says
     out = tmp_path / "run"
     assert main(
-        ["estimate", "bundled", "--engine", "oracle", "--final", "destructive",
+        ["estimate", "bundled", "--engine", "oracle", "--final", "standard",
          "--shots", "256", "--out-dir", str(out)]
     ) == 0
     lines = (out / "counts.txt").read_text().splitlines()
@@ -366,6 +365,18 @@ def test_counts_header_names_the_variant_the_counts_hold(tmp_path, capsys):
     assert len(est_rows) == len(rep_rows) == 28
     for est, rep in zip(est_rows, rep_rows):
         assert rep.startswith(est)
+
+
+def test_oracle_refuses_the_destructive_variant_before_writing(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(
+        ["estimate", "bundled", "--engine", "oracle", "--final", "destructive",
+         "--out-dir", str(out)]
+    ) == 2
+    err = capsys.readouterr().err
+    assert "the oracle draws standard-variant verdicts only" in err
+    assert "run the standard variant, or the statevector engine" in err
+    assert not (out / "counts.txt").exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -427,6 +438,18 @@ def test_import_multiswap_loads_no_submodule_and_no_numpy():
         import multiswap
         loaded = [m for m in sys.modules if m == "numpy" or m.startswith("multiswap.")]
         assert not loaded, loaded
+    """)
+    proc = run_python("-c", script, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_command_freezes_its_start_up_objects_and_keeps_collecting():
+    # frozen start-up objects are skipped by later collections and at exit
+    script = textwrap.dedent("""
+        import gc
+        import multiswap.cli
+        assert gc.isenabled()
+        assert gc.get_freeze_count() > 0, gc.get_freeze_count()
     """)
     proc = run_python("-c", script, timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -174,6 +174,29 @@ def test_auto_prefers_statevector_then_oracle(d0, monkeypatch):
     assert result.engine == "oracle"
 
 
+def test_auto_refuses_a_destructive_plan_above_the_cap_before_any_draw(d0, monkeypatch):
+    # above the cap auto picks the oracle, which draws the standard variant
+    # only: the run is refused, not run as a different test
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a shot was drawn")
+
+    monkeypatch.setattr(sim, "draw_stream", no_draw)
+    monkeypatch.setattr(estimation, "_draw_stream", no_draw)
+    monkeypatch.setattr(sim, "MAX_QUBITS", 10)
+    message = "plan ends in 'destructive': run the standard variant, or the statevector engine"
+    with pytest.raises(ValueError, match=message):
+        estimate_all_overlaps(d0, final_variant="destructive")
+
+
+@pytest.mark.parametrize("engine, final", [
+    ("statevector", "standard"), ("statevector", "destructive"), ("oracle", "standard"),
+])
+def test_result_carries_the_plan_asked_for(d0, engine, final):
+    result = estimate_all_overlaps(d0, shots=64, seed=0, final_variant=final, engine=engine)
+    assert result.plan.final_variant == final
+    assert result.counts.labels == result.plan.measured_labels()
+
+
 @pytest.mark.parametrize("n", [4, 8])
 def test_oracle_distribution_matches_full_circuit(n):
     rng = np.random.default_rng(60 + n)

@@ -1,6 +1,7 @@
 """Every rule has one owning module: no module of the package imports or
 reads another module's private names. A module-local alias of a public name
-(``_decode = decode``) is the module's own business and stays allowed."""
+(``_decode = decode``) is the module's own business and stays allowed. A
+rule's refusal message is written only in the module that owns the rule."""
 
 import ast
 from pathlib import Path
@@ -56,3 +57,10 @@ def test_no_module_uses_another_modules_private_names(path):
 ])
 def test_the_guard_sees_both_forms_of_private_use(source, found):
     assert private_uses(source) == found
+
+
+def test_the_final_variant_rule_has_one_owner():
+    # builder.check_final_variant states it; every other module calls it
+    owners = [path.stem for path in MODULES if "unknown final variant" in path.read_text()]
+    assert owners == ["builder"]
+    assert (PACKAGE / "builder.py").read_text().count("unknown final variant") == 1
