@@ -11,11 +11,12 @@ import numpy as np
 from multiswap.analytics import scatter_data
 from multiswap.builder import assemble
 from multiswap.circuits import count_resources
-from multiswap.estimation import estimate_all_overlaps, layout_for
+from multiswap.estimation import decide, estimate_all_overlaps
 from multiswap.fixtures import load_ensemble, reference_estimates
 
 ensemble = load_ensemble(0)
-_, plan = layout_for(ensemble, "new", "standard")
+run = decide(ensemble, shots=8192, seed=7)  # checked and planned; nothing drawn yet
+plan = run.plan
 circuit = assemble(plan)
 profile = count_resources(circuit)
 print(
@@ -24,7 +25,7 @@ print(
     f"{plan.ancilla_count} routing ancillas"
 )
 
-result = estimate_all_overlaps(ensemble, shots=8192, seed=7)
+result = estimate_all_overlaps(run)
 est = result.estimates  # one column per field, one row per pair
 published = reference_estimates()
 

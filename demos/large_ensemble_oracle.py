@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from multiswap.estimation import estimate_all_overlaps
+from multiswap.estimation import decide, estimate_all_overlaps
 from multiswap.states import StateEnsemble
 
 rng = np.random.default_rng(2024)
@@ -22,13 +22,13 @@ for _ in range(64):
 ensemble = StateEnsemble(np.array(rows))  # one unit-norm state per row
 
 start = time.perf_counter()
-result = estimate_all_overlaps(ensemble, shots=1_000_000, seed=8, engine="oracle")
+result = estimate_all_overlaps(decide(ensemble, shots=1_000_000, seed=8, engine="oracle"))
 elapsed = time.perf_counter() - start
 
 est = result.estimates
 errors = est.estimate - est.exact
 samples = est.samples
-print(f"engine: {result.engine}, shots: 1e6, elapsed {elapsed:.1f}s")
+print(f"engine: {result.run.engine}, shots: 1e6, elapsed {elapsed:.1f}s")
 print(f"pairs estimated: {len(est)}")
 print(f"mean samples per pair: {samples.mean():.0f} (model N/(n-1) = {1e6 / 63:.0f})")
 print(f"rmse: {np.sqrt((errors**2).mean()):.5f}")

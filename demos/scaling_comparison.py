@@ -11,7 +11,7 @@ flags the conflict instead of silently choosing.
 """
 
 from multiswap.analytics import precision, resource_report
-from multiswap.estimation import estimate_all_overlaps
+from multiswap.estimation import decide, estimate_all_overlaps
 from multiswap.fixtures import load_ensemble
 
 print("n     new cswap (alt)   new anc   base cswap (alt)   base anc   conflict")
@@ -35,8 +35,8 @@ for n in (4, 8, 16, 32, 64):
 
 print("\nempirical check at n=8, N=20000 (same seed for both schemes):")
 ensemble = load_ensemble(0)
-new = estimate_all_overlaps(ensemble, "new", shots=20000, seed=11)
-base = estimate_all_overlaps(ensemble, "san", shots=20000, seed=11)
+new = estimate_all_overlaps(decide(ensemble, "new", shots=20000, seed=11))
+base = estimate_all_overlaps(decide(ensemble, "san", shots=20000, seed=11))
 avg_new = new.estimates.samples.mean()
 avg_base = base.estimates.samples.mean()
 print(f"  recursive scheme: {avg_new:.1f} samples/pair")

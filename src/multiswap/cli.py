@@ -26,7 +26,7 @@ from .builder import (
     decode_all,
     layout_plan,
 )
-from .estimation import ENGINES, DataError, estimate_all_overlaps, layout_for, replay
+from .estimation import ENGINES, DataError, decide, estimate_all_overlaps, layout_for, replay
 from .fileio import (
     load_states,
     read_counts,
@@ -140,18 +140,12 @@ def cmd_build(args) -> int:
 
 def cmd_estimate(args) -> int:
     ensemble = _load(args.states, args.normalize)
+    run = decide(ensemble, args.scheme, args.shots, args.seed, args.final, args.engine)
     # an unusable output path fails here, not after the simulation
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        result = estimate_all_overlaps(
-            ensemble,
-            scheme=args.scheme,
-            shots=args.shots,
-            seed=args.seed,
-            final_variant=args.final,
-            engine=args.engine,
-        )
+        result = estimate_all_overlaps(run)
     except MemoryError as exc:  # numpy names the size it could not allocate
         raise ConfigError(
             f"out of memory in a run of {ensemble.n} registers of width {ensemble.width}, "
@@ -164,12 +158,12 @@ def cmd_estimate(args) -> int:
         out / "counts.txt",
         result.counts,
         comments=(
-            f"engine={result.engine} shots={args.shots} seed={args.seed} "
-            f"final={result.plan.final_variant}",
+            f"engine={run.engine} shots={run.shots} seed={run.seed} "
+            f"final={run.plan.final_variant}",
         ),
     )
     print(f"{len(result.estimates)} pair estimates written to {out / 'estimates.csv'}")
-    print(f"engine: {result.engine}")
+    print(f"engine: {run.engine}")
     print(f"max |estimate - exact|: {summary.max_abs_error:.4f}, rmse: {summary.rmse:.4f}")
     return 0
 

@@ -172,6 +172,19 @@ def layout_for(
     return padded, layout_plan(scheme, padded.n, padded.width, final_variant)
 
 
+@dataclass(frozen=True)
+class Run:
+    """A run as ``decide`` admitted it: the real input count, the padded
+    ensemble, its plan, the engine ("statevector" or "oracle"), shots, seed."""
+
+    real: int
+    ensemble: StateEnsemble
+    plan: LayoutPlan
+    engine: str
+    shots: int
+    seed: int
+
+
 def _in_shards(rows: int, work) -> list:
     """``work(lo, hi)`` on contiguous shards of ``rows`` rows, each but the
     first on a thread of its own; the results in shard order.
@@ -297,13 +310,11 @@ def _oracle_rows(rows, plan, thresholds, seed, lo, hi) -> None:
             np.greater_equal(words, table[which[b : b + step]], out=block[:, d:])
 
 
-def oracle_sample(
-    ensemble: StateEnsemble, plan: LayoutPlan, shots: int, seed: int
-) -> CountsTable:
+def oracle_sample(run: Run) -> CountsTable:
     """Sample counts from the closed-form model: uniform ancilla outcome,
     then one Bernoulli verdict per slot. Scales to register counts far beyond
-    the dense statevector cap; draws standard-variant verdict bits only, so
-    it refuses a plan ending in any other variant before any draw.
+    the dense statevector cap. It draws standard-variant verdict bits only,
+    so it takes a run ``decide`` gave the oracle engine.
 
     Draws follow ``sim.draw_thresholds``: shot i's ancilla outcome is the
     top d bits of word i of the stream at counter 0, and its verdict in slot
@@ -312,20 +323,11 @@ def oracle_sample(
     both streams at its own first word, so the rows do not depend on how
     the shots are split across shards, chunks or blocks.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    if ensemble.n != plan.n:
-        raise ValueError("ensemble size does not match the plan (pad first)")
-    if plan.final_variant != "standard":
-        raise ValueError(
-            "the oracle draws standard-variant verdicts only, and the plan ends in "
-            f"{plan.final_variant!r}: run the standard variant, or the statevector "
-            f"engine within its {sim.MAX_QUBITS}-qubit cap"
-        )
+    plan, shots = run.plan, run.shots
     labels = plan.measured_labels()
     rows = np.empty((shots, len(labels)), dtype=np.uint8)
-    thresholds = draw_thresholds((ensemble.overlaps + 1.0) / 2.0)
-    work = partial(_oracle_rows, rows, plan, thresholds, seed)
+    thresholds = draw_thresholds((run.ensemble.overlaps + 1.0) / 2.0)
+    work = partial(_oracle_rows, rows, plan, thresholds, run.seed)
     _in_shards(shots, work)
     return CountsTable(labels, plan.scheme, rows, np.ones(shots, dtype=np.int64))
 
@@ -353,31 +355,22 @@ def oracle_distribution(ensemble: StateEnsemble, plan: LayoutPlan) -> np.ndarray
     return probs.reshape(-1)
 
 
-@dataclass(frozen=True)
-class RunResult:
-    """Everything a finished estimation run produced."""
-
-    counts: CountsTable
-    estimates: PairEstimates
-    plan: LayoutPlan
-    engine: str
-
-
-def estimate_all_overlaps(
+def decide(
     ensemble: StateEnsemble,
     scheme: str = "new",
     shots: int = 8192,
     seed: int = 0,
     final_variant: str = "standard",
     engine: str = "auto",
-) -> RunResult:
-    """One-call pipeline: sample counts, tally, and estimate every real pair.
+) -> Run:
+    """The one place a run is checked, planned and given its engine: no draw, no gate.
 
     It checks engine, final variant (``builder.check_final_variant``), shots
     and seed; ``builder.layout_plan`` checks the scheme. ``engine="auto"``
     uses the dense statevector whenever the circuit fits under the qubit cap
     ``sim.MAX_QUBITS`` (which ``sim.check_size`` enforces), and otherwise
-    the permutation oracle, which refuses any but the standard variant.
+    the oracle, whose verdicts are standard-variant ones: any other variant
+    is refused unless the statevector can run it, whatever the engine asked.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
@@ -387,18 +380,40 @@ def estimate_all_overlaps(
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must satisfy 0 <= seed < 2**64, got {seed}")
     padded, plan = layout_for(ensemble, scheme, final_variant)
+    dense = plan.total_qubits <= sim.MAX_QUBITS
     if engine == "auto":
-        engine = "statevector" if plan.total_qubits <= sim.MAX_QUBITS else "oracle"
-    if engine == "oracle":
-        counts = oracle_sample(padded, plan, shots, seed)
-    else:
+        engine = "statevector" if dense else "oracle"
+    if final_variant != "standard" and (engine == "oracle" or not dense):
+        raise ValueError(
+            "the oracle draws standard-variant verdicts only, and the plan ends in "
+            f"{final_variant!r}: run the standard variant, or the statevector "
+            f"engine within its {sim.MAX_QUBITS}-qubit cap"
+        )
+    if engine == "statevector":
         sim.check_size(plan.total_qubits)
+    return Run(ensemble.n, padded, plan, engine, shots, seed)
+
+
+@dataclass(frozen=True)
+class RunResult:
+    """Everything a finished estimation run produced."""
+
+    run: Run
+    counts: CountsTable
+    estimates: PairEstimates
+
+
+def estimate_all_overlaps(run: Run) -> RunResult:
+    """Execute a decided run: sample counts, tally, and estimate every real pair."""
+    plan, padded = run.plan, run.ensemble
+    if run.engine == "oracle":
+        counts = oracle_sample(run)
+    else:
         labels, probs = measured_distribution(assemble(plan), input_factors(padded, plan))
-        idx = sample_from_distribution(probs, shots, seed)
+        idx = sample_from_distribution(probs, run.shots, run.seed)
         values, cnts = np.unique(idx, return_counts=True)
-        counts = CountsTable(labels, scheme, index_bits(values, len(labels)), cnts)
-    estimates = _estimate_pairs(counts, plan, padded, ensemble.n)
-    return RunResult(counts, estimates, plan, engine)
+        counts = CountsTable(labels, plan.scheme, index_bits(values, len(labels)), cnts)
+    return RunResult(run, counts, _estimate_pairs(counts, plan, padded, run.real))
 
 
 def _estimate_pairs(

@@ -16,6 +16,7 @@ from multiswap.circuits import count_resources, index_bits
 from multiswap.cli import main
 from multiswap.estimation import (
     PairEstimates,
+    decide,
     estimate_all_overlaps,
     layout_for,
     oracle_distribution,
@@ -88,7 +89,7 @@ def test_c03_statistical_reproduction_all_ensembles(tmp_path):
     assert hits / len(rows) >= 0.95
     fractions = [hits / 28]
     for idx in range(1, 10):
-        result = estimate_all_overlaps(load_ensemble(idx), shots=8192, seed=7)
+        result = estimate_all_overlaps(decide(load_ensemble(idx), shots=8192, seed=7))
         est = result.estimates
         assert len(est) == 28
         good = int(np.sum(np.abs(est.estimate - est.exact) <= 3.0 * est.stderr))
@@ -179,8 +180,8 @@ def test_c07_pair_coverage_all_sizes():
 
 def test_c08_precision_law(d0):
     shots = 100000
-    new = estimate_all_overlaps(d0, "new", shots=shots, seed=55)
-    san = estimate_all_overlaps(d0, "san", shots=shots, seed=55)
+    new = estimate_all_overlaps(decide(d0, "new", shots=shots, seed=55))
+    san = estimate_all_overlaps(decide(d0, "san", shots=shots, seed=55))
     avg_new = new.estimates.samples.sum() / 28
     avg_san = san.estimates.samples.sum() / 28
     ratio = avg_new / avg_san

@@ -10,7 +10,7 @@ from multiswap.analytics import (
     scatter_data,
 )
 from multiswap.builder import pad_inputs
-from multiswap.estimation import PairEstimates, estimate_all_overlaps
+from multiswap.estimation import PairEstimates, decide, estimate_all_overlaps
 
 from conftest import random_ensemble
 
@@ -91,15 +91,15 @@ def test_resource_report_rejects_small_k():
 
 def test_empirical_precision_ratio(d0):
     shots = 20000
-    new = estimate_all_overlaps(d0, "new", shots=shots, seed=41)
-    san = estimate_all_overlaps(d0, "san", shots=shots, seed=41)
+    new = estimate_all_overlaps(decide(d0, "new", shots=shots, seed=41))
+    san = estimate_all_overlaps(decide(d0, "san", shots=shots, seed=41))
     avg_new = new.estimates.samples.sum() / 28
     avg_san = san.estimates.samples.sum() / 28
     assert avg_new / avg_san == pytest.approx(4.0, rel=0.05)
 
 
 def test_scatter_rows_and_summary(d0):
-    result = estimate_all_overlaps(d0, shots=8192, seed=1)
+    result = estimate_all_overlaps(decide(d0, shots=8192, seed=1))
     columns, summary = scatter_data(result.estimates)
     assert list(columns) == ["estimate", "exact", "pair_i", "pair_j", "samples"]
     assert all(len(column) == 28 for column in columns.values())

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from multiswap import builder, cli
+from multiswap import builder, cli, sim
 from multiswap.cli import main
 from multiswap.fileio import save_states
 from multiswap.states import StateEnsemble
@@ -339,6 +339,38 @@ def test_estimate_checks_out_dir_before_simulating(states_file, tmp_path, monkey
     monkeypatch.setattr("multiswap.cli.estimate_all_overlaps", lambda *a, **k: ran.append(1))
     assert main(["estimate", states_file, "--out-dir", str(blocker)]) == 3
     assert ran == []
+
+
+_ORACLE_RULE = "the oracle draws standard-variant verdicts only, and the plan ends in 'destructive'"
+
+
+@pytest.mark.parametrize("cap, argv, message", [
+    pytest.param(None, ["--shots", "0"], "shots must be >= 1, got 0", id="zero_shots"),
+    pytest.param(None, ["--seed", "-1"], "seed must satisfy 0 <= seed < 2**64", id="negative_seed"),
+    pytest.param(None, ["--seed", str(2**64)], "seed must satisfy 0 <= seed < 2**64",
+                 id="seed_2_64"),
+    pytest.param(None, ["--engine", "oracle", "--final", "destructive"], _ORACLE_RULE,
+                 id="oracle_destructive"),
+    pytest.param(10, ["--engine", "statevector"], "above the dense cap of 10 qubits",
+                 id="statevector_over_cap"),
+    pytest.param(10, ["--final", "destructive"], _ORACLE_RULE, id="auto_destructive_over_cap"),
+])
+def test_a_refused_estimate_creates_no_out_dir(cap, argv, message, tmp_path, capsys,
+                                               monkeypatch):
+    if cap is not None:
+        monkeypatch.setattr(sim, "MAX_QUBITS", cap)
+    out = tmp_path / "fresh" / "run"
+    assert main(["estimate", "bundled", *argv, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not (tmp_path / "fresh").exists()
+
+
+def test_a_config_error_comes_before_an_unusable_out_dir(tmp_path, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    assert main(["estimate", "bundled", "--shots", "0", "--out-dir", str(blocker)]) == 2
+    assert capsys.readouterr().err == "config error: shots must be >= 1, got 0\n"
 
 
 @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])

@@ -11,6 +11,7 @@ from multiswap.estimation import (
     CountsTable,
     DataError,
     PairEstimates,
+    decide,
     estimate_all_overlaps,
     layout_for,
     oracle_distribution,
@@ -134,7 +135,7 @@ def test_estimate_refuses_a_bare_network(d0, engine, monkeypatch):
 
     monkeypatch.setattr(estimation, "layout_for", no_plan)
     with pytest.raises(ValueError, match=r"final variant None; expected one of \('standard'"):
-        estimate_all_overlaps(d0, final_variant=None, engine=engine)
+        decide(d0, final_variant=None, engine=engine)
 
 
 def _same_counts(a: CountsTable, b: CountsTable) -> bool:
@@ -146,16 +147,16 @@ def _same_counts(a: CountsTable, b: CountsTable) -> bool:
 
 
 def test_run_experiment_deterministic(d0):
-    first = estimate_all_overlaps(d0, "new", shots=2048, seed=11).counts
-    second = estimate_all_overlaps(d0, "new", shots=2048, seed=11).counts
+    first = estimate_all_overlaps(decide(d0, "new", shots=2048, seed=11)).counts
+    second = estimate_all_overlaps(decide(d0, "new", shots=2048, seed=11)).counts
     assert _same_counts(first, second)
-    third = estimate_all_overlaps(d0, "new", shots=2048, seed=12).counts
+    third = estimate_all_overlaps(decide(d0, "new", shots=2048, seed=12)).counts
     assert not _same_counts(first, third)
 
 
 def test_run_experiment_identical_basis_states_never_fail():
     ensemble = StateEnsemble([[1, 0]] * 4)
-    counts = estimate_all_overlaps(ensemble, "new", shots=512, seed=3).counts
+    counts = estimate_all_overlaps(decide(ensemble, "new", shots=512, seed=3)).counts
     assert counts.total_shots == 512
     assert not counts.bits[:, 2:].any()  # both slot verdicts always succeed
 
@@ -163,15 +164,15 @@ def test_run_experiment_identical_basis_states_never_fail():
 def test_qubit_cap_error_names_oracle(d0, monkeypatch):
     monkeypatch.setattr(sim, "MAX_QUBITS", 10)
     with pytest.raises(ValueError, match="oracle"):
-        estimate_all_overlaps(d0, "new", shots=16, seed=0, engine="statevector")
+        decide(d0, "new", shots=16, seed=0, engine="statevector")
 
 
 def test_auto_prefers_statevector_then_oracle(d0, monkeypatch):
-    result = estimate_all_overlaps(d0, shots=64, seed=0, engine="auto")
-    assert result.engine == "statevector"
+    result = estimate_all_overlaps(decide(d0, shots=64, seed=0, engine="auto"))
+    assert result.run.engine == "statevector"
     monkeypatch.setattr(sim, "MAX_QUBITS", 10)
-    result = estimate_all_overlaps(d0, shots=64, seed=0, engine="auto")
-    assert result.engine == "oracle"
+    result = estimate_all_overlaps(decide(d0, shots=64, seed=0, engine="auto"))
+    assert result.run.engine == "oracle"
 
 
 def test_auto_refuses_a_destructive_plan_above_the_cap_before_any_draw(d0, monkeypatch):
@@ -185,16 +186,63 @@ def test_auto_refuses_a_destructive_plan_above_the_cap_before_any_draw(d0, monke
     monkeypatch.setattr(sim, "MAX_QUBITS", 10)
     message = "plan ends in 'destructive': run the standard variant, or the statevector engine"
     with pytest.raises(ValueError, match=message):
-        estimate_all_overlaps(d0, final_variant="destructive")
+        decide(d0, final_variant="destructive")
+
+
+def _no_run(monkeypatch):
+    """Fail the test on any shot draw or gate build."""
+    def started(*args, **kwargs):
+        raise AssertionError("a run was started")
+
+    monkeypatch.setattr(sim, "draw_stream", started)
+    monkeypatch.setattr(estimation, "_draw_stream", started)
+    monkeypatch.setattr(estimation, "assemble", started)
+
+
+_ORACLE_RULE = "the oracle draws standard-variant verdicts only, and the plan ends in 'destructive'"
+
+
+@pytest.mark.parametrize("cap, kwargs, message", [
+    pytest.param(10, {"engine": "statevector"}, "above the dense cap of 10 qubits",
+                 id="statevector_over_cap"),
+    pytest.param(26, {"engine": "oracle", "final_variant": "destructive"}, _ORACLE_RULE,
+                 id="oracle_destructive"),
+    *(pytest.param(10, {"engine": engine, "final_variant": "destructive"}, _ORACLE_RULE,
+                   id=f"{engine}_destructive_over_cap") for engine in ENGINES),
+])
+def test_decide_refuses_before_any_draw_or_gate(d0, cap, kwargs, message, monkeypatch):
+    # a destructive plan above the cap has no engine, whichever was asked:
+    # the refusal names the standard variant, not the oracle as a way out
+    _no_run(monkeypatch)
+    monkeypatch.setattr(sim, "MAX_QUBITS", cap)
+    with pytest.raises(ValueError, match=message):
+        decide(d0, **kwargs)
+
+
+@pytest.mark.parametrize("cap, engine, final, resolved", [
+    (26, "auto", "standard", "statevector"),
+    (26, "auto", "destructive", "statevector"),
+    (10, "auto", "standard", "oracle"),
+    (26, "oracle", "standard", "oracle"),
+    (26, "statevector", "destructive", "statevector"),
+])
+def test_decide_resolves_the_engine_without_running(d0, cap, engine, final, resolved,
+                                                    monkeypatch):
+    _no_run(monkeypatch)
+    monkeypatch.setattr(sim, "MAX_QUBITS", cap)
+    run = decide(StateEnsemble(d0.amplitudes[:5]), "san", 100, 9, final, engine)
+    assert run.engine == resolved
+    assert (run.real, run.ensemble.n, run.shots, run.seed) == (5, 8, 100, 9)
+    assert (run.plan.scheme, run.plan.n, run.plan.final_variant) == ("san", 8, final)
 
 
 @pytest.mark.parametrize("engine, final", [
     ("statevector", "standard"), ("statevector", "destructive"), ("oracle", "standard"),
 ])
 def test_result_carries_the_plan_asked_for(d0, engine, final):
-    result = estimate_all_overlaps(d0, shots=64, seed=0, final_variant=final, engine=engine)
-    assert result.plan.final_variant == final
-    assert result.counts.labels == result.plan.measured_labels()
+    result = estimate_all_overlaps(decide(d0, shots=64, seed=0, final_variant=final, engine=engine))
+    assert result.run.plan.final_variant == final
+    assert result.counts.labels == result.run.plan.measured_labels()
 
 
 @pytest.mark.parametrize("n", [4, 8])
@@ -276,21 +324,20 @@ def test_oracle_slot_marginal_matches_full_circuit(scheme, n, slots, unbranched,
 
 def test_oracle_identical_states_all_verdicts_zero():
     ensemble = StateEnsemble([[1, 0]] * 4)
-    _, plan = layout_for(ensemble, "new", "standard")
-    counts = oracle_sample(ensemble, plan, shots=400, seed=5)
+    counts = oracle_sample(decide(ensemble, shots=400, seed=5, engine="oracle"))
     assert counts.total_shots == 400
     assert not counts.bits[:, 2:].any()
 
 
-@pytest.mark.parametrize("members, final, shots, message", [
-    pytest.param(8, "standard", 0, "shots must be >= 1", id="zero_shots"),
-    pytest.param(4, "standard", 10, "ensemble size does not match", id="size_mismatch"),
-    pytest.param(8, "destructive", 10, "plan ends in 'destructive'", id="destructive_plan"),
+@pytest.mark.parametrize("final, shots, message", [
+    pytest.param("standard", 0, "shots must be >= 1", id="zero_shots"),
+    pytest.param("destructive", 10, "plan ends in 'destructive'", id="destructive_plan"),
 ])
-def test_oracle_sample_refusals(d0, members, final, shots, message):
-    _, plan = layout_for(d0, "new", final)
+def test_oracle_sample_refusals(d0, final, shots, message):
+    # decide makes the oracle's refusals: a run it admits is padded, has
+    # shots and, on the oracle, ends in the standard variant
     with pytest.raises(ValueError, match=message):
-        oracle_sample(StateEnsemble(d0.amplitudes[:members]), plan, shots, seed=0)
+        decide(d0, shots=shots, final_variant=final, engine="oracle")
 
 
 @pytest.mark.parametrize("n, members, message", [
@@ -306,23 +353,23 @@ def test_oracle_distribution_refusals(n, members, message):
 def test_oracle_scales_past_the_statevector_cap():
     rng = np.random.default_rng(9)
     ensemble = random_ensemble(rng, 64)
-    result = estimate_all_overlaps(ensemble, shots=20000, seed=2, engine="oracle")
-    assert result.engine == "oracle"
+    result = estimate_all_overlaps(decide(ensemble, shots=20000, seed=2, engine="oracle"))
+    assert result.run.engine == "oracle"
     assert len(result.estimates) == 64 * 63 // 2
     assert (result.estimates.samples > 0).all()
 
 
 def test_sample_bookkeeping_identities(d0):
     shots = 4096
-    new = estimate_all_overlaps(d0, "new", shots=shots, seed=21)
+    new = estimate_all_overlaps(decide(d0, "new", shots=shots, seed=21))
     assert new.estimates.samples.sum() == shots * 4
-    san = estimate_all_overlaps(d0, "san", shots=shots, seed=21)
+    san = estimate_all_overlaps(decide(d0, "san", shots=shots, seed=21))
     assert san.estimates.samples.sum() == shots
 
 
 def test_padded_run_reports_only_real_pairs(d0):
     five = StateEnsemble(d0.amplitudes[:5])
-    result = estimate_all_overlaps(five, shots=2048, seed=4)
+    result = estimate_all_overlaps(decide(five, shots=2048, seed=4))
     assert result.estimates.pairs.tolist() == [
         [i, j] for i in range(1, 6) for j in range(i + 1, 6)
     ]
@@ -331,7 +378,7 @@ def test_padded_run_reports_only_real_pairs(d0):
 def test_estimates_converge_with_shot_count(d0):
     worst = []
     for shots in (1000, 10000, 100000):
-        result = estimate_all_overlaps(d0, shots=shots, seed=31)
+        result = estimate_all_overlaps(decide(d0, shots=shots, seed=31))
         est = result.estimates
         worst.append(np.abs(est.estimate - est.exact).max())
         # every pair within its own 3 sigma band
@@ -347,7 +394,7 @@ def test_estimator_is_unbiased_across_seeds():
     first, second = np.triu_indices(4, k=1)  # the 6 pairs, at [i-1, j-1]
     sums = np.zeros(6)
     for seed in range(seeds):
-        counts = oracle_sample(ensemble, plan, shots, seed)
+        counts = oracle_sample(decide(ensemble, shots=shots, seed=seed, engine="oracle"))
         t0, t1 = tally(counts, plan)
         t0, m = t0[first, second], (t0 + t1)[first, second]
         sums += 2.0 * t0 / m - 1.0
@@ -360,7 +407,7 @@ def test_estimator_is_unbiased_across_seeds():
 
 
 def test_replay_round_trips_run_counts(d0):
-    result = estimate_all_overlaps(d0, shots=4096, seed=13)
+    result = estimate_all_overlaps(decide(d0, shots=4096, seed=13))
     report = replay(result.counts, d0)
     assert report.total_shots == 4096
     assert np.array_equal(report.estimates.pairs, result.estimates.pairs)
@@ -407,9 +454,9 @@ def test_replay_size_mismatch(d0):
 
 def test_destructive_final_variant_pipeline(d0):
     ensemble = StateEnsemble(d0.amplitudes[:4])
-    result = estimate_all_overlaps(
+    result = estimate_all_overlaps(decide(
         ensemble, shots=200000, seed=19, final_variant="destructive"
-    )
+    ))
     est = result.estimates
     assert len(est) == 6
     assert (np.abs(est.estimate - est.exact) <= 4 * est.stderr).all()
@@ -421,8 +468,8 @@ def test_oracle_identical_states_at_scale(n):
     # pair must be reached; sizes past 64 slots once overflowed a packed key
     ensemble = StateEnsemble([[1, 0]] * n)
     shots = 100_000
-    result = estimate_all_overlaps(ensemble, shots=shots, seed=3, engine="oracle")
-    assert result.engine == "oracle"
+    result = estimate_all_overlaps(decide(ensemble, shots=shots, seed=3, engine="oracle"))
+    assert result.run.engine == "oracle"
     est = result.estimates
     assert len(est) == n * (n - 1) // 2
     assert (est.samples > 0).all()
@@ -433,11 +480,11 @@ def test_oracle_identical_states_at_scale(n):
 def test_san_destructive_pipeline_and_replay(d0):
     # the baseline scheme measures all n registers destructively but tests
     # only slot (1, 2); each verdict comes from that slot's two registers
-    result = estimate_all_overlaps(
+    result = estimate_all_overlaps(decide(
         d0, "san", shots=200_000, seed=23, final_variant="destructive",
         engine="statevector",
-    )
-    assert result.counts.labels == result.plan.measured_labels()
+    ))
+    assert result.counts.labels == result.run.plan.measured_labels()
     est = result.estimates
     assert len(est) == 28
     assert (np.abs(est.estimate - est.exact) <= 4 * est.stderr).all()
@@ -457,7 +504,8 @@ def test_counts_table_merges_and_sorts_rows():
         CountsTable(("a", "b"), "new", [[1, 0]], [-1])
 
 
-def test_run_validates_configuration(d0):
+def test_run_validates_configuration(d0, monkeypatch):
+    _no_run(monkeypatch)
     for kwargs, message in (
         ({"scheme": "old"}, "scheme"),
         ({"final_variant": "weak"}, "final variant"),
@@ -467,16 +515,16 @@ def test_run_validates_configuration(d0):
         ({"seed": 1 << 64}, "seed"),
     ):
         with pytest.raises(ValueError, match=message):
-            estimate_all_overlaps(d0, **kwargs)
+            decide(d0, **kwargs)
 
 
 def test_destructive_verdict_is_parity_over_wide_registers():
     # with two qubits per register a verdict is the parity of two AND bits
     ensemble = random_ensemble(np.random.default_rng(5), 4, width=2)
-    result = estimate_all_overlaps(
+    result = estimate_all_overlaps(decide(
         ensemble, shots=100_000, seed=29, final_variant="destructive",
         engine="statevector",
-    )
+    ))
     est = result.estimates
     assert (np.abs(est.estimate - est.exact) <= 4 * est.stderr).all()
 
@@ -522,7 +570,7 @@ def test_oracle_verdict_blocks_keep_the_draw(shards, block, monkeypatch, fast_sw
     monkeypatch.setattr(estimation, "_VERDICT_BLOCK", words)
     # threshold tables of 100 rows unless everything is drawn at once
     monkeypatch.setattr(estimation, "_TABLE_ENTRIES", max(words, 100 * slots))
-    drawn = oracle_sample(ensemble, plan, shots, seed=4)
+    drawn = oracle_sample(decide(ensemble, shots=shots, seed=4, engine="oracle"))
     serial = _serial_oracle_rows(ensemble, plan, shots, seed=4)
     expected = CountsTable(drawn.labels, "new", serial, np.ones(shots, dtype=np.int64))
     assert np.array_equal(drawn.bits, expected.bits)
@@ -570,8 +618,8 @@ def test_verdict_word_at_its_threshold_fails():
 def test_orthogonal_states_fail_half_the_verdicts():
     # four mutually orthogonal two-qubit states: p0 = 1/2 in every slot
     ensemble = StateEnsemble(np.eye(4))
-    _, plan = layout_for(ensemble, "new", "standard")
-    counts = oracle_sample(ensemble, plan, shots=40000, seed=8)
+    run = decide(ensemble, shots=40000, seed=8, engine="oracle")
+    counts, plan = oracle_sample(run), run.plan
     verdicts = counts.bits[:, plan.ancilla_count :]
     failed = (verdicts * counts.counts[:, None]).sum() / (2 * 40000)
     assert abs(failed - 0.5) < 5 * 0.5 / np.sqrt(2 * 40000)
@@ -597,7 +645,7 @@ def test_tally_shards_sum_to_the_serial_tally(final, monkeypatch, fast_switching
     ensemble = random_ensemble(np.random.default_rng(31), 16)
     _, plan = layout_for(ensemble, "new", final)
     if final == "standard":
-        counts = oracle_sample(ensemble, plan, shots=3000, seed=2)
+        counts = oracle_sample(decide(ensemble, shots=3000, seed=2, engine="oracle"))
     else:
         rng = np.random.default_rng(5)
         labels = plan.measured_labels()

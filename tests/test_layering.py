@@ -64,3 +64,15 @@ def test_the_final_variant_rule_has_one_owner():
     owners = [path.stem for path in MODULES if "unknown final variant" in path.read_text()]
     assert owners == ["builder"]
     assert (PACKAGE / "builder.py").read_text().count("unknown final variant") == 1
+
+
+def test_the_oracle_variant_rule_has_one_owner():
+    # estimation.decide refuses the plans the oracle cannot draw; the oracle
+    # itself takes only decided runs and restates nothing
+    rule = "draws standard-variant verdicts only"
+    assert [path.stem for path in MODULES if rule in path.read_text()] == ["estimation"]
+    source = (PACKAGE / "estimation.py").read_text()
+    assert source.count(rule) == 1
+    decide = next(node for node in ast.parse(source).body
+                  if isinstance(node, ast.FunctionDef) and node.name == "decide")
+    assert rule in ast.get_source_segment(source, decide)

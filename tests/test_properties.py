@@ -20,6 +20,7 @@ from multiswap import estimation, fileio
 from multiswap.builder import decode, layout_plan
 from multiswap.estimation import (
     CountsTable,
+    decide,
     estimate_all_overlaps,
     layout_for,
     oracle_sample,
@@ -155,8 +156,8 @@ def test_decode_matches_where_reference(case, outcomes, seed):
 )
 def test_samples_sum_to_shots_times_real_slots(scheme, m, shots, seed):
     ensemble = random_ensemble(np.random.default_rng(seed), m)
-    result = estimate_all_overlaps(ensemble, scheme, shots, seed, engine="oracle")
-    plan, counts = result.plan, result.counts
+    result = estimate_all_overlaps(decide(ensemble, scheme, shots, seed, engine="oracle"))
+    plan, counts = result.run.plan, result.counts
     labels = _reference_decode(plan, counts.bits[:, : plan.ancilla_count])
     real = np.array([
         (labels[a - 1] <= m) & (labels[b - 1] <= m) for a, b in plan.slots
@@ -182,10 +183,11 @@ def _sharded(shards: int, fn, *args):
 )
 def test_sharded_oracle_and_tally_equal_one_shard(scheme, m, width, seed, shards):
     ensemble = random_ensemble(np.random.default_rng(seed), m, width)
-    padded, plan = layout_for(ensemble, scheme, "standard")
     shots = 257
-    counts = _sharded(shards, oracle_sample, padded, plan, shots, seed)
-    serial = _sharded(1, oracle_sample, padded, plan, shots, seed)
+    run = decide(ensemble, scheme, shots, seed, engine="oracle")
+    plan = run.plan
+    counts = _sharded(shards, oracle_sample, run)
+    serial = _sharded(1, oracle_sample, run)
     assert np.array_equal(counts.bits, serial.bits)
     assert np.array_equal(counts.counts, serial.counts)
     # a destructive table: random data bits under a few ancilla prefixes
@@ -212,10 +214,10 @@ def test_sample_counts_follow_pair_coverage(scheme, n, shots):
     # a pair sits in at most one slot per ancilla outcome, so its sample
     # count is Binomial(shots, c / 2**d) for coverage c and d ancillas
     ensemble = random_ensemble(np.random.default_rng(11), n)
-    result = estimate_all_overlaps(ensemble, scheme, shots, 11, engine="oracle")
-    pairs, coverage = real_pair_coverage(result.plan)
+    result = estimate_all_overlaps(decide(ensemble, scheme, shots, 11, engine="oracle"))
+    pairs, coverage = real_pair_coverage(result.run.plan)
     assert np.array_equal(result.estimates.pairs, pairs)
-    p = coverage / (1 << result.plan.ancilla_count)
+    p = coverage / (1 << result.run.plan.ancilla_count)
     assert (p > 0).all() and (p < 1).all()
     z = (result.estimates.samples - shots * p) / np.sqrt(shots * p * (1 - p))
     assert np.abs(z).max() <= 6.0

@@ -553,15 +553,15 @@ def test_24_qubit_estimation_run_stays_under_100_mib():
     qubits on their own buffer."""
     child = textwrap.dedent("""
         import numpy as np
-        from multiswap.estimation import estimate_all_overlaps
+        from multiswap.estimation import decide, estimate_all_overlaps
         from multiswap.states import StateEnsemble
 
         rng = np.random.default_rng(24)
         v = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         ensemble = StateEnsemble(v)
-        result = estimate_all_overlaps(ensemble, shots=1000, seed=3, engine="statevector")
-        assert result.engine == "statevector" and result.plan.total_qubits == 24
+        result = estimate_all_overlaps(decide(ensemble, shots=1000, seed=3, engine="statevector"))
+        assert result.run.engine == "statevector" and result.run.plan.total_qubits == 24
     """)
     peak_mib = _child_peak_bytes(child) / 2**20
     assert peak_mib < 100, f"peak RSS {peak_mib:.0f} MiB"
