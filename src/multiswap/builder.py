@@ -49,6 +49,8 @@ FINAL_VARIANTS = ("standard", "destructive")
 #: largest decoder table ``decode_all`` builds, in labels
 #: (2**d ancilla outcomes times n registers): n = 256 for the new scheme
 MAX_TABLE_ENTRIES = 1 << 22
+#: ancilla outcomes ``pair_table`` decodes at once
+_OUTCOME_BLOCK = 1 << 15
 
 
 def four_groups(registers) -> tuple[tuple[int, ...], ...]:
@@ -333,23 +335,36 @@ def check_table(scheme: str, n: int):
         )
 
 
-def slot_pairs(plan: LayoutPlan, labels) -> np.ndarray:
+def slot_pairs(plan: LayoutPlan, labels, out=None) -> np.ndarray:
     """The input labels i, j in each slot's two registers as the flat index
     (i - 1) * n + (j - 1) of an (n, n) matrix: the (R, slots) array for an
-    (n, R) ``decode`` label array."""
-    n = plan.n
-    pairs = labels[[a - 1 for a, _ in plan.slots]].astype(np.min_scalar_type(n * n + n))
-    pairs *= n
-    pairs += labels[[b - 1 for _, b in plan.slots]]
-    pairs -= n + 1
-    return pairs.T
+    (n, R) ``decode`` label array, written into the (slots, R) ``out`` if given."""
+    if out is None:
+        out = np.empty((len(plan.slots), labels.shape[1]), np.min_scalar_type(plan.n**2 - 1))
+    for row, (a, b) in zip(out, plan.slots):  # row by row: no (slots, R) temporaries
+        row[...] = labels[a - 1]
+        row *= plan.n
+        row += labels[b - 1]
+        row -= plan.n + 1  # wraps modulo the dtype's range, where the address itself fits
+    return out.T
+
+
+def pair_table(plan: LayoutPlan, ancilla_bits) -> np.ndarray:
+    """``slot_pairs`` of ``decode`` for (R, d) ancilla bits, the one route from outcomes to
+    pairs: ``_OUTCOME_BLOCK`` at a time into a (slots, R) table, returned transposed."""
+    table = np.empty((len(plan.slots), len(ancilla_bits)), np.min_scalar_type(plan.n**2 - 1))
+    for lo in range(0, len(ancilla_bits), _OUTCOME_BLOCK):
+        labels = decode(plan, ancilla_bits[lo : lo + _OUTCOME_BLOCK])
+        slot_pairs(plan, labels, table[:, lo : lo + labels.shape[1]])
+    return table.T
 
 
 def pair_coverage(plan: LayoutPlan) -> np.ndarray:
     """(n, n) int64 matrix whose entry [i-1, j-1], i < j, counts the
     (ancilla outcome, slot) entries that test the unordered pair (i, j);
     every other entry is 0, so the matrix sums to 2**d times the slot count.
-    """
-    ordered = np.bincount(slot_pairs(plan, decode_all(plan)).ravel(), minlength=plan.n**2)
-    ordered = ordered.reshape(plan.n, plan.n)
+    Tables that ``check_table`` refuses are refused."""
+    check_table(plan.scheme, plan.n)
+    pairs = pair_table(plan, index_bits(np.arange(1 << plan.ancilla_count), plan.ancilla_count))
+    ordered = np.bincount(pairs.ravel(), minlength=plan.n**2).reshape(plan.n, plan.n)
     return np.triu(ordered + ordered.T)

@@ -8,19 +8,18 @@ swap test on a known pair, so counts can be drawn from closed-form
 Bernoullis with no statevector. The two induced distributions are equal,
 which the test suite checks to machine precision.
 
-Shots stay integer and bit arrays throughout: an ancilla outcome is decoded
-into its slot pairs by ``builder.decode`` straight from the layout plan, and
-bitstrings appear only in ``fileio``. A pair (i, j) has one address, entry
-[i-1, j-1] of an (n, n) matrix: ``StateEnsemble.overlaps`` holds the exact
-values there, ``builder.slot_pairs`` maps decoded slots to it, and ``tally``
-returns its verdict counts there. ``_estimate_pairs`` alone turns the real
-pairs into ``PairEstimates`` rows.
+Shots stay integer and bit arrays throughout; bitstrings appear only in
+``fileio``. A pair (i, j) has one address, entry [i-1, j-1] of an (n, n)
+matrix: ``StateEnsemble.overlaps`` holds the exact values there, a run's one
+``builder.pair_table`` maps each distinct ancilla outcome's slots to it, and
+``tally`` returns its verdict counts there. ``_estimate_pairs`` alone turns
+the real pairs into ``PairEstimates`` rows.
 
-The oracle sampler and ``tally`` split their rows into contiguous shards,
-one thread each, once every shard gets ``_MIN_SHARD_ROWS`` rows. Shard
-workers call only private names: ``benchmarks/traced.py`` rebinds every
-public function to a span recorder with a single span stack, which is not
-thread-safe.
+The oracle sampler and ``tally`` split their rows into contiguous shards, one
+thread each, once every shard gets ``_MIN_SHARD_ROWS`` rows. The table is
+built before any shard starts, so shard workers call only numpy and
+``_draw_stream``: ``benchmarks/traced.py`` rebinds every public function to a
+span recorder with a single span stack, which is not thread-safe.
 """
 
 from __future__ import annotations
@@ -34,8 +33,8 @@ import numpy as np
 
 from . import sim
 from .builder import (
-    FINAL_VARIANTS, LayoutPlan, assemble, check_final_variant, decode, input_factors,
-    layout_plan, pad_inputs, slot_pairs,
+    FINAL_VARIANTS, LayoutPlan, assemble, check_final_variant, input_factors, layout_plan,
+    pad_inputs, pair_table,
 )
 from .circuits import index_bits
 from .sim import draw_stream, draw_thresholds, measured_distribution, sample_from_distribution
@@ -44,8 +43,8 @@ from .swaptest import destructive_decode
 
 ENGINES = ("statevector", "oracle", "auto")
 
-# the functions shard workers call, bound where no tracer rebinds them
-_decode, _index_bits, _draw_stream, _slot_pairs = decode, index_bits, draw_stream, slot_pairs
+# the one function shard workers call, bound where no tracer rebinds it
+_draw_stream = draw_stream
 
 #: threads a run's rows are split across at most: the CPUs it may run on
 _SHARDS = (
@@ -56,8 +55,6 @@ _MIN_SHARD_ROWS = 1 << 15
 #: Philox counter at which the verdict stream starts; the ancilla stream
 #: starts at 0, and 4 raw words come from each counter value
 _VERDICT_STREAM = 1 << 192
-#: (distinct outcome, slot) verdict thresholds an oracle shard holds at once
-_TABLE_ENTRIES = 1 << 22
 #: verdict words drawn (and thresholds gathered) at once
 _VERDICT_BLOCK = 1 << 16
 
@@ -214,14 +211,14 @@ def _in_shards(rows: int, work) -> list:
     return results
 
 
-def tally(counts: CountsTable, plan: LayoutPlan) -> tuple[np.ndarray, np.ndarray]:
+def tally(counts: CountsTable, plan: LayoutPlan, pairs=None) -> tuple[np.ndarray, np.ndarray]:
     """Pool verdict counts per unordered label pair across outcomes and slots.
 
-    Each distinct ancilla prefix is decoded once into the pair sitting in
-    every slot; the slot's verdict then increments t0 or t1 of that pair. A
-    standard-variant verdict is the slot's result bit; a destructive-variant
-    verdict is ``swaptest.destructive_decode`` of the slot's two registers.
-    The plan must end in one of ``FINAL_VARIANTS``.
+    ``pairs`` is ``builder.pair_table`` of the counts' distinct ancilla
+    prefixes in row order, as ``oracle_sample`` returns it (built here if not
+    given). A slot's verdict (its result bit, or ``swaptest.destructive_decode``
+    of its two registers in the destructive variant) increments t0 or t1 of
+    the pair the table puts there; the plan must end in one of ``FINAL_VARIANTS``.
 
     Returns ``(t0, t1)``: symmetric (n, n) int64 matrices of verdict-0 and
     verdict-1 counts whose entry [i-1, j-1] is pair (i, j), the address of
@@ -242,8 +239,9 @@ def tally(counts: CountsTable, plan: LayoutPlan) -> tuple[np.ndarray, np.ndarray
     starts[1:] = np.any(ancilla[1:] != ancilla[:-1], axis=1)
     group = np.cumsum(starts) - 1
     heads = np.flatnonzero(starts)
-    labels = decode(plan, ancilla[heads])
-    labels -= 1  # 0-based labels a, b: the pair address is a * n + b
+    pairs = pair_table(plan, ancilla[heads]) if pairs is None else pairs
+    if pairs.shape != (len(heads), len(plan.slots)):
+        raise ValueError(f"pair table of shape {pairs.shape} does not match the counts")
     shots = np.add.reduceat(counts.counts, heads)
     if plan.final_variant == "standard":
         verdicts = counts.bits[:, d:]
@@ -254,7 +252,7 @@ def tally(counts: CountsTable, plan: LayoutPlan) -> tuple[np.ndarray, np.ndarray
         ]
         verdicts = destructive_decode(counts.bits[:, registers].reshape(-1, 2 * w), w)
         verdicts = verdicts.reshape(len(ancilla), len(plan.slots))
-    work = partial(_tally_rows, plan, counts.counts, group, heads, labels, shots, verdicts)
+    work = partial(_tally_rows, n, pairs, counts.counts, group, heads, shots, verdicts)
     total, *rest = _in_shards(len(group), work)
     while rest:  # one accumulator: each shard's is freed once added
         total += rest.pop()
@@ -266,12 +264,10 @@ def tally(counts: CountsTable, plan: LayoutPlan) -> tuple[np.ndarray, np.ndarray
     return t0, t1
 
 
-def _tally_rows(plan, counts, group, heads, labels, shots, verdicts, lo, hi) -> np.ndarray:
-    """``tally``'s totals over rows lo..hi of a sorted table: a (2, n**2)
-    array of sampled and failed counts per ordered pair of 0-based labels
-    (a, b) at index a * n + b. A shard counts the shots of the ancilla groups
-    whose first row it holds, and the failed verdicts of its own rows."""
-    n = plan.n
+def _tally_rows(n, pairs, counts, group, heads, shots, verdicts, lo, hi) -> np.ndarray:
+    """``tally``'s (2, n**2) sampled and failed counts per pair address over rows
+    lo..hi of a sorted table: the shots of the ancilla groups whose first row
+    the shard holds, and the failed verdicts of its own rows."""
     totals = np.zeros((2, n * n), dtype=np.int64)
     if lo == hi:  # a table with no rows
         return totals
@@ -280,37 +276,29 @@ def _tally_rows(plan, counts, group, heads, labels, shots, verdicts, lo, hi) -> 
     rows_group = group[lo:hi] - touched.start
     failing = np.ascontiguousarray(verdicts[lo:hi].T, dtype=bool)  # one row per slot
     sampled, failed = totals
-    for s, (ra, rb) in enumerate(plan.slots):
-        pair = labels[ra - 1, touched].astype(np.intp)
-        pair *= n
-        pair += labels[rb - 1, touched]
+    for s in range(pairs.shape[1]):
+        pair = pairs[touched, s].astype(np.intp)
         np.add.at(sampled, pair[own], shots[touched][own])
         rows = np.flatnonzero(failing[s])
         np.add.at(failed, pair[rows_group[rows]], counts[lo:hi][rows])
     return totals
 
 
-def _oracle_rows(rows, plan, thresholds, seed, lo, hi) -> None:
-    """Draw shots lo..hi of an oracle run into their rows."""
-    d, n_slots = plan.ancilla_count, len(plan.slots)
-    ancillas = _draw_stream(seed, lo)
+def _oracle_rows(rows, anc, outcomes, bits, pairs, thresholds, seed, lo, hi) -> None:
+    """Fill rows lo..hi: shot i's outcome bits, and verdicts against its pairs' thresholds."""
+    d, n_slots = bits.shape[1], pairs.shape[1]
     verdicts = _draw_stream(seed, lo * n_slots, _VERDICT_STREAM)
-    chunk = max(1, _TABLE_ENTRIES // n_slots)
     step = max(1, _VERDICT_BLOCK // n_slots)
-    for start in range(lo, hi, chunk):
-        out = rows[start : min(hi, start + chunk)]
-        anc = ancillas.random_raw(len(out)) >> np.uint64(64 - d)
-        outcomes, which = np.unique(anc, return_inverse=True)
-        table = thresholds.ravel()[_slot_pairs(plan, _decode(plan, _index_bits(outcomes, d)))]
-        out[:, :d] = _index_bits(anc, d)
-        for b in range(0, len(out), step):
-            block = out[b : b + step]
-            words = verdicts.random_raw((len(block), n_slots))
-            words >>= np.uint64(11)
-            np.greater_equal(words, table[which[b : b + step]], out=block[:, d:])
+    for b in range(lo, hi, step):
+        block = rows[b : min(hi, b + step)]
+        which = np.searchsorted(outcomes, anc[b : b + len(block)])
+        block[:, :d] = np.take(bits, which, axis=0)
+        words = verdicts.random_raw((len(block), n_slots))
+        words >>= np.uint64(11)
+        np.greater_equal(words, thresholds[pairs[which]], out=block[:, d:])
 
 
-def oracle_sample(run: Run) -> CountsTable:
+def oracle_sample(run: Run) -> tuple[CountsTable, np.ndarray]:
     """Sample counts from the closed-form model: uniform ancilla outcome,
     then one Bernoulli verdict per slot. Scales to register counts far beyond
     the dense statevector cap. It draws standard-variant verdict bits only,
@@ -319,17 +307,22 @@ def oracle_sample(run: Run) -> CountsTable:
     Draws follow ``sim.draw_thresholds``: shot i's ancilla outcome is the
     top d bits of word i of the stream at counter 0, and its verdict in slot
     s is 1 exactly when word i*S + s of the stream at counter 2**192 (S
-    slots) reaches p0 = (1 + overlap)/2 for the slot's pair. A shard opens
-    both streams at its own first word, so the rows do not depend on how
-    the shots are split across shards, chunks or blocks.
+    slots) reaches p0 = (1 + overlap)/2 for the slot's pair. Each shard opens
+    the verdict stream at its own first word, so the rows do not depend on
+    how shots split into shards or blocks. Returns the counts and, for
+    ``tally``, the ``builder.pair_table`` of their distinct ancilla outcomes.
     """
-    plan, shots = run.plan, run.shots
-    labels = plan.measured_labels()
-    rows = np.empty((shots, len(labels)), dtype=np.uint8)
-    thresholds = draw_thresholds((run.ensemble.overlaps + 1.0) / 2.0)
-    work = partial(_oracle_rows, rows, plan, thresholds, run.seed)
-    _in_shards(shots, work)
-    return CountsTable(labels, plan.scheme, rows, np.ones(shots, dtype=np.int64))
+    plan, shots, d = run.plan, run.shots, run.plan.ancilla_count
+    anc = _draw_stream(run.seed).random_raw(shots) >> np.uint64(64 - d)
+    outcomes = np.sort(anc)
+    outcomes = outcomes[np.r_[True, outcomes[1:] != outcomes[:-1]]]
+    bits = index_bits(outcomes, d)
+    pairs = pair_table(plan, bits)
+    rows = np.empty((shots, len(plan.measured)), dtype=np.uint8)
+    thresholds = draw_thresholds((run.ensemble.overlaps + 1.0) / 2.0).ravel()
+    _in_shards(shots, partial(_oracle_rows, rows, anc, outcomes, bits, pairs, thresholds, run.seed))
+    del anc, thresholds  # freed before the table sorts the rows; a broadcast 1 counts them
+    return CountsTable(plan.measured_labels(), plan.scheme, rows, np.broadcast_to(1, shots)), pairs
 
 
 def oracle_distribution(ensemble: StateEnsemble, plan: LayoutPlan) -> np.ndarray:
@@ -344,10 +337,7 @@ def oracle_distribution(ensemble: StateEnsemble, plan: LayoutPlan) -> np.ndarray
         raise ValueError("analytic distribution too large to enumerate")
     if ensemble.n != plan.n:
         raise ValueError("ensemble size does not match the plan (pad first)")
-    labels = decode(plan, index_bits(np.arange(1 << d), d))
-    p0 = ensemble.overlaps.ravel()[_slot_pairs(plan, labels)]
-    p0 += 1.0
-    p0 /= 2.0
+    p0 = (ensemble.overlaps.ravel()[pair_table(plan, index_bits(np.arange(1 << d), d))] + 1.0) / 2.0
     probs = np.full((1 << d, 1), 1.0 / (1 << d))
     for c in range(n_slots):
         verdict = np.stack([p0[:, c], 1.0 - p0[:, c]], axis=1)
@@ -406,27 +396,25 @@ class RunResult:
 def estimate_all_overlaps(run: Run) -> RunResult:
     """Execute a decided run: sample counts, tally, and estimate every real pair."""
     plan, padded = run.plan, run.ensemble
+    pairs = None
     if run.engine == "oracle":
-        counts = oracle_sample(run)
+        counts, pairs = oracle_sample(run)
     else:
         labels, probs = measured_distribution(assemble(plan), input_factors(padded, plan))
         idx = sample_from_distribution(probs, run.shots, run.seed)
         values, cnts = np.unique(idx, return_counts=True)
         counts = CountsTable(labels, plan.scheme, index_bits(values, len(labels)), cnts)
-    return RunResult(run, counts, _estimate_pairs(counts, plan, padded, run.real))
+    t0, t1 = tally(counts, plan, pairs)
+    del pairs  # the table goes before the estimates are made
+    return RunResult(run, counts, _estimate_pairs(t0, t1, padded, run.real))
 
 
-def _estimate_pairs(
-    counts: CountsTable, plan: LayoutPlan, padded: StateEnsemble, real: int
-) -> PairEstimates:
+def _estimate_pairs(t0, t1, padded: StateEnsemble, real: int) -> PairEstimates:
     """The one place pairs become rows: the real pairs i < j in combinations
-    order, read from ``tally``'s matrices, which go before the estimates."""
-    t0, t1 = tally(counts, plan)
-    pairs = np.stack(np.triu_indices(real, k=1), axis=1)
-    i, j = pairs.T
-    t0, t1, exact = t0[i, j], t1[i, j], padded.overlaps[i, j]
-    pairs += 1
-    return PairEstimates.from_verdicts(pairs, t0, t1, exact)
+    order, read from ``tally``'s matrices."""
+    i, j = np.triu_indices(real, k=1)
+    pairs = np.stack([i + 1, j + 1], axis=1)
+    return PairEstimates.from_verdicts(pairs, t0[i, j], t1[i, j], padded.overlaps[i, j])
 
 
 @dataclass(frozen=True)
@@ -500,7 +488,7 @@ def replay(
             f"{' '.join(counts.labels)}"
         )
     plan = plans[layouts.index(counts.labels)]
-    estimates = _estimate_pairs(counts, plan, padded, ensemble.n)
+    estimates = _estimate_pairs(*tally(counts, plan), padded, ensemble.n)
     ref = estimates.exact if reference is None else _aligned(reference, estimates.pairs)
     deviates = np.abs(estimates.estimate - ref) > tolerance
     flags = np.where(

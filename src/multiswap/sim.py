@@ -100,12 +100,9 @@ _HADAMARD = Gate("H", (0,)).matrix.real
 
 
 def _state_bytes(qubit_count: int) -> str:
-    size, unit = 16 << qubit_count, "B"
-    for bigger in ("KiB", "MiB", "GiB", "TiB", "PiB", "EiB"):
-        if size < 1024:
-            break
-        size, unit = size >> 10, bigger
-    return f"{size} {unit}"
+    power = qubit_count + 4  # 16 bytes per amplitude: 2**power bytes
+    units = ("B", "KiB", "MiB", "GiB", "TiB", "PiB", "EiB")
+    return f"{1 << power % 10} {units[power // 10]}" if power < 70 else f"2^{power} B"
 
 
 def check_size(qubit_count: int):

@@ -324,7 +324,7 @@ def test_oracle_slot_marginal_matches_full_circuit(scheme, n, slots, unbranched,
 
 def test_oracle_identical_states_all_verdicts_zero():
     ensemble = StateEnsemble([[1, 0]] * 4)
-    counts = oracle_sample(decide(ensemble, shots=400, seed=5, engine="oracle"))
+    counts, _ = oracle_sample(decide(ensemble, shots=400, seed=5, engine="oracle"))
     assert counts.total_shots == 400
     assert not counts.bits[:, 2:].any()
 
@@ -394,7 +394,7 @@ def test_estimator_is_unbiased_across_seeds():
     first, second = np.triu_indices(4, k=1)  # the 6 pairs, at [i-1, j-1]
     sums = np.zeros(6)
     for seed in range(seeds):
-        counts = oracle_sample(decide(ensemble, shots=shots, seed=seed, engine="oracle"))
+        counts, _ = oracle_sample(decide(ensemble, shots=shots, seed=seed, engine="oracle"))
         t0, t1 = tally(counts, plan)
         t0, m = t0[first, second], (t0 + t1)[first, second]
         sums += 2.0 * t0 / m - 1.0
@@ -559,8 +559,8 @@ def fast_switching():
 @pytest.mark.parametrize("block", ["1", "7S", "all"])
 @pytest.mark.parametrize("shards", [1, 2, 7])
 def test_oracle_verdict_blocks_keep_the_draw(shards, block, monkeypatch, fast_switching):
-    # any split into shards, threshold-table chunks and verdict blocks of 1
-    # row, 7 rows or all shots gives the rows of one serial draw
+    # any split into shards and verdict blocks of 1 row, 7 rows or all shots
+    # gives the rows of one serial draw
     ensemble = random_ensemble(np.random.default_rng(16), 16)
     _, plan = layout_for(ensemble, "new", "standard")
     slots, shots = len(plan.slots), 2021
@@ -568,9 +568,7 @@ def test_oracle_verdict_blocks_keep_the_draw(shards, block, monkeypatch, fast_sw
     monkeypatch.setattr(estimation, "_MIN_SHARD_ROWS", 1)
     words = {"1": 1, "7S": 7 * slots, "all": shots * slots}[block]
     monkeypatch.setattr(estimation, "_VERDICT_BLOCK", words)
-    # threshold tables of 100 rows unless everything is drawn at once
-    monkeypatch.setattr(estimation, "_TABLE_ENTRIES", max(words, 100 * slots))
-    drawn = oracle_sample(decide(ensemble, shots=shots, seed=4, engine="oracle"))
+    drawn, _ = oracle_sample(decide(ensemble, shots=shots, seed=4, engine="oracle"))
     serial = _serial_oracle_rows(ensemble, plan, shots, seed=4)
     expected = CountsTable(drawn.labels, "new", serial, np.ones(shots, dtype=np.int64))
     assert np.array_equal(drawn.bits, expected.bits)
@@ -606,20 +604,54 @@ def test_verdict_word_at_its_threshold_fails():
     # equal to the threshold gives verdict 1, and one below it verdict 0
     _, plan = layout_for(StateEnsemble([[1, 0]] * 4), "new", "standard")
     first = np.random.Philox(key=4, counter=1 << 192).random_raw(1)[0] >> np.uint64(11)
+    outcomes = np.array([2], dtype=np.uint64)
+    bits = index_bits(outcomes, plan.ancilla_count)
+    pairs = builder.pair_table(plan, bits)
     verdicts = []
     for threshold in (first, first + np.uint64(1)):
         rows = np.empty((1, 4), dtype=np.uint8)
-        thresholds = np.full((4, 4), threshold, dtype=np.uint64)
-        estimation._oracle_rows(rows, plan, thresholds, 4, 0, 1)
+        thresholds = np.full(16, threshold, dtype=np.uint64)
+        estimation._oracle_rows(rows, outcomes, outcomes, bits, pairs, thresholds, 4, 0, 1)
         verdicts.append(int(rows[0, 2]))
+    assert rows[0, :2].tolist() == [1, 0]  # outcome 2's ancilla bits
     assert verdicts == [1, 0]
+
+
+@pytest.mark.parametrize("shards, block", [(1, 1 << 15), (2, 1 << 15), (2, 7)])
+def test_an_oracle_run_decodes_each_drawn_outcome_once(shards, block, monkeypatch):
+    # the sampler's table is the tally's: every distinct ancilla outcome is
+    # decoded once, in outcome blocks, whatever the shards
+    monkeypatch.setattr(estimation, "_SHARDS", shards)
+    monkeypatch.setattr(estimation, "_MIN_SHARD_ROWS", 1)
+    monkeypatch.setattr(builder, "_OUTCOME_BLOCK", block)
+    columns = []
+
+    def counted(plan, ancilla_bits):
+        columns.append(len(ancilla_bits))
+        return decode(plan, ancilla_bits)
+
+    monkeypatch.setattr(builder, "decode", counted)
+    ensemble = random_ensemble(np.random.default_rng(9), 16)
+    result = estimate_all_overlaps(decide(ensemble, shots=500, seed=9, engine="oracle"))
+    d = result.run.plan.ancilla_count
+    distinct = len(np.unique(result.counts.bits[:, :d], axis=0))
+    assert sum(columns) == distinct
+    assert len(columns) == -(-distinct // block)
+
+
+def test_tally_refuses_a_table_of_other_outcomes():
+    ensemble = random_ensemble(np.random.default_rng(9), 8)
+    run = decide(ensemble, shots=200, seed=9, engine="oracle")
+    counts, pairs = oracle_sample(run)
+    with pytest.raises(ValueError, match="does not match the counts"):
+        tally(counts, run.plan, pairs[1:])
 
 
 def test_orthogonal_states_fail_half_the_verdicts():
     # four mutually orthogonal two-qubit states: p0 = 1/2 in every slot
     ensemble = StateEnsemble(np.eye(4))
     run = decide(ensemble, shots=40000, seed=8, engine="oracle")
-    counts, plan = oracle_sample(run), run.plan
+    (counts, _), plan = oracle_sample(run), run.plan
     verdicts = counts.bits[:, plan.ancilla_count :]
     failed = (verdicts * counts.counts[:, None]).sum() / (2 * 40000)
     assert abs(failed - 0.5) < 5 * 0.5 / np.sqrt(2 * 40000)
@@ -645,7 +677,7 @@ def test_tally_shards_sum_to_the_serial_tally(final, monkeypatch, fast_switching
     ensemble = random_ensemble(np.random.default_rng(31), 16)
     _, plan = layout_for(ensemble, "new", final)
     if final == "standard":
-        counts = oracle_sample(decide(ensemble, shots=3000, seed=2, engine="oracle"))
+        counts, _ = oracle_sample(decide(ensemble, shots=3000, seed=2, engine="oracle"))
     else:
         rng = np.random.default_rng(5)
         labels = plan.measured_labels()

@@ -1,9 +1,11 @@
 """Every rule has one owning module: no module of the package imports or
 reads another module's private names. A module-local alias of a public name
 (``_decode = decode``) is the module's own business and stays allowed. A
-rule's refusal message is written only in the module that owns the rule."""
+rule's refusal message is written only in the module that owns the rule,
+and the shard workers of ``estimation`` load no public function."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -76,3 +78,60 @@ def test_the_oracle_variant_rule_has_one_owner():
     decide = next(node for node in ast.parse(source).body
                   if isinstance(node, ast.FunctionDef) and node.name == "decide")
     assert rule in ast.get_source_segment(source, decide)
+
+
+def public_calls_in(source: str, names) -> dict[str, list[str]]:
+    """The public names of ``multiswap`` functions that each named function
+    of ``source`` (the text of ``multiswap.estimation``) loads: a bare name
+    bound to one in that module, or ``mod.name`` for a bound ``multiswap``
+    module. These are the names a tracer rebinds; a private alias of the
+    same function is not."""
+    from multiswap import estimation
+
+    def public_function(namespace, name) -> bool:
+        value = getattr(namespace, name, None)
+        return (
+            not _private(name)
+            and inspect.isfunction(value)
+            and value.__module__.startswith("multiswap.")
+        )
+
+    found = {}
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.FunctionDef) or node.name not in names:
+            continue
+        loads = []
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                if public_function(estimation, sub.id):
+                    loads.append(sub.id)
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+                module = getattr(estimation, sub.value.id, None)
+                if inspect.ismodule(module) and module.__name__.startswith("multiswap."):
+                    if public_function(module, sub.attr):
+                        loads.append(f"{sub.value.id}.{sub.attr}")
+        found[node.name] = loads
+    return found
+
+
+def test_shard_workers_load_no_public_function():
+    # benchmarks/traced.py rebinds every public function to a recorder with
+    # one span stack, which threads would corrupt; the functions _in_shards
+    # runs (the targets of estimation's partials) may load only private names
+    source = (PACKAGE / "estimation.py").read_text()
+    workers = {
+        node.args[0].id
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "partial"
+    }
+    assert workers == {"_oracle_rows", "_tally_rows"}
+    assert public_calls_in(source, workers) == {name: [] for name in workers}
+
+
+def test_the_worker_guard_sees_both_forms_of_public_use():
+    source = (
+        "def _w(plan, lo, hi):\n"
+        "    sim.draw_stream(0)\n    pairs = pair_table(plan, 0)\n"
+        "    _draw_stream(0)\n    np.sort(lo)\n    _VERDICT_BLOCK\n"
+    )
+    assert public_calls_in(source, {"_w"}) == {"_w": ["sim.draw_stream", "pair_table"]}

@@ -3,7 +3,9 @@
 Each reference here is the straightforward form of what the package does
 with arrays: ``csv.writer`` for the CSV writer, Python's sorted bitstrings
 for ``CountsTable``, an ``np.where`` replay of the controlled swaps for
-``builder.decode``, and a one-shard run for the sharded oracle and ``tally``.
+``builder.decode``, ``slot_pairs`` of one ``decode`` call for
+``builder.pair_table``, and a one-shard run for the sharded oracle and
+``tally``.
 """
 
 import csv
@@ -16,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_ensemble, real_pair_coverage
-from multiswap import estimation, fileio
-from multiswap.builder import decode, layout_plan
+from multiswap import builder, estimation, fileio
+from multiswap.builder import decode, layout_plan, pair_table, slot_pairs
 from multiswap.estimation import (
     CountsTable,
     decide,
@@ -134,7 +136,9 @@ def _plan(scheme: str, n: int):
 @settings(max_examples=60, deadline=None)
 @given(
     st.one_of(
-        st.tuples(st.just("new"), st.sampled_from([4, 8, 16, 32, 64, 128, 256, 512, 1024])),
+        st.tuples(
+            st.just("new"), st.sampled_from([4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096])
+        ),
         st.tuples(st.just("san"), st.sampled_from([4, 8, 16, 32, 64, 128, 256])),
     ),
     st.integers(1, 40),
@@ -145,6 +149,20 @@ def test_decode_matches_where_reference(case, outcomes, seed):
     bits = np.random.default_rng(seed).integers(0, 2, size=(outcomes, plan.ancilla_count))
     labels = decode(plan, bits)
     assert np.array_equal(labels, _reference_decode(plan, bits))
+
+
+@pytest.mark.parametrize("scheme, n", [("new", 4), ("new", 64), ("san", 16), ("san", 64)])
+@pytest.mark.parametrize("block", [1, 5, 64])
+def test_pair_table_in_blocks_equals_one_decode(scheme, n, block, monkeypatch):
+    # 23 outcomes in blocks of 1, 5 or all of them give one decode's pairs,
+    # stored slot-major: each slot's addresses are contiguous
+    monkeypatch.setattr(builder, "_OUTCOME_BLOCK", block)
+    plan = _plan(scheme, n)
+    bits = np.random.default_rng(n + block).integers(0, 2, size=(23, plan.ancilla_count))
+    table = pair_table(plan, bits)
+    assert np.array_equal(table, slot_pairs(plan, decode(plan, bits)))
+    assert table.dtype == slot_pairs(plan, decode(plan, bits)).dtype
+    assert table.T.flags.c_contiguous
 
 
 @settings(max_examples=30, deadline=None)
@@ -186,8 +204,8 @@ def test_sharded_oracle_and_tally_equal_one_shard(scheme, m, width, seed, shards
     shots = 257
     run = decide(ensemble, scheme, shots, seed, engine="oracle")
     plan = run.plan
-    counts = _sharded(shards, oracle_sample, run)
-    serial = _sharded(1, oracle_sample, run)
+    counts, _ = _sharded(shards, oracle_sample, run)
+    serial, _ = _sharded(1, oracle_sample, run)
     assert np.array_equal(counts.bits, serial.bits)
     assert np.array_equal(counts.counts, serial.counts)
     # a destructive table: random data bits under a few ancilla prefixes
@@ -221,3 +239,25 @@ def test_sample_counts_follow_pair_coverage(scheme, n, shots):
     assert (p > 0).all() and (p < 1).all()
     z = (result.estimates.samples - shots * p) / np.sqrt(shots * p * (1 - p))
     assert np.abs(z).max() <= 6.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(["new", "san"]),
+    st.integers(2, 64),
+    st.integers(1, 3),
+    st.integers(0, 2**64 - 1),
+    st.sampled_from([1, 2, 7]),
+)
+def test_the_oracle_table_is_the_decoded_table_of_its_counts(scheme, m, width, seed, shards):
+    # the table the oracle returns is slot_pairs of decode of the counts'
+    # distinct ancilla prefixes, in row order, and tally reads it as its own
+    ensemble = random_ensemble(np.random.default_rng(seed), m, width)
+    run = decide(ensemble, scheme, 257, seed, engine="oracle")
+    plan = run.plan
+    counts, pairs = _sharded(shards, oracle_sample, run)
+    prefixes = np.unique(counts.bits[:, : plan.ancilla_count], axis=0)
+    assert np.array_equal(pairs, slot_pairs(plan, decode(plan, prefixes)))
+    given_table = _sharded(shards, tally, counts, plan, pairs)
+    built = _sharded(shards, tally, counts, plan)
+    assert all(np.array_equal(a, b) for a, b in zip(given_table, built))

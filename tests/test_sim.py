@@ -1,4 +1,5 @@
 import functools
+import re
 import textwrap
 
 import numpy as np
@@ -59,6 +60,18 @@ def test_qubit_cap_enforced(monkeypatch):
     monkeypatch.setattr(sim, "MAX_QUBITS", 26)
     with pytest.raises(ValueError, match=r"30 qubits \(16 GiB statevector\).*26 qubits \(1 GiB\)"):
         sim.check_size(30)
+
+
+@pytest.mark.parametrize("qubits, size", [
+    (27, "2 GiB"), (60, "16 EiB"), (61, "32 EiB"), (65, "512 EiB"), (66, "2^70 B"),
+    (106, "2^110 B"),
+])
+def test_refusal_sizes_the_state_past_the_unit_ladder(qubits, size, monkeypatch):
+    # 16 * 2**q bytes; past 1023 EiB the size is written as the power of two
+    monkeypatch.setattr(sim, "MAX_QUBITS", 26)
+    message = rf"{qubits} qubits \({re.escape(size)} statevector\).*26 qubits \(1 GiB\)"
+    with pytest.raises(ValueError, match=message):
+        sim.check_size(qubits)
 
 
 @pytest.mark.parametrize("kind,qubits", [

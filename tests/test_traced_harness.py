@@ -49,8 +49,9 @@ def test_traced_statevector_estimate_writes_spans(tmp_path):
 
 
 def test_traced_sharded_oracle_estimate_matches_the_untraced_run(tmp_path, capsys):
-    # 64 states and 70000 shots: about 70000 distinct outcomes, so both the
-    # oracle sampler and the tally split their rows across the CPUs
+    # 64 states and 70000 shots: about 70000 distinct rows, so both the
+    # oracle sampler and the tally split their rows across the CPUs, under
+    # at most 2**10 distinct ancilla outcomes, one outcome block
     rng = np.random.default_rng(64)
     amplitudes = rng.normal(size=(64, 2)) + 1j * rng.normal(size=(64, 2))
     amplitudes /= np.linalg.norm(amplitudes, axis=1, keepdims=True)
@@ -68,12 +69,24 @@ def test_traced_sharded_oracle_estimate_matches_the_untraced_run(tmp_path, capsy
     doc = json.loads(trace.read_text())
     assert doc["exit_code"] == 0
     assert all(start <= end for _, start, end, _ in doc["spans"])
-    names = [span[0] for span in doc["spans"]]
+    spans = doc["spans"]
+    names = [span[0] for span in spans]
     assert {"estimation.oracle_sample", "estimation.tally"} <= set(names)
-    # shard workers call no public function: the one decode is the tally's
+
+    def callers(span):
+        while span[3] is not None:
+            span = spans[span[3]]
+            yield span[0]
+
+    # the sampler builds the run's one pair table before its shards start,
+    # one decode per outcome block, and the tally reads it without decoding
     assert names.count("builder.decode") == 1
-    assert "circuits.index_bits" not in names
-    assert "builder.slot_pairs" not in names
+    table = [span for span in spans
+             if span[0] in ("builder.decode", "circuits.index_bits", "builder.slot_pairs")]
+    assert {span[0] for span in table} == {
+        "builder.decode", "circuits.index_bits", "builder.slot_pairs"}
+    assert all("estimation.oracle_sample" in callers(span) for span in table)
+    assert not any("estimation.tally" in callers(span) for span in table)
 
 
 def test_traced_gate_probes_time_each_gate_kind():
