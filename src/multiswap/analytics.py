@@ -6,6 +6,7 @@ CSV export, matching the axes of the scatter and scaling figures.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,8 @@ def precision(n: int, shots: int) -> PrecisionModel:
     ``builder.padded_size(n)``: 2 or 3 states run on 4 registers."""
     if n < 2:
         raise ValueError("need at least two states")
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    if not 1 <= shots <= sys.float_info.max / 2:  # 2.0 * shots stays a finite float
+        raise ValueError(f"shots must be in 1..{sys.float_info.max / 2:.6g}")
     size = padded_size(n)
     baseline = 2.0 * shots / (size * (size - 1))
     multiplexed = shots / (size - 1)

@@ -210,8 +210,8 @@ def cmd_analyze(args) -> int:
     top = (sys.float_info.max_exp - 1) // 2
     if not 2 <= args.max_k <= top:
         raise ConfigError(f"--max-k must be in 2..{top}, got {args.max_k}")
-    if args.shots < 1:
-        raise ConfigError("--shots must be >= 1")
+    if not 1 <= args.shots <= sys.float_info.max / 2:  # it doubles shots as a float too
+        raise ConfigError(f"--shots must be >= 1 and at most {sys.float_info.max / 2:.6g}")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = analytics.resource_report(args.max_k)

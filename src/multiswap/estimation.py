@@ -15,9 +15,9 @@ matrix: ``StateEnsemble.overlaps`` holds the exact values there, a run's one
 ``tally`` returns its verdict counts there. ``_estimate_pairs`` alone turns
 the real pairs into ``PairEstimates`` rows.
 
-The oracle sampler and ``tally`` split their rows into contiguous shards, one
-thread each, once every shard gets ``_MIN_SHARD_ROWS`` rows. The table is
-built before any shard starts, so shard workers call only numpy and
+The oracle sampler splits its shots into shards of ``_MIN_SHARD_ROWS`` or
+more, one thread each, that count the verdicts they draw per pair; ``tally``
+runs on the calling thread. Shard workers call only numpy and
 ``_draw_stream``: ``benchmarks/traced.py`` rebinds every public function to a
 span recorder with a single span stack, which is not thread-safe.
 """
@@ -211,14 +211,14 @@ def _in_shards(rows: int, work) -> list:
     return results
 
 
-def tally(counts: CountsTable, plan: LayoutPlan, pairs=None) -> tuple[np.ndarray, np.ndarray]:
+def tally(counts: CountsTable, plan: LayoutPlan) -> tuple[np.ndarray, np.ndarray]:
     """Pool verdict counts per unordered label pair across outcomes and slots.
 
-    ``pairs`` is ``builder.pair_table`` of the counts' distinct ancilla
-    prefixes in row order, as ``oracle_sample`` returns it (built here if not
-    given). A slot's verdict (its result bit, or ``swaptest.destructive_decode``
-    of its two registers in the destructive variant) increments t0 or t1 of
-    the pair the table puts there; the plan must end in one of ``FINAL_VARIANTS``.
+    The counts' distinct ancilla prefixes are decoded once
+    (``builder.pair_table``). A slot's verdict (its result bit, or
+    ``swaptest.destructive_decode`` of its two registers in the destructive
+    variant) increments t0 or t1 of the pair the table puts there; the plan
+    must end in one of ``FINAL_VARIANTS``.
 
     Returns ``(t0, t1)``: symmetric (n, n) int64 matrices of verdict-0 and
     verdict-1 counts whose entry [i-1, j-1] is pair (i, j), the address of
@@ -239,9 +239,7 @@ def tally(counts: CountsTable, plan: LayoutPlan, pairs=None) -> tuple[np.ndarray
     starts[1:] = np.any(ancilla[1:] != ancilla[:-1], axis=1)
     group = np.cumsum(starts) - 1
     heads = np.flatnonzero(starts)
-    pairs = pair_table(plan, ancilla[heads]) if pairs is None else pairs
-    if pairs.shape != (len(heads), len(plan.slots)):
-        raise ValueError(f"pair table of shape {pairs.shape} does not match the counts")
+    pairs = pair_table(plan, ancilla[heads])
     shots = np.add.reduceat(counts.counts, heads)
     if plan.final_variant == "standard":
         verdicts = counts.bits[:, d:]
@@ -252,53 +250,48 @@ def tally(counts: CountsTable, plan: LayoutPlan, pairs=None) -> tuple[np.ndarray
         ]
         verdicts = destructive_decode(counts.bits[:, registers].reshape(-1, 2 * w), w)
         verdicts = verdicts.reshape(len(ancilla), len(plan.slots))
-    work = partial(_tally_rows, n, pairs, counts.counts, group, heads, shots, verdicts)
-    total, *rest = _in_shards(len(group), work)
-    while rest:  # one accumulator: each shard's is freed once added
-        total += rest.pop()
-    sampled, failed = total.reshape(2, n, n)
-    # a pair counts in either order
-    t1 = failed + failed.T
-    t0 = sampled + sampled.T
-    t0 -= t1
-    return t0, t1
-
-
-def _tally_rows(n, pairs, counts, group, heads, shots, verdicts, lo, hi) -> np.ndarray:
-    """``tally``'s (2, n**2) sampled and failed counts per pair address over rows
-    lo..hi of a sorted table: the shots of the ancilla groups whose first row
-    the shard holds, and the failed verdicts of its own rows."""
-    totals = np.zeros((2, n * n), dtype=np.int64)
-    if lo == hi:  # a table with no rows
-        return totals
-    touched = slice(group[lo], group[hi - 1] + 1)
-    own = slice(np.searchsorted(heads, lo) - touched.start, touched.stop - touched.start)
-    rows_group = group[lo:hi] - touched.start
-    failing = np.ascontiguousarray(verdicts[lo:hi].T, dtype=bool)  # one row per slot
-    sampled, failed = totals
+    failing = np.ascontiguousarray(verdicts.T, dtype=bool)  # one row per slot
+    sampled, failed = totals = np.zeros((2, n * n), dtype=np.int64)
     for s in range(pairs.shape[1]):
-        pair = pairs[touched, s].astype(np.intp)
-        np.add.at(sampled, pair[own], shots[touched][own])
+        pair = pairs[:, s].astype(np.intp)
+        np.add.at(sampled, pair, shots)
         rows = np.flatnonzero(failing[s])
-        np.add.at(failed, pair[rows_group[rows]], counts[lo:hi][rows])
-    return totals
+        np.add.at(failed, pair[group[rows]], counts.counts[rows])
+    sampled -= failed
+    return _verdict_matrices([totals], n)
 
 
-def _oracle_rows(rows, anc, outcomes, bits, pairs, thresholds, seed, lo, hi) -> None:
-    """Fill rows lo..hi: shot i's outcome bits, and verdicts against its pairs' thresholds."""
+def _verdict_matrices(totals: list, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(t0, t1)`` from a list of 2 * n**2 verdict-0 then verdict-1 counts
+    per pair address; each array is freed once added."""
+    while len(totals) > 1:
+        totals[0] += totals.pop()
+    passed, failed = totals.pop().reshape(2, n, n)
+    return passed + passed.T, failed + failed.T  # a pair counts in either order
+
+
+def _oracle_rows(rows, anc, outcomes, bits, pairs, thresholds, seed, lo, hi) -> np.ndarray:
+    """Fill rows lo..hi: shot i's outcome bits, and verdicts against its pairs'
+    thresholds; return the verdict-0 then verdict-1 counts per pair address."""
     d, n_slots = bits.shape[1], pairs.shape[1]
+    totals = np.zeros(2 * len(thresholds), dtype=np.int64)
     verdicts = _draw_stream(seed, lo * n_slots, _VERDICT_STREAM)
     step = max(1, _VERDICT_BLOCK // n_slots)
     for b in range(lo, hi, step):
         block = rows[b : min(hi, b + step)]
         which = np.searchsorted(outcomes, anc[b : b + len(block)])
         block[:, :d] = np.take(bits, which, axis=0)
+        address = pairs[which].astype(np.intp)
         words = verdicts.random_raw((len(block), n_slots))
         words >>= np.uint64(11)
-        np.greater_equal(words, thresholds[pairs[which]], out=block[:, d:])
+        failing = block[:, d:].view(bool)
+        np.greater_equal(words, thresholds[address], out=failing)
+        address += failing * len(thresholds)  # a failed verdict counts in the second half
+        np.add.at(totals, address, 1)  # intp addresses and the value 1: numpy's fast path
+    return totals
 
 
-def oracle_sample(run: Run) -> tuple[CountsTable, np.ndarray]:
+def oracle_sample(run: Run) -> tuple[CountsTable, tuple[np.ndarray, np.ndarray]]:
     """Sample counts from the closed-form model: uniform ancilla outcome,
     then one Bernoulli verdict per slot. Scales to register counts far beyond
     the dense statevector cap. It draws standard-variant verdict bits only,
@@ -309,8 +302,8 @@ def oracle_sample(run: Run) -> tuple[CountsTable, np.ndarray]:
     s is 1 exactly when word i*S + s of the stream at counter 2**192 (S
     slots) reaches p0 = (1 + overlap)/2 for the slot's pair. Each shard opens
     the verdict stream at its own first word, so the rows do not depend on
-    how shots split into shards or blocks. Returns the counts and, for
-    ``tally``, the ``builder.pair_table`` of their distinct ancilla outcomes.
+    how shots split into shards or blocks. The shards also count their
+    verdicts per pair: this returns the counts and ``tally``'s ``(t0, t1)``.
     """
     plan, shots, d = run.plan, run.shots, run.plan.ancilla_count
     anc = _draw_stream(run.seed).random_raw(shots) >> np.uint64(64 - d)
@@ -320,9 +313,11 @@ def oracle_sample(run: Run) -> tuple[CountsTable, np.ndarray]:
     pairs = pair_table(plan, bits)
     rows = np.empty((shots, len(plan.measured)), dtype=np.uint8)
     thresholds = draw_thresholds((run.ensemble.overlaps + 1.0) / 2.0).ravel()
-    _in_shards(shots, partial(_oracle_rows, rows, anc, outcomes, bits, pairs, thresholds, run.seed))
-    del anc, thresholds  # freed before the table sorts the rows; a broadcast 1 counts them
-    return CountsTable(plan.measured_labels(), plan.scheme, rows, np.broadcast_to(1, shots)), pairs
+    totals = _in_shards(shots, partial(
+        _oracle_rows, rows, anc, outcomes, bits, pairs, thresholds, run.seed))
+    del anc, pairs, thresholds  # the partial was never named: these go before the merge
+    t = _verdict_matrices(totals, plan.n)
+    return CountsTable(plan.measured_labels(), plan.scheme, rows, np.broadcast_to(1, shots)), t
 
 
 def oracle_distribution(ensemble: StateEnsemble, plan: LayoutPlan) -> np.ndarray:
@@ -396,22 +391,20 @@ class RunResult:
 def estimate_all_overlaps(run: Run) -> RunResult:
     """Execute a decided run: sample counts, tally, and estimate every real pair."""
     plan, padded = run.plan, run.ensemble
-    pairs = None
     if run.engine == "oracle":
-        counts, pairs = oracle_sample(run)
+        counts, (t0, t1) = oracle_sample(run)
     else:
         labels, probs = measured_distribution(assemble(plan), input_factors(padded, plan))
         idx = sample_from_distribution(probs, run.shots, run.seed)
         values, cnts = np.unique(idx, return_counts=True)
         counts = CountsTable(labels, plan.scheme, index_bits(values, len(labels)), cnts)
-    t0, t1 = tally(counts, plan, pairs)
-    del pairs  # the table goes before the estimates are made
+        t0, t1 = tally(counts, plan)
     return RunResult(run, counts, _estimate_pairs(t0, t1, padded, run.real))
 
 
 def _estimate_pairs(t0, t1, padded: StateEnsemble, real: int) -> PairEstimates:
     """The one place pairs become rows: the real pairs i < j in combinations
-    order, read from ``tally``'s matrices."""
+    order, read from ``tally``'s (or the oracle sampler's) matrices."""
     i, j = np.triu_indices(real, k=1)
     pairs = np.stack([i + 1, j + 1], axis=1)
     return PairEstimates.from_verdicts(pairs, t0[i, j], t1[i, j], padded.overlaps[i, j])

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -54,6 +55,16 @@ def test_precision_input_validation():
         precision(1, 100)
     with pytest.raises(ValueError):
         precision(4, 0)
+
+
+def test_precision_takes_shots_up_to_half_the_largest_float():
+    # 2.0 * shots must stay finite; 10**400 raised OverflowError
+    largest = int(sys.float_info.max / 2)
+    model = precision(4, largest)
+    assert np.isfinite([model.baseline_per_pair, model.multiplexed_per_pair]).all()
+    for shots in (largest + 1, 10**400):
+        with pytest.raises(ValueError, match="shots must be in 1.."):
+            precision(4, shots)
 
 
 def test_resource_report_anchor_rows():

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 import textwrap
 from pathlib import Path
 
@@ -186,6 +187,19 @@ def test_analyze_refuses_k_past_the_float_range(tmp_path, capsys):
     assert main(["analyze", "--max-k", "512", "--out-dir", str(out)]) == 2
     assert "--max-k must be in 2..511, got 512" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_analyze_refuses_shots_past_the_float_range(tmp_path, capsys):
+    # the precision model doubles shots as a float: 2.0 * 10**400 overflowed
+    largest = int(sys.float_info.max / 2)
+    out = tmp_path / "analysis"
+    assert main(["analyze", "--max-k", "2", "--shots", str(largest), "--out-dir", str(out)]) == 0
+    assert "inf" not in (out / "precision.csv").read_text()
+    for i, shots in enumerate((largest + 1, 10**400)):
+        out = tmp_path / f"refused{i}"
+        assert main(["analyze", "--max-k", "2", "--shots", str(shots), "--out-dir", str(out)]) == 2
+        assert "--shots must be >= 1 and at most 8.98847e+307" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_export_table_json(tmp_path):

@@ -124,7 +124,7 @@ def test_shard_workers_load_no_public_function():
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "partial"
     }
-    assert workers == {"_oracle_rows", "_tally_rows"}
+    assert workers == {"_oracle_rows"}
     assert public_calls_in(source, workers) == {name: [] for name in workers}
 
 

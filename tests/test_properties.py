@@ -4,8 +4,9 @@ Each reference here is the straightforward form of what the package does
 with arrays: ``csv.writer`` for the CSV writer, Python's sorted bitstrings
 for ``CountsTable``, an ``np.where`` replay of the controlled swaps for
 ``builder.decode``, ``slot_pairs`` of one ``decode`` call for
-``builder.pair_table``, and a one-shard run for the sharded oracle and
-``tally``.
+``builder.pair_table``, a one-shard run for the sharded oracle, and
+``tally`` of its counts for the verdict matrices the oracle counts as it
+draws.
 """
 
 import csv
@@ -24,7 +25,6 @@ from multiswap.estimation import (
     CountsTable,
     decide,
     estimate_all_overlaps,
-    layout_for,
     oracle_sample,
     tally,
 )
@@ -200,27 +200,14 @@ def _sharded(shards: int, fn, *args):
     st.integers(1, 7),
 )
 def test_sharded_oracle_and_tally_equal_one_shard(scheme, m, width, seed, shards):
+    # the sharded oracle's rows and its verdict matrices are one shard's
     ensemble = random_ensemble(np.random.default_rng(seed), m, width)
-    shots = 257
-    run = decide(ensemble, scheme, shots, seed, engine="oracle")
-    plan = run.plan
-    counts, _ = _sharded(shards, oracle_sample, run)
-    serial, _ = _sharded(1, oracle_sample, run)
+    run = decide(ensemble, scheme, 257, seed, engine="oracle")
+    counts, matrices = _sharded(shards, oracle_sample, run)
+    serial, serial_matrices = _sharded(1, oracle_sample, run)
     assert np.array_equal(counts.bits, serial.bits)
     assert np.array_equal(counts.counts, serial.counts)
-    # a destructive table: random data bits under a few ancilla prefixes
-    _, destructive = layout_for(ensemble, scheme, "destructive")
-    rng = np.random.default_rng(seed)
-    labels = destructive.measured_labels()
-    bits = rng.integers(0, 2, size=(shots, len(labels)))
-    bits[:, : plan.ancilla_count] = rng.integers(0, 2, size=(shots // 16, plan.ancilla_count))[
-        rng.integers(0, shots // 16, size=shots)
-    ]
-    table = CountsTable(labels, scheme, bits, rng.integers(1, 4, size=shots))
-    for layout, rows in ((plan, counts), (destructive, table)):
-        sharded = _sharded(shards, tally, rows, layout)
-        one = _sharded(1, tally, rows, layout)
-        assert all(np.array_equal(a, b) for a, b in zip(sharded, one))
+    assert all(np.array_equal(a, b) for a, b in zip(matrices, serial_matrices))
 
 
 @pytest.mark.parametrize("scheme, n, shots", [
@@ -241,23 +228,20 @@ def test_sample_counts_follow_pair_coverage(scheme, n, shots):
     assert np.abs(z).max() <= 6.0
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from(["new", "san"]),
     st.integers(2, 64),
     st.integers(1, 3),
     st.integers(0, 2**64 - 1),
-    st.sampled_from([1, 2, 7]),
+    st.integers(1, 7),
+    st.sampled_from([1, 7, estimation._VERDICT_BLOCK]),
 )
-def test_the_oracle_table_is_the_decoded_table_of_its_counts(scheme, m, width, seed, shards):
-    # the table the oracle returns is slot_pairs of decode of the counts'
-    # distinct ancilla prefixes, in row order, and tally reads it as its own
+def test_the_oracle_matrices_are_the_tally_of_its_counts(scheme, m, width, seed, shards, block):
+    # the verdicts each shard counts as it draws, in verdict blocks of one
+    # word, seven words or the default, are tally's verdicts of its rows
     ensemble = random_ensemble(np.random.default_rng(seed), m, width)
-    run = decide(ensemble, scheme, 257, seed, engine="oracle")
-    plan = run.plan
-    counts, pairs = _sharded(shards, oracle_sample, run)
-    prefixes = np.unique(counts.bits[:, : plan.ancilla_count], axis=0)
-    assert np.array_equal(pairs, slot_pairs(plan, decode(plan, prefixes)))
-    given_table = _sharded(shards, tally, counts, plan, pairs)
-    built = _sharded(shards, tally, counts, plan)
-    assert all(np.array_equal(a, b) for a, b in zip(given_table, built))
+    run = decide(ensemble, scheme, 300, seed, engine="oracle")
+    with mock.patch.object(estimation, "_VERDICT_BLOCK", block):
+        counts, matrices = _sharded(shards, oracle_sample, run)
+    assert all(np.array_equal(a, b) for a, b in zip(matrices, tally(counts, run.plan)))

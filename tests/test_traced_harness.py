@@ -49,9 +49,8 @@ def test_traced_statevector_estimate_writes_spans(tmp_path):
 
 
 def test_traced_sharded_oracle_estimate_matches_the_untraced_run(tmp_path, capsys):
-    # 64 states and 70000 shots: about 70000 distinct rows, so both the
-    # oracle sampler and the tally split their rows across the CPUs, under
-    # at most 2**10 distinct ancilla outcomes, one outcome block
+    # 64 states and 70000 shots: the oracle sampler splits its shots across
+    # the CPUs, under at most 2**10 distinct ancilla outcomes, one outcome block
     rng = np.random.default_rng(64)
     amplitudes = rng.normal(size=(64, 2)) + 1j * rng.normal(size=(64, 2))
     amplitudes /= np.linalg.norm(amplitudes, axis=1, keepdims=True)
@@ -71,7 +70,9 @@ def test_traced_sharded_oracle_estimate_matches_the_untraced_run(tmp_path, capsy
     assert all(start <= end for _, start, end, _ in doc["spans"])
     spans = doc["spans"]
     names = [span[0] for span in spans]
-    assert {"estimation.oracle_sample", "estimation.tally"} <= set(names)
+    # the sampler counts the verdicts it draws, so the oracle run has no tally
+    assert "estimation.oracle_sample" in names
+    assert "estimation.tally" not in names
 
     def callers(span):
         while span[3] is not None:
@@ -79,14 +80,23 @@ def test_traced_sharded_oracle_estimate_matches_the_untraced_run(tmp_path, capsy
             yield span[0]
 
     # the sampler builds the run's one pair table before its shards start,
-    # one decode per outcome block, and the tally reads it without decoding
+    # one decode per outcome block
     assert names.count("builder.decode") == 1
     table = [span for span in spans
              if span[0] in ("builder.decode", "circuits.index_bits", "builder.slot_pairs")]
     assert {span[0] for span in table} == {
         "builder.decode", "circuits.index_bits", "builder.slot_pairs"}
     assert all("estimation.oracle_sample" in callers(span) for span in table)
-    assert not any("estimation.tally" in callers(span) for span in table)
+
+    # a traced replay of the same counts still tallies them, on its own span
+    trace = tmp_path / "replay.json"
+    proc = run_python(str(TRACED), str(trace), "replay", str(tmp_path / "plain" / "counts.txt"),
+                      str(states), "--out-dir", str(tmp_path / "replayed"), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads(trace.read_text())["spans"]
+    tallies = [span for span in spans if span[0] == "estimation.tally"]
+    assert len(tallies) == 1
+    assert "estimation.replay" in callers(tallies[0])
 
 
 def test_traced_gate_probes_time_each_gate_kind():
