@@ -731,9 +731,12 @@ def _row_by_row_tally(plan, bits, counts):
     return t[0], t[1]
 
 
+@pytest.mark.parametrize("parts", [1, 3])
 @pytest.mark.parametrize("final", ["standard", "destructive"])
 @pytest.mark.parametrize("scheme", ["new", "san"])
-def test_tally_matches_a_row_by_row_reference(scheme, final):
+def test_tally_matches_a_row_by_row_reference(scheme, final, parts):
+    # the rows are dealt round-robin into `parts` tables, so an ancilla group
+    # is split across tables, and their tallies summed: tally is additive
     rng = np.random.default_rng(41)
     for n, width in itertools.product((4, 8, 16, 32), (1, 2)):
         plan = layout_plan(scheme, n, width, final)
@@ -743,7 +746,12 @@ def test_tally_matches_a_row_by_row_reference(scheme, final):
         bits = rng.integers(0, 2, size=(30, len(labels)), dtype=np.uint8)
         bits[:, : plan.ancilla_count] = prefixes[rng.integers(0, 5, size=30)]
         counts = rng.integers(1, 6, size=30)
-        t0, t1 = tally(CountsTable(labels, scheme, bits, counts), plan)
+        tallies = [
+            tally(CountsTable(labels, scheme, bits[k::parts], counts[k::parts]), plan)
+            for k in range(parts)
+        ]
+        t0 = sum(t for t, _ in tallies)
+        t1 = sum(t for _, t in tallies)
         r0, r1 = _row_by_row_tally(plan, bits, counts)
         assert np.array_equal(t0, r0), (n, width)
         assert np.array_equal(t1, r1), (n, width)
