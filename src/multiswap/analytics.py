@@ -145,17 +145,12 @@ class ScatterSummary:
 
 
 def scatter_data(estimates: PairEstimates) -> tuple[dict[str, np.ndarray], ScatterSummary]:
-    """Estimate-vs-exact columns (x = estimate, y = exact) over the sampled
-    pairs, plus their error summary."""
-    keep = estimates.samples > 0
-    pairs = estimates.pairs[keep]
-    columns = {
-        "estimate": estimates.estimate[keep],
-        "exact": estimates.exact[keep],
-        "pair_i": pairs[:, 0],
-        "pair_j": pairs[:, 1],
-        "samples": estimates.samples[keep],
-    }
+    """Five of the ``estimates.csv`` columns (x = estimate, y = exact, then
+    pair_i, pair_j and samples) over the rows with samples > 0, plus their
+    error summary."""
+    table, keep = estimates.columns(), estimates.samples > 0
+    names = "estimate", "exact", "pair_i", "pair_j", "samples"  # scatter.csv's order
+    columns = {name: table[name][keep] for name in names}
     err = columns["estimate"] - columns["exact"]
     if not len(err):
         return columns, ScatterSummary(0, 0.0, 0.0)

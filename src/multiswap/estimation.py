@@ -12,8 +12,8 @@ Shots stay integer and bit arrays throughout; bitstrings appear only in
 ``fileio``. A pair (i, j) has one address, entry [i-1, j-1] of an (n, n)
 matrix: ``StateEnsemble.overlaps`` holds the exact values there, a run's one
 ``builder.pair_table`` maps each distinct ancilla outcome's slots to it, and
-``tally`` returns its verdict counts there. ``_estimate_pairs`` alone turns
-the real pairs into ``PairEstimates`` rows.
+``tally`` returns its verdict counts there. ``_pair_rows`` alone turns the
+real pairs into rows, read from such matrices (``replay``'s reference too).
 
 The oracle sampler splits its shots into shards of ``_MIN_SHARD_ROWS`` or
 more, one thread each, that count the verdicts they draw per pair; ``tally``
@@ -137,11 +137,8 @@ class PairEstimates:
         pair at once; NaN where m = 0."""
         t0 = np.asarray(t0, dtype=np.int64)
         m = t0 + np.asarray(t1, dtype=np.int64)
-        sampled = m > 0
-        value = np.full(len(m), np.nan)
-        value[sampled] = 2.0 * t0[sampled] / m[sampled] - 1.0
-        stderr = np.full(len(m), np.nan)
-        stderr[sampled] = 1.0 / np.sqrt(m[sampled])
+        per = np.where(m > 0, m, np.nan)  # NaN carries an unsampled pair through
+        value, stderr = 2.0 * t0 / per - 1.0, 1.0 / np.sqrt(per)
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         return cls(pairs, np.asarray(exact, dtype=float), m, value, stderr)
 
@@ -250,7 +247,10 @@ def tally(counts: CountsTable, plan: LayoutPlan) -> tuple[np.ndarray, np.ndarray
         ]
         verdicts = destructive_decode(counts.bits[:, registers].reshape(-1, 2 * w), w)
         verdicts = verdicts.reshape(len(ancilla), len(plan.slots))
-    failing = np.ascontiguousarray(verdicts.T, dtype=bool)  # one row per slot
+    failing = np.empty((len(plan.slots), len(verdicts)), dtype=bool)  # one row per slot
+    step = max(1, _VERDICT_BLOCK // len(plan.slots))
+    for b in range(0, len(verdicts), step):  # in blocks: a whole transpose thrashes the cache
+        failing[:, b : b + step] = verdicts[b : b + step].T
     sampled, failed = totals = np.zeros((2, n * n), dtype=np.int64)
     for s in range(pairs.shape[1]):
         pair = pairs[:, s].astype(np.intp)
@@ -399,15 +399,16 @@ def estimate_all_overlaps(run: Run) -> RunResult:
         values, cnts = np.unique(idx, return_counts=True)
         counts = CountsTable(labels, plan.scheme, index_bits(values, len(labels)), cnts)
         t0, t1 = tally(counts, plan)
-    return RunResult(run, counts, _estimate_pairs(t0, t1, padded, run.real))
+    return RunResult(
+        run, counts, PairEstimates.from_verdicts(*_pair_rows(run.real, t0, t1, padded.overlaps)))
 
 
-def _estimate_pairs(t0, t1, padded: StateEnsemble, real: int) -> PairEstimates:
-    """The one place pairs become rows: the real pairs i < j in combinations
-    order, read from ``tally``'s (or the oracle sampler's) matrices."""
+def _pair_rows(real: int, *matrices: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The one place pairs become rows: the (P, 2) real 1-based pairs i < j
+    in ``itertools.combinations`` order, then entry [i-1, j-1] of each (n, n)
+    matrix (n >= ``real``) at those pairs."""
     i, j = np.triu_indices(real, k=1)
-    pairs = np.stack([i + 1, j + 1], axis=1)
-    return PairEstimates.from_verdicts(pairs, t0[i, j], t1[i, j], padded.overlaps[i, j])
+    return (np.stack([i + 1, j + 1], axis=1), *(matrix[i, j] for matrix in matrices))
 
 
 @dataclass(frozen=True)
@@ -434,14 +435,14 @@ class ReplayReport:
         }
 
 
-def _aligned(reference: dict[tuple[int, int], float], pairs: np.ndarray) -> np.ndarray:
-    """Reference values at each row of ``pairs``; NaN where a pair is absent.
+def _reference_matrix(reference: dict[tuple[int, int], float], n: int) -> np.ndarray:
+    """Reference values as an (n, n) matrix, each at entry [i-1, j-1] of its
+    key sorted to i <= j; NaN where a pair is absent.
 
     A key (i, j) names the unordered pair, so (2, 1) stands for (1, 2); a
     pair keyed both ways round is an error. A key with a label outside 1..n
-    (n the largest label in ``pairs``) is dropped while it is Python ints.
+    is dropped while it is Python ints.
     """
-    n = int(pairs.max())
     reference = {key: value for key, value in reference.items() if 1 <= min(key) <= max(key) <= n}
     keys = np.sort(np.array(list(reference), dtype=np.int64).reshape(-1, 2), axis=1) - 1
     address = keys[:, 0] * n + keys[:, 1]  # entry [i-1, j-1] of an (n, n) matrix
@@ -449,7 +450,7 @@ def _aligned(reference: dict[tuple[int, int], float], pairs: np.ndarray) -> np.n
         raise ValueError("reference lists a pair in both orders")
     table = np.full(n * n, np.nan)
     table[address] = np.fromiter(reference.values(), dtype=float, count=len(reference))
-    return table[(pairs[:, 0] - 1) * n + pairs[:, 1] - 1]
+    return table.reshape(n, n)
 
 
 def replay(
@@ -481,8 +482,10 @@ def replay(
             f"{' '.join(counts.labels)}"
         )
     plan = plans[layouts.index(counts.labels)]
-    estimates = _estimate_pairs(*tally(counts, plan), padded, ensemble.n)
-    ref = estimates.exact if reference is None else _aligned(reference, estimates.pairs)
+    expected = padded.overlaps if reference is None else _reference_matrix(reference, ensemble.n)
+    pairs, t0, t1, exact, ref = _pair_rows(
+        ensemble.n, *tally(counts, plan), padded.overlaps, expected)
+    estimates = PairEstimates.from_verdicts(pairs, t0, t1, exact)
     deviates = np.abs(estimates.estimate - ref) > tolerance
     flags = np.where(
         estimates.samples == 0, "unsampled", np.where(deviates, "deviates", "ok")

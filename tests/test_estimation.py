@@ -1,5 +1,6 @@
 import itertools
 import sys
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -645,7 +646,8 @@ def test_an_oracle_run_decodes_each_drawn_outcome_once(shards, block, monkeypatc
 
 class _RecordingNumpy:
     """numpy, except that ``add.at`` records (address dtype, value dtype,
-    accumulator dtype) before it adds; a Python int value records ``int``."""
+    accumulator dtype, address ndim, value is an array) before it adds; a
+    Python int value records ``int``."""
 
     def __init__(self, calls):
         self.add = _RecordingAdd(calls)
@@ -663,14 +665,17 @@ class _RecordingAdd:
 
     def at(self, target, address, values):
         value = int if type(values) is int else np.asarray(values).dtype
-        self.calls.append((np.asarray(address).dtype, value, target.dtype))
+        where = np.asarray(address)
+        self.calls.append((where.dtype, value, target.dtype, where.ndim, np.ndim(values) > 0))
         np.add.at(target, address, values)
 
 
 def test_every_scatter_add_takes_numpys_fast_path(monkeypatch):
     # np.add.at is fast only with intp addresses and values of the
     # accumulator's dtype, where a Python int counts for int64 alone: uint8
-    # values or a Python int into int32 cost 35-45 times as much per element
+    # values or a Python int into int32 cost 35-45 times as much per element.
+    # An array of values also needs flat addresses: with 2-D addresses and
+    # int64 values it costs 4 times as much per element (numpy 2.4)
     monkeypatch.setattr(estimation, "_SHARDS", 2)
     monkeypatch.setattr(estimation, "_MIN_SHARD_ROWS", 1)
     oracle, replayed = [], []
@@ -681,9 +686,40 @@ def test_every_scatter_add_takes_numpys_fast_path(monkeypatch):
     monkeypatch.setattr(estimation, "np", _RecordingNumpy(replayed))
     replay(result.counts, ensemble)
     assert oracle and replayed
-    for address, value, target in oracle + replayed:
+    for address, value, target, ndim, array in oracle + replayed:
         assert address == np.intp
         assert value == target or (value is int and target == np.int64)
+        assert ndim == 1 or not array
+
+
+def test_the_pair_table_and_thresholds_are_freed_before_the_shards_merge(monkeypatch):
+    # the merge adds one 2 * n**2 accumulator per shard; the sampler's pair
+    # table and thresholds must be gone by then, or they set the run's peak
+    monkeypatch.setattr(estimation, "_SHARDS", 2)
+    monkeypatch.setattr(estimation, "_MIN_SHARD_ROWS", 1)
+    made = {}
+
+    def keeping(name, function):
+        def wrapper(*args):
+            result = function(*args)
+            made[name] = weakref.ref(result)
+            return result
+        return wrapper
+
+    def merge(totals, n):
+        assert len(totals) == 2
+        assert made["pair_table"]() is None and made["draw_thresholds"]() is None
+        return verdict_matrices(totals, n)
+
+    verdict_matrices = estimation._verdict_matrices
+    monkeypatch.setattr(estimation, "pair_table", keeping("pair_table", estimation.pair_table))
+    monkeypatch.setattr(
+        estimation, "draw_thresholds", keeping("draw_thresholds", estimation.draw_thresholds))
+    monkeypatch.setattr(estimation, "_verdict_matrices", merge)
+    ensemble = random_ensemble(np.random.default_rng(16), 16)
+    result = estimate_all_overlaps(decide(ensemble, shots=3000, seed=16, engine="oracle"))
+    assert sorted(made) == ["draw_thresholds", "pair_table"]
+    assert result.estimates.samples.sum() == 3000 * 8
 
 
 def test_orthogonal_states_fail_half_the_verdicts():
