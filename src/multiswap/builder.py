@@ -336,15 +336,17 @@ def check_table(scheme: str, n: int):
 
 
 def slot_pairs(plan: LayoutPlan, labels, out=None) -> np.ndarray:
-    """The input labels i, j in each slot's two registers as the flat index
-    (i - 1) * n + (j - 1) of an (n, n) matrix: the (R, slots) array for an
+    """The labels in each slot's two registers, the smaller i and larger j, as the flat
+    index (i - 1) * n + (j - 1) of an (n, n) matrix: the (R, slots) array for an
     (n, R) ``decode`` label array, written into the (slots, R) ``out`` if given."""
     if out is None:
         out = np.empty((len(plan.slots), labels.shape[1]), np.min_scalar_type(plan.n**2 - 1))
-    for row, (a, b) in zip(out, plan.slots):  # row by row: no (slots, R) temporaries
-        row[...] = labels[a - 1]
-        row *= plan.n
-        row += labels[b - 1]
+    for row, (ra, rb) in zip(out, plan.slots):  # row by row: no (slots, R) temporaries
+        a, b = labels[ra - 1], labels[rb - 1]
+        np.minimum(a, b, out=row)
+        row *= plan.n - 1
+        row += a
+        row += b  # i * (n - 1) + a + b = i * n + j
         row -= plan.n + 1  # wraps modulo the dtype's range, where the address itself fits
     return out.T
 
@@ -366,5 +368,4 @@ def pair_coverage(plan: LayoutPlan) -> np.ndarray:
     Tables that ``check_table`` refuses are refused."""
     check_table(plan.scheme, plan.n)
     pairs = pair_table(plan, index_bits(np.arange(1 << plan.ancilla_count), plan.ancilla_count))
-    ordered = np.bincount(pairs.ravel(), minlength=plan.n**2).reshape(plan.n, plan.n)
-    return np.triu(ordered + ordered.T)
+    return np.bincount(pairs.ravel(), minlength=plan.n**2).reshape(plan.n, plan.n)

@@ -1,6 +1,7 @@
 """Command-line surface: build, estimate, replay, analyze, export-table.
 
-Exit codes: 0 success, 2 configuration error, 3 data error.
+Exit codes: 0 success, 2 configuration error (running out of memory too),
+3 data error.
 """
 
 from __future__ import annotations
@@ -266,6 +267,9 @@ def main(argv=None) -> int:
         return 3
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy names the size it could not allocate
+        print(f"config error: out of memory in {args.command}: {exc}", file=sys.stderr)
         return 2
 
 

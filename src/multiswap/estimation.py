@@ -10,10 +10,10 @@ which the test suite checks to machine precision.
 
 Shots stay integer and bit arrays throughout; bitstrings appear only in
 ``fileio``. A pair (i, j) has one address, entry [i-1, j-1] of an (n, n)
-matrix: ``StateEnsemble.overlaps`` holds the exact values there, a run's one
-``builder.pair_table`` maps each distinct ancilla outcome's slots to it, and
-``tally`` returns its verdict counts there. ``_pair_rows`` alone turns the
-real pairs into rows, read from such matrices (``replay``'s reference too).
+matrix, i < j: ``StateEnsemble.overlaps`` holds the exact values there, a
+run's one ``builder.pair_table`` maps each distinct ancilla outcome's slots to
+it, and ``tally`` returns its verdict counts there as upper triangles.
+``_pair_rows`` alone turns the real pairs into rows, read from such matrices.
 
 The oracle sampler splits its shots into shards of ``_MIN_SHARD_ROWS`` or
 more, one thread each, that count the verdicts they draw per pair; ``tally``
@@ -71,7 +71,8 @@ class CountsTable:
     its columns in label order; ``counts`` is the matching int64 vector.
     Construction merges duplicate rows by summing their counts and sorts the
     rows in ascending bitstring order, the first label being the most
-    significant bit, so rows sharing an ancilla prefix are contiguous.
+    significant bit, so rows sharing an ancilla prefix are contiguous. Counts
+    totalling more than 2**63 - 1 are a ``DataError``, so no int64 sum wraps.
     """
 
     labels: tuple[str, ...]
@@ -89,6 +90,9 @@ class CountsTable:
             raise ValueError("counts need one entry per outcome row")
         if (counts < 0).any():
             raise ValueError("counts must be non-negative")
+        top = np.iinfo(np.int64).max  # every later sum of counts is at most the total
+        if len(counts) * int(counts.max(initial=0)) > top and sum(counts.tolist()) > top:
+            raise DataError(f"counts total more than {top} shots, past the int64 range")
         # each row as big-endian 64-bit words: comparing words compares bitstrings
         nbytes = -(-width // 64) * 8
         packed = np.zeros((len(bits), nbytes), dtype=np.uint8)
@@ -217,10 +221,9 @@ def tally(counts: CountsTable, plan: LayoutPlan) -> tuple[np.ndarray, np.ndarray
     variant) increments t0 or t1 of the pair the table puts there; the plan
     must end in one of ``FINAL_VARIANTS``.
 
-    Returns ``(t0, t1)``: symmetric (n, n) int64 matrices of verdict-0 and
-    verdict-1 counts whose entry [i-1, j-1] is pair (i, j), the address of
-    ``StateEnsemble.overlaps``; verdicts are symmetric in the two registers,
-    so (1,4) and (4,1) pool together.
+    Returns ``(t0, t1)``: (n, n) int64 matrices of verdict-0 and verdict-1
+    counts whose entry [i-1, j-1], i < j, is pair (i, j), the address of
+    ``StateEnsemble.overlaps``; both are zero on and below the diagonal.
     """
     check_final_variant(plan.final_variant)
     expected = plan.measured_labels()
@@ -263,11 +266,10 @@ def tally(counts: CountsTable, plan: LayoutPlan) -> tuple[np.ndarray, np.ndarray
 
 def _verdict_matrices(totals: list, n: int) -> tuple[np.ndarray, np.ndarray]:
     """``(t0, t1)`` from a list of 2 * n**2 verdict-0 then verdict-1 counts
-    per pair address; each array is freed once added."""
+    per pair address: the halves of their sum, each array freed once added."""
     while len(totals) > 1:
         totals[0] += totals.pop()
-    passed, failed = totals.pop().reshape(2, n, n)
-    return passed + passed.T, failed + failed.T  # a pair counts in either order
+    return tuple(totals.pop().reshape(2, n, n))
 
 
 def _oracle_rows(rows, anc, outcomes, bits, pairs, thresholds, seed, lo, hi) -> np.ndarray:

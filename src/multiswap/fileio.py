@@ -182,7 +182,10 @@ def read_counts(path) -> CountsTable:
     if keys:
         bulk_bits = np.concatenate([bulk_bits, codes.reshape(len(keys), len(labels))])
         bulk_counts = np.concatenate([bulk_counts, counts])
-    return CountsTable(labels, scheme, bulk_bits, bulk_counts)
+    try:
+        return CountsTable(labels, scheme, bulk_bits, bulk_counts)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _line_bounds(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -54,10 +54,10 @@ def reference_labels(name: str) -> np.ndarray:
 
 
 def slot_pairs(plan, labels) -> np.ndarray:
-    """(outcomes, slots, 2) array of the ordered label pair each slot tests,
-    read back from ``builder.slot_pairs``'s address (i - 1) * n + (j - 1)."""
-    first, second = np.divmod(builder.slot_pairs(plan, labels).astype(np.int64), plan.n)
-    return np.stack([first, second], axis=-1) + 1
+    """(outcomes, slots, 2) array of the ordered label pair each slot tests:
+    the ``decode`` labels in the slot's two registers, in register order."""
+    first, second = np.array(plan.slots).T - 1
+    return np.stack([labels[first].T, labels[second].T], axis=-1).astype(np.int64)
 
 
 def real_pair_coverage(plan, real=None):

@@ -45,8 +45,9 @@ def test_checker_self_test_rejects_every_corruption(bench):
     [
         ("oracle_n16", "estimate", 16, 1, 4000, "oracle", False),
         ("replay_n16", "replay", 16, 1, 20000, "", True),
+        ("statevector_q24", "estimate", 8, 2, 8192, "statevector", False),
     ],
-    ids=["oracle_estimate", "identical_replay"],
+    ids=["oracle_estimate", "identical_replay", "statevector_estimate"],
 )
 def test_checker_accepts_cli_outputs(bench, shape, tmp_path, capsys):
     check, inputs = bench

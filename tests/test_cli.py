@@ -671,6 +671,45 @@ def test_estimate_memory_error_names_the_run_not_a_cause(tmp_path, capsys, monke
     )
 
 
+@pytest.mark.parametrize("command, where, name", [
+    ("replay", cli, "replay"),
+    ("build", cli, "assemble"),
+    ("analyze", cli.analytics, "resource_report"),
+    ("export-table", cli, "decode_all"),
+], ids=["replay", "build", "analyze", "export-table"])
+def test_running_out_of_memory_is_a_config_error(command, where, name, tmp_path, capsys,
+                                                 monkeypatch):
+    refusal = "Unable to allocate 128. MiB for an array with shape (4096, 4096)"
+
+    def allocate(*args, **kwargs):
+        raise MemoryError(refusal)
+
+    monkeypatch.setattr(where, name, allocate)
+    argv = {
+        "replay": ["replay", "bundled", "bundled"],
+        "build": ["build", "bundled"],
+        "analyze": ["analyze", "--out-dir", str(tmp_path)],
+        "export-table": ["export-table", "--n", "8"],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: out of memory in {command}: {refusal}\n"
+
+
+def test_replay_counts_totalling_past_int64_is_data_error(tmp_path, capsys, d0):
+    # the total once wrapped to -446744073709551611 shots, every pair "ok"
+    states = tmp_path / "states.json"
+    save_states(states, StateEnsemble(d0.amplitudes[:4]))
+    counts = tmp_path / "counts.txt"
+    counts.write_text("layout: s1 s2 r1 r2\nscheme: new\n"
+                      "0000 9000000000000000000\n0000 9000000000000000000\n0100 5\n")
+    assert main(["replay", str(counts), str(states)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err == (
+        f"data error: {counts}: counts total more than 9223372036854775807 shots, "
+        "past the int64 range\n")
+
+
 def test_replay_reference_field_over_the_csv_limit_is_data_error(tmp_path, capsys):
     # the csv module refuses a field over 128 KiB with its own csv.Error
     path = tmp_path / "reference.csv"

@@ -74,9 +74,10 @@ def test_counts_lines_match_plain_formatting(high, tmp_path, monkeypatch):
     # blocks of 7 rows: some hold counts of one digit count only (written
     # without the leading-zero mask), others mix them
     rng = np.random.default_rng(high)
-    bits = rng.integers(0, 2, size=(60, 12))
-    values = rng.integers(1, high, size=60, endpoint=True)
-    values[rng.random(60) < 0.5] = high
+    rows = min(60, (2**63 - 1) // high)  # the total fits in int64
+    bits = rng.integers(0, 2, size=(rows, 12))
+    values = rng.integers(1, high, size=rows, endpoint=True)
+    values[rng.random(rows) < 0.5] = high
     table = CountsTable(tuple(f"b{i}" for i in range(12)), "new", bits, values)
     monkeypatch.setattr(fileio, "_WRITE_BLOCK", 7 * (12 + 21))
     write_counts(tmp_path / "counts.txt", table)

@@ -160,9 +160,13 @@ def test_pair_table_in_blocks_equals_one_decode(scheme, n, block, monkeypatch):
     plan = _plan(scheme, n)
     bits = np.random.default_rng(n + block).integers(0, 2, size=(23, plan.ancilla_count))
     table = pair_table(plan, bits)
-    assert np.array_equal(table, slot_pairs(plan, decode(plan, bits)))
-    assert table.dtype == slot_pairs(plan, decode(plan, bits)).dtype
+    labels = decode(plan, bits)
+    assert np.array_equal(table, slot_pairs(plan, labels))
+    assert table.dtype == slot_pairs(plan, labels).dtype
     assert table.T.flags.c_contiguous
+    # one address per unordered pair: (min - 1) * n + (max - 1) of the slot's labels
+    a, b = (labels[np.array(registers) - 1].T.astype(np.int64) for registers in zip(*plan.slots))
+    assert np.array_equal(table, (np.minimum(a, b) - 1) * n + np.maximum(a, b) - 1)
 
 
 @settings(max_examples=30, deadline=None)
@@ -245,3 +249,4 @@ def test_the_oracle_matrices_are_the_tally_of_its_counts(scheme, m, width, seed,
     with mock.patch.object(estimation, "_VERDICT_BLOCK", block):
         counts, matrices = _sharded(shards, oracle_sample, run)
     assert all(np.array_equal(a, b) for a, b in zip(matrices, tally(counts, run.plan)))
+    assert not any(np.tril(t).any() for t in matrices)  # zero on and below the diagonal
