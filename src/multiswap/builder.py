@@ -335,26 +335,34 @@ def check_table(scheme: str, n: int):
         )
 
 
+def pair_rank(n: int, i, j):
+    """The one pair index: the 0-based row of the pair i < j of labels 1..n among
+    the n(n-1)/2 pairs in ``itertools.combinations`` order, (i-1)(2n-i)/2 + j-i-1.
+    Exact in int64 for int64 arrays i and j; a pair has no other address."""
+    return (i - 1) * (2 * n - i) // 2 + j - i - 1
+
+
 def slot_pairs(plan: LayoutPlan, labels, out=None) -> np.ndarray:
-    """The labels in each slot's two registers, the smaller i and larger j, as the flat
-    index (i - 1) * n + (j - 1) of an (n, n) matrix: the (R, slots) array for an
-    (n, R) ``decode`` label array, written into the (slots, R) ``out`` if given."""
+    """The ``pair_rank`` of the labels in each slot's two registers, the smaller i
+    and larger j: the (R, slots) array for an (n, R) ``decode`` label array,
+    written into the (slots, R) ``out`` if given."""
+    dtype = np.min_scalar_type(pair_rank(plan.n, plan.n - 1, plan.n))
     if out is None:
-        out = np.empty((len(plan.slots), labels.shape[1]), np.min_scalar_type(plan.n**2 - 1))
+        out = np.empty((len(plan.slots), labels.shape[1]), dtype)
+    # offset[i] + j is the rank of (i, j); entries wrap modulo the dtype's range
+    offset = pair_rank(plan.n, np.arange(plan.n + 1, dtype=np.int64), 0).astype(dtype)
     for row, (ra, rb) in zip(out, plan.slots):  # row by row: no (slots, R) temporaries
         a, b = labels[ra - 1], labels[rb - 1]
-        np.minimum(a, b, out=row)
-        row *= plan.n - 1
-        row += a
-        row += b  # i * (n - 1) + a + b = i * n + j
-        row -= plan.n + 1  # wraps modulo the dtype's range, where the address itself fits
+        np.take(offset, np.minimum(a, b), out=row, mode="clip")  # labels 1..n never clip
+        row += np.maximum(a, b)
     return out.T
 
 
 def pair_table(plan: LayoutPlan, ancilla_bits) -> np.ndarray:
     """``slot_pairs`` of ``decode`` for (R, d) ancilla bits, the one route from outcomes to
-    pairs: ``_OUTCOME_BLOCK`` at a time into a (slots, R) table, returned transposed."""
-    table = np.empty((len(plan.slots), len(ancilla_bits)), np.min_scalar_type(plan.n**2 - 1))
+    pair ranks: ``_OUTCOME_BLOCK`` at a time into a (slots, R) table, returned transposed."""
+    dtype = np.min_scalar_type(pair_rank(plan.n, plan.n - 1, plan.n))
+    table = np.empty((len(plan.slots), len(ancilla_bits)), dtype)
     for lo in range(0, len(ancilla_bits), _OUTCOME_BLOCK):
         labels = decode(plan, ancilla_bits[lo : lo + _OUTCOME_BLOCK])
         slot_pairs(plan, labels, table[:, lo : lo + labels.shape[1]])
@@ -362,10 +370,10 @@ def pair_table(plan: LayoutPlan, ancilla_bits) -> np.ndarray:
 
 
 def pair_coverage(plan: LayoutPlan) -> np.ndarray:
-    """(n, n) int64 matrix whose entry [i-1, j-1], i < j, counts the
-    (ancilla outcome, slot) entries that test the unordered pair (i, j);
-    every other entry is 0, so the matrix sums to 2**d times the slot count.
-    Tables that ``check_table`` refuses are refused."""
+    """int64 vector of n(n-1)/2 entries whose entry ``pair_rank(n, i, j)`` counts
+    the (ancilla outcome, slot) entries that test the unordered pair (i, j); it
+    sums to 2**d times the slot count. Tables that ``check_table`` refuses are
+    refused."""
     check_table(plan.scheme, plan.n)
     pairs = pair_table(plan, index_bits(np.arange(1 << plan.ancilla_count), plan.ancilla_count))
-    return np.bincount(pairs.ravel(), minlength=plan.n**2).reshape(plan.n, plan.n)
+    return np.bincount(pairs.ravel(), minlength=plan.n * (plan.n - 1) // 2)

@@ -9,11 +9,13 @@ Bernoullis with no statevector. The two induced distributions are equal,
 which the test suite checks to machine precision.
 
 Shots stay integer and bit arrays throughout; bitstrings appear only in
-``fileio``. A pair (i, j) has one address, entry [i-1, j-1] of an (n, n)
-matrix, i < j: ``StateEnsemble.overlaps`` holds the exact values there, a
-run's one ``builder.pair_table`` maps each distinct ancilla outcome's slots to
-it, and ``tally`` returns its verdict counts there as upper triangles.
-``_pair_rows`` alone turns the real pairs into rows, read from such matrices.
+``fileio``. A pair (i, j), i < j, has one index, ``builder.pair_rank``: its
+0-based row among the n(n-1)/2 pairs in ``itertools.combinations`` order, the
+order of ``estimates.csv``. A run's one ``builder.pair_table`` maps each
+distinct ancilla outcome's slots to it, and ``tally`` returns its verdict
+counts as vectors of n(n-1)/2 entries in that order; only
+``StateEnsemble.overlaps`` stays an (n, n) matrix. ``_pair_rows`` alone turns
+the real pairs into rows, gathered from such vectors.
 
 The oracle sampler splits its shots into shards of ``_MIN_SHARD_ROWS`` or
 more, one thread each, that count the verdicts they draw per pair; ``tally``
@@ -34,7 +36,7 @@ import numpy as np
 from . import sim
 from .builder import (
     FINAL_VARIANTS, LayoutPlan, assemble, check_final_variant, input_factors, layout_plan,
-    pad_inputs, pair_table,
+    pad_inputs, pair_rank, pair_table,
 )
 from .circuits import index_bits
 from .sim import draw_stream, draw_thresholds, measured_distribution, sample_from_distribution
@@ -221,9 +223,8 @@ def tally(counts: CountsTable, plan: LayoutPlan) -> tuple[np.ndarray, np.ndarray
     variant) increments t0 or t1 of the pair the table puts there; the plan
     must end in one of ``FINAL_VARIANTS``.
 
-    Returns ``(t0, t1)``: (n, n) int64 matrices of verdict-0 and verdict-1
-    counts whose entry [i-1, j-1], i < j, is pair (i, j), the address of
-    ``StateEnsemble.overlaps``; both are zero on and below the diagonal.
+    Returns ``(t0, t1)``: int64 vectors of n(n-1)/2 verdict-0 and verdict-1
+    counts whose entry ``builder.pair_rank(n, i, j)`` is pair (i, j), i < j.
     """
     check_final_variant(plan.final_variant)
     expected = plan.measured_labels()
@@ -254,27 +255,19 @@ def tally(counts: CountsTable, plan: LayoutPlan) -> tuple[np.ndarray, np.ndarray
     step = max(1, _VERDICT_BLOCK // len(plan.slots))
     for b in range(0, len(verdicts), step):  # in blocks: a whole transpose thrashes the cache
         failing[:, b : b + step] = verdicts[b : b + step].T
-    sampled, failed = totals = np.zeros((2, n * n), dtype=np.int64)
+    sampled, failed = np.zeros((2, n * (n - 1) // 2), dtype=np.int64)
     for s in range(pairs.shape[1]):
         pair = pairs[:, s].astype(np.intp)
         np.add.at(sampled, pair, shots)
         rows = np.flatnonzero(failing[s])
         np.add.at(failed, pair[group[rows]], counts.counts[rows])
     sampled -= failed
-    return _verdict_matrices([totals], n)
-
-
-def _verdict_matrices(totals: list, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(t0, t1)`` from a list of 2 * n**2 verdict-0 then verdict-1 counts
-    per pair address: the halves of their sum, each array freed once added."""
-    while len(totals) > 1:
-        totals[0] += totals.pop()
-    return tuple(totals.pop().reshape(2, n, n))
+    return sampled, failed
 
 
 def _oracle_rows(rows, anc, outcomes, bits, pairs, thresholds, seed, lo, hi) -> np.ndarray:
     """Fill rows lo..hi: shot i's outcome bits, and verdicts against its pairs'
-    thresholds; return the verdict-0 then verdict-1 counts per pair address."""
+    thresholds; return the verdict-0 then verdict-1 counts per pair rank."""
     d, n_slots = bits.shape[1], pairs.shape[1]
     totals = np.zeros(2 * len(thresholds), dtype=np.int64)
     verdicts = _draw_stream(seed, lo * n_slots, _VERDICT_STREAM)
@@ -305,7 +298,9 @@ def oracle_sample(run: Run) -> tuple[CountsTable, tuple[np.ndarray, np.ndarray]]
     slots) reaches p0 = (1 + overlap)/2 for the slot's pair. Each shard opens
     the verdict stream at its own first word, so the rows do not depend on
     how shots split into shards or blocks. The shards also count their
-    verdicts per pair: this returns the counts and ``tally``'s ``(t0, t1)``.
+    verdicts per pair rank: their sum, each shard's accumulator added into
+    the first and dropped, is ``tally``'s ``(t0, t1)``, returned with the
+    counts.
     """
     plan, shots, d = run.plan, run.shots, run.plan.ancilla_count
     anc = _draw_stream(run.seed).random_raw(shots) >> np.uint64(64 - d)
@@ -314,11 +309,13 @@ def oracle_sample(run: Run) -> tuple[CountsTable, tuple[np.ndarray, np.ndarray]]
     bits = index_bits(outcomes, d)
     pairs = pair_table(plan, bits)
     rows = np.empty((shots, len(plan.measured)), dtype=np.uint8)
-    thresholds = draw_thresholds((run.ensemble.overlaps + 1.0) / 2.0).ravel()
+    thresholds = draw_thresholds((run.ensemble.overlaps[np.triu_indices(plan.n, 1)] + 1.0) / 2.0)
     totals = _in_shards(shots, partial(
         _oracle_rows, rows, anc, outcomes, bits, pairs, thresholds, run.seed))
     del anc, pairs, thresholds  # the partial was never named: these go before the merge
-    t = _verdict_matrices(totals, plan.n)
+    while len(totals) > 1:
+        totals[0] += totals.pop()
+    t = tuple(totals.pop().reshape(2, -1))
     return CountsTable(plan.measured_labels(), plan.scheme, rows, np.broadcast_to(1, shots)), t
 
 
@@ -334,7 +331,8 @@ def oracle_distribution(ensemble: StateEnsemble, plan: LayoutPlan) -> np.ndarray
         raise ValueError("analytic distribution too large to enumerate")
     if ensemble.n != plan.n:
         raise ValueError("ensemble size does not match the plan (pad first)")
-    p0 = (ensemble.overlaps.ravel()[pair_table(plan, index_bits(np.arange(1 << d), d))] + 1.0) / 2.0
+    p0 = ensemble.overlaps[np.triu_indices(plan.n, 1)]
+    p0 = (p0[pair_table(plan, index_bits(np.arange(1 << d), d))] + 1.0) / 2.0
     probs = np.full((1 << d, 1), 1.0 / (1 << d))
     for c in range(n_slots):
         verdict = np.stack([p0[:, c], 1.0 - p0[:, c]], axis=1)
@@ -401,16 +399,18 @@ def estimate_all_overlaps(run: Run) -> RunResult:
         values, cnts = np.unique(idx, return_counts=True)
         counts = CountsTable(labels, plan.scheme, index_bits(values, len(labels)), cnts)
         t0, t1 = tally(counts, plan)
-    return RunResult(
-        run, counts, PairEstimates.from_verdicts(*_pair_rows(run.real, t0, t1, padded.overlaps)))
+    return RunResult(run, counts, _pair_rows(run.real, padded.overlaps, t0, t1))
 
 
-def _pair_rows(real: int, *matrices: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The one place pairs become rows: the (P, 2) real 1-based pairs i < j
-    in ``itertools.combinations`` order, then entry [i-1, j-1] of each (n, n)
-    matrix (n >= ``real``) at those pairs."""
+def _pair_rows(real: int, overlaps: np.ndarray, t0: np.ndarray, t1: np.ndarray) -> PairEstimates:
+    """The one place pairs become rows: the estimates of the real 1-based pairs
+    i < j in ``itertools.combinations`` order, from their entries of the (n, n)
+    ``overlaps`` (n >= ``real``) and of ``tally``'s vectors ``(t0, t1)``, each
+    gathered at the pairs' ``builder.pair_rank`` over all n labels."""
     i, j = np.triu_indices(real, k=1)
-    return (np.stack([i + 1, j + 1], axis=1), *(matrix[i, j] for matrix in matrices))
+    rank = pair_rank(len(overlaps), i + 1, j + 1)
+    return PairEstimates.from_verdicts(
+        np.stack([i + 1, j + 1], axis=1), t0[rank], t1[rank], overlaps[i, j])
 
 
 @dataclass(frozen=True)
@@ -437,22 +437,23 @@ class ReplayReport:
         }
 
 
-def _reference_matrix(reference: dict[tuple[int, int], float], n: int) -> np.ndarray:
-    """Reference values as an (n, n) matrix, each at entry [i-1, j-1] of its
-    key sorted to i <= j; NaN where a pair is absent.
+def _reference_rows(reference: dict[tuple[int, int], float], n: int) -> np.ndarray:
+    """Reference values as a vector of the n(n-1)/2 pairs of labels 1..n in row
+    order, each at the ``builder.pair_rank`` of its key sorted to i < j; NaN
+    where a pair is absent.
 
     A key (i, j) names the unordered pair, so (2, 1) stands for (1, 2); a
-    pair keyed both ways round is an error. A key with a label outside 1..n
-    is dropped while it is Python ints.
+    pair keyed both ways round is an error. A key with a label outside 1..n,
+    or a self-pair (i, i), is dropped while it is Python ints.
     """
-    reference = {key: value for key, value in reference.items() if 1 <= min(key) <= max(key) <= n}
-    keys = np.sort(np.array(list(reference), dtype=np.int64).reshape(-1, 2), axis=1) - 1
-    address = keys[:, 0] * n + keys[:, 1]  # entry [i-1, j-1] of an (n, n) matrix
-    if (np.diff(np.sort(address)) == 0).any():
+    reference = {key: value for key, value in reference.items() if 1 <= min(key) < max(key) <= n}
+    keys = np.sort(np.array(list(reference), dtype=np.int64).reshape(-1, 2), axis=1)
+    rank = pair_rank(n, keys[:, 0], keys[:, 1])
+    if (np.diff(np.sort(rank)) == 0).any():
         raise ValueError("reference lists a pair in both orders")
-    table = np.full(n * n, np.nan)
-    table[address] = np.fromiter(reference.values(), dtype=float, count=len(reference))
-    return table.reshape(n, n)
+    rows = np.full(n * (n - 1) // 2, np.nan)
+    rows[rank] = np.fromiter(reference.values(), dtype=float, count=len(reference))
+    return rows
 
 
 def replay(
@@ -469,7 +470,8 @@ def replay(
     carry; labels that fit neither variant are a ``DataError``.
     ``reference`` defaults to the ensemble's exact overlaps; a pair is
     flagged "deviates" when |estimate - reference| exceeds ``tolerance`` and
-    "unsampled" when no shot reached it.
+    "unsampled" when no shot reached it. With no ``reference`` the report's
+    reference column is the estimates' ``exact`` column itself.
     """
     if not np.isfinite(tolerance) or tolerance < 0:
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
@@ -484,10 +486,8 @@ def replay(
             f"{' '.join(counts.labels)}"
         )
     plan = plans[layouts.index(counts.labels)]
-    expected = padded.overlaps if reference is None else _reference_matrix(reference, ensemble.n)
-    pairs, t0, t1, exact, ref = _pair_rows(
-        ensemble.n, *tally(counts, plan), padded.overlaps, expected)
-    estimates = PairEstimates.from_verdicts(pairs, t0, t1, exact)
+    estimates = _pair_rows(ensemble.n, padded.overlaps, *tally(counts, plan))
+    ref = estimates.exact if reference is None else _reference_rows(reference, ensemble.n)
     deviates = np.abs(estimates.estimate - ref) > tolerance
     flags = np.where(
         estimates.samples == 0, "unsampled", np.where(deviates, "deviates", "ok")

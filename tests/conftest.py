@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -62,10 +63,11 @@ def slot_pairs(plan, labels) -> np.ndarray:
 
 def real_pair_coverage(plan, real=None):
     """(pairs, coverage): the pairs i < j of the real labels 1..real (all n
-    labels by default) in combinations order and their entries [i-1, j-1]
-    of ``builder.pair_coverage``."""
-    i, j = np.triu_indices(real or plan.n, k=1)
-    return np.stack([i, j], axis=1) + 1, builder.pair_coverage(plan)[i, j]
+    labels by default) in combinations order and their entries of
+    ``builder.pair_coverage``, at their ``builder.pair_rank`` over all n."""
+    pairs = np.array(list(itertools.combinations(range(1, (real or plan.n) + 1), 2)))
+    rank = builder.pair_rank(plan.n, pairs[:, 0], pairs[:, 1])
+    return pairs, builder.pair_coverage(plan)[rank]
 
 
 @pytest.fixture(scope="session")

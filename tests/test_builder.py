@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 from dataclasses import replace
 
@@ -160,6 +161,30 @@ def test_identity_outcome_and_worked_slot_example():
     assert pairs[0b0011, 3].tolist() == [6, 7]
 
 
+@pytest.mark.parametrize("n, dtype", [
+    (4, np.uint8), (256, np.uint16), (512, np.uint32), (65_536, np.uint32),
+    (92_682, np.uint32),  # the last n whose n(n-1)/2 - 1 fits uint32
+    (92_683, np.uint64),
+])
+def test_slot_pairs_rank_at_every_dtype_boundary(n, dtype):
+    # synthetic labels on a bare plan with two slots, no decode: column k puts
+    # one pair in slot 1 and the same pair reversed in slot 2
+    plan = builder.LayoutPlan("new", n, 1, 0, (), ((1, 2), (3, 4)))
+    pairs = [(1, 2), (1, n), (n - 1, n)]
+    pairs += [(b, a) for a, b in pairs]
+    labels = np.array([[a, b, b, a] for a, b in pairs], dtype=np.min_scalar_type(n)).T
+    ranks = builder.slot_pairs(plan, labels)
+    assert ranks.dtype == dtype and ranks.shape == (len(pairs), 2)
+    for (a, b), row in zip(pairs, ranks.tolist()):
+        i, j = min(a, b), max(a, b)
+        # pairs (1, *) to (i - 1, *) come first in combinations order, n - a for each a
+        expected = sum(n - a for a in range(1, i)) + j - i - 1
+        assert row == [expected, expected], (i, j)
+        assert builder.pair_rank(n, i, j) == expected
+        if n <= 512:
+            assert expected == list(itertools.combinations(range(1, n + 1), 2)).index((i, j))
+
+
 def test_padded_coverage_excludes_pad_labels(d0):
     three = StateEnsemble(d0.amplitudes[:3])
     plan = layout_plan("new", pad_inputs(three).n)
@@ -287,12 +312,12 @@ def test_permutation_table_refuses_tables_over_the_limit(monkeypatch):
 def test_pair_coverage_counts_every_outcome_and_slot(scheme, n):
     plan = layout_plan(scheme, n)
     d = plan.ancilla_count
-    expected = np.zeros((n, n), dtype=np.int64)
+    rank = {pair: r for r, pair in enumerate(itertools.combinations(range(1, n + 1), 2))}
+    expected = np.zeros(len(rank), dtype=np.int64)
     for bits in index_bits(np.arange(1 << d), d).tolist():
         labels = _replay_outcome(plan, bits)
         for a, b in plan.slots:
-            i, j = sorted((labels[a - 1], labels[b - 1]))
-            expected[i - 1, j - 1] += 1
+            expected[rank[tuple(sorted((labels[a - 1], labels[b - 1])))]] += 1
     coverage = pair_coverage(plan)
     assert coverage.dtype == np.int64
     assert np.array_equal(coverage, expected)

@@ -66,16 +66,14 @@ def test_tally_worked_example_from_recorded_counts(d0):
     assert outcome_count(counts, "11111010") == 48  # duplicate rows merged
     _, plan = layout_for(d0, "new", "standard")
     t0, t1 = tally(counts, plan)
-    assert t0.shape == t1.shape == (8, 8) and t0.dtype == t1.dtype == np.int64
-    assert (t0[5, 6], t1[5, 6]) == (601, 403)  # pair (6, 7), in either order
-    assert not np.tril(t0).any() and not np.tril(t1).any()  # nothing on or below the diagonal
-    # rows are the pairs i < j in combinations order, read at [i-1, j-1]
+    assert t0.shape == t1.shape == (28,) and t0.dtype == t1.dtype == np.int64
+    assert (t0[25], t1[25]) == (601, 403)  # pair (6, 7), in either order: rank 25
+    # rows are the pairs i < j in combinations order, each at its pair_rank
     est = replay(counts, d0).estimates
     assert est.pairs.tolist() == [list(p) for p in itertools.combinations(range(1, 9), 2)]
-    i, j = est.pairs.T - 1
-    assert np.array_equal(est.samples, (t0 + t1)[i, j])
-    assert (t0 + t1)[i, j].min() > 0
-    assert not np.diag(t0 + t1).any()
+    assert builder.pair_rank(8, est.pairs[:, 0], est.pairs[:, 1]).tolist() == list(range(28))
+    assert np.array_equal(est.samples, t0 + t1)
+    assert (t0 + t1).min() > 0
 
 
 def test_tally_rejects_wrong_layout(d0):
@@ -91,7 +89,7 @@ def test_tally_of_a_table_with_no_rows_counts_nothing(d0, final):
     labels = plan.measured_labels()
     empty = CountsTable(labels, "new", np.zeros((0, len(labels))), [])
     t0, t1 = tally(empty, plan)
-    assert t0.shape == t1.shape == (8, 8)  # 28 pairs above the diagonal
+    assert t0.shape == t1.shape == (28,)  # one entry per pair
     assert not t0.any() and not t1.any()
 
 
@@ -102,8 +100,8 @@ def test_tally_uniform_synthetic_counts_cover_every_pair(d0):
     bits = np.array(list(itertools.product((0, 1), repeat=4)))
     counts = CountsTable(labels, "new", bits, np.full(16, 5))
     t0, t1 = tally(counts, plan)
-    assert t0.shape == (4, 4)  # 6 pairs above the diagonal
-    assert ((t0 + t1)[np.triu_indices(4, k=1)] > 0).all()
+    assert t0.shape == (6,)  # one entry per pair
+    assert (t0 + t1 > 0).all()
 
 
 @pytest.mark.parametrize(
@@ -282,7 +280,8 @@ def oracle_slot_marginal(ensemble, plan, slots) -> np.ndarray:
     ancilla labels, then the slots' result labels in ``slots`` order."""
     d = plan.ancilla_count
     labels = decode(plan, index_bits(np.arange(1 << d), d))
-    p0 = (1 + ensemble.overlaps.ravel()[builder.slot_pairs(plan, labels)[:, slots]]) / 2
+    overlaps = ensemble.overlaps[np.triu_indices(plan.n, k=1)]  # in pair_rank order
+    p0 = (1 + overlaps[builder.slot_pairs(plan, labels)[:, slots]]) / 2
     probs = np.full((1 << d, 1), 1.0 / (1 << d))
     for c in range(len(slots)):
         verdict = np.stack([p0[:, c], 1 - p0[:, c]], axis=1)
@@ -392,19 +391,29 @@ def test_estimator_is_unbiased_across_seeds():
     ensemble = random_ensemble(rng, 4)
     _, plan = layout_for(ensemble, "new", "standard")
     shots, seeds = 2000, 60
-    first, second = np.triu_indices(4, k=1)  # the 6 pairs, at [i-1, j-1]
+    first, second = np.triu_indices(4, k=1)  # the 6 pairs, in pair_rank order
     sums = np.zeros(6)
     for seed in range(seeds):
         counts, _ = oracle_sample(decide(ensemble, shots=shots, seed=seed, engine="oracle"))
         t0, t1 = tally(counts, plan)
-        t0, m = t0[first, second], (t0 + t1)[first, second]
-        sums += 2.0 * t0 / m - 1.0
+        sums += 2.0 * t0 / (t0 + t1) - 1.0
     for i, j, total in zip(first + 1, second + 1, sums):
         o = exact_overlap(ensemble.state(i), ensemble.state(j))
         mean = total / seeds
         # per-seed sd is at most 1/sqrt(m); the mean tightens by sqrt(seeds)
         m = shots / 2
         assert abs(mean - o) <= 3.0 / np.sqrt(m * seeds)
+
+
+@pytest.mark.parametrize("real", [8, 5])
+def test_replay_without_reference_reports_the_exact_column_itself(d0, real):
+    # no second gather: the reference column is the estimates' exact column
+    ensemble = StateEnsemble(d0.amplitudes[:real])
+    counts = estimate_all_overlaps(decide(ensemble, shots=500, seed=2)).counts
+    report = replay(counts, ensemble)
+    assert np.shares_memory(report.reference, report.estimates.exact)
+    assert np.array_equal(report.reference, report.estimates.exact)
+    assert len(report.reference) == real * (real - 1) // 2
 
 
 def test_replay_round_trips_run_counts(d0):
@@ -620,12 +629,12 @@ def test_verdict_word_at_its_threshold_fails():
     verdicts = []
     for threshold in (first, first + np.uint64(1)):
         rows = np.empty((1, 4), dtype=np.uint8)
-        thresholds = np.full(16, threshold, dtype=np.uint64)
+        thresholds = np.full(6, threshold, dtype=np.uint64)  # one per pair rank
         totals = estimation._oracle_rows(rows, outcomes, outcomes, bits, pairs, thresholds, 4, 0, 1)
         verdicts.append(int(rows[0, 2]))
         # each slot counts the shot at its pair's verdict-0 or verdict-1 entry
-        expected = np.zeros(2 * 16, dtype=np.int64)
-        np.add.at(expected, pairs[0] + 16 * rows[0, 2:], 1)
+        expected = np.zeros(2 * 6, dtype=np.int64)
+        np.add.at(expected, pairs[0] + 6 * rows[0, 2:], 1)
         assert np.array_equal(totals, expected)
     assert rows[0, :2].tolist() == [1, 0]  # outcome 2's ancilla bits
     assert verdicts == [1, 0]
@@ -702,11 +711,13 @@ def test_every_scatter_add_takes_numpys_fast_path(monkeypatch):
 
 
 def test_the_pair_table_and_thresholds_are_freed_before_the_shards_merge(monkeypatch):
-    # the merge adds one 2 * n**2 accumulator per shard; the sampler's pair
-    # table and thresholds must be gone by then, or they set the run's peak
+    # the merge adds one accumulator of 2 * n(n-1)/2 counts per shard; the
+    # sampler's pair table and thresholds must be gone by then, or they set
+    # the run's peak. The merge pops each shard's accumulator off the list
+    # that _in_shards returns, so that list checks them at every pop
     monkeypatch.setattr(estimation, "_SHARDS", 2)
     monkeypatch.setattr(estimation, "_MIN_SHARD_ROWS", 1)
-    made = {}
+    made, merged = {}, []
 
     def keeping(name, function):
         def wrapper(*args):
@@ -715,19 +726,21 @@ def test_the_pair_table_and_thresholds_are_freed_before_the_shards_merge(monkeyp
             return result
         return wrapper
 
-    def merge(totals, n):
-        assert len(totals) == 2
-        assert made["pair_table"]() is None and made["draw_thresholds"]() is None
-        return verdict_matrices(totals, n)
+    class Merging(list):
+        def pop(self, *args):
+            assert made["pair_table"]() is None and made["draw_thresholds"]() is None
+            merged.append(len(self))
+            return super().pop(*args)
 
-    verdict_matrices = estimation._verdict_matrices
+    in_shards = estimation._in_shards
     monkeypatch.setattr(estimation, "pair_table", keeping("pair_table", estimation.pair_table))
     monkeypatch.setattr(
         estimation, "draw_thresholds", keeping("draw_thresholds", estimation.draw_thresholds))
-    monkeypatch.setattr(estimation, "_verdict_matrices", merge)
+    monkeypatch.setattr(estimation, "_in_shards", lambda *args: Merging(in_shards(*args)))
     ensemble = random_ensemble(np.random.default_rng(16), 16)
     result = estimate_all_overlaps(decide(ensemble, shots=3000, seed=16, engine="oracle"))
     assert sorted(made) == ["draw_thresholds", "pair_table"]
+    assert merged == [2, 1]  # both shards' accumulators were popped
     assert result.estimates.samples.sum() == 3000 * 8
 
 
@@ -758,10 +771,12 @@ def test_a_failing_shard_raises_after_every_shard_ran(monkeypatch):
 
 def _row_by_row_tally(plan, bits, counts):
     """``tally`` one raw row at a time: the row's ancilla bits decoded alone,
-    its count added to t0 or t1 of each slot's pair at [min, max]."""
+    its count added to t0 or t1 of each slot's pair (min, max), at that
+    pair's row in combinations order."""
     d = plan.ancilla_count
     column = {q: c for c, (q, _) in enumerate(plan.measured)}
-    t = np.zeros((2, plan.n, plan.n), dtype=np.int64)
+    rank = {p: r for r, p in enumerate(itertools.combinations(range(1, plan.n + 1), 2))}
+    t = np.zeros((2, len(rank)), dtype=np.int64)
     for row, count in zip(bits, counts):
         labels = decode(plan, row[None, :d])[:, 0]
         for s, (ra, rb) in enumerate(plan.slots):
@@ -770,8 +785,7 @@ def _row_by_row_tally(plan, bits, counts):
             else:
                 data = [column[q] for r in (ra, rb) for q in plan.register_qubits(r)]
                 verdict = destructive_decode(row[None, data], plan.width)[0]
-            i, j = sorted((labels[ra - 1] - 1, labels[rb - 1] - 1))
-            t[verdict, i, j] += count
+            t[verdict, rank[tuple(sorted((labels[ra - 1], labels[rb - 1])))]] += count
     return t[0], t[1]
 
 

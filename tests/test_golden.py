@@ -123,9 +123,9 @@ WIDE_DIGESTS = {
 }
 
 
-def _wide_states(path):
-    rng = np.random.default_rng(128)
-    v = rng.normal(size=(128, 2)) + 1j * rng.normal(size=(128, 2))
+def _wide_states(path, n=128):
+    rng = np.random.default_rng(n)
+    v = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     path.write_text(json.dumps({
         "width": 1,
@@ -145,6 +145,56 @@ def test_wide_oracle_outputs_match_golden_digests(tmp_path, capsys):
     produced = {path.name: _sha(path.read_bytes()) for path in (*est.iterdir(), *rep.iterdir())}
     produced["replay stdout"] = _sha(capsys.readouterr().out.encode())
     assert produced == WIDE_DIGESTS
+
+
+#: an oracle run at n=512: 130,816 pairs, so its pair ranks are uint32
+UINT32_RANK_DIGESTS = {
+    "counts.txt": "85065973342cc07b7932b3e0c90b93a704ec1c7822cb736de30ec494883b8852",
+    "estimates.csv": "018ad35226bb3989ed88eb9c3143d65b164c36eaacc48ba754d4b96c2950d638",
+    "scatter.csv": "7ccca9a2962a6f2b2cc16fdf18a0c84027a3f2f5ae4024f3f300ab542e6dc9e8",
+    "replay.csv": "691d81015c132fb33df47c7d5a77f90691b79550c417392d55fcd70074d33640",
+    "replay stdout": "9087933403e21943a3999e46de32ccb31681dd88a056e5f96401be7be68a36cc",
+}
+
+
+def test_uint32_rank_oracle_outputs_match_golden_digests(tmp_path, capsys):
+    states, est, rep = tmp_path / "states.json", tmp_path / "estimate", tmp_path / "replay"
+    _wide_states(states, 512)
+    argv = ["estimate", str(states), "--engine", "oracle", "--shots", "2000", "--seed", "13"]
+    assert main(argv + ["--out-dir", str(est)]) == 0
+    replay_argv = ["replay", str(est / "counts.txt"), str(states)]
+    assert main(replay_argv + ["--out-dir", str(rep)]) == 0
+    capsys.readouterr()
+    assert main(replay_argv) == 0
+    produced = {path.name: _sha(path.read_bytes()) for path in (*est.iterdir(), *rep.iterdir())}
+    produced["replay stdout"] = _sha(capsys.readouterr().out.encode())
+    assert produced == UINT32_RANK_DIGESTS
+
+
+#: a destructive run's replay against a reference CSV holding a self-pair
+#: (3, 3), the pair (2, 8) that shares its rank at n=8, a reversed pair (5, 4)
+#: and a label past the input count; only (2, 8) and (4, 5) get a reference
+SELF_PAIR_REFERENCE_DIGESTS = {
+    "replay.csv": "9bf2c7148dd635cac44276241482630f29189b4e0b6e652b243415e84c6ab011",
+    "replay stdout": "d3069822c82ba581ddf9e7a71d2675bb70f1b4a8cd59664c46514b103e088b14",
+}
+
+
+def test_self_pair_reference_matches_golden_digests(tmp_path, capsys):
+    reference, run, rep = tmp_path / "reference.csv", tmp_path / "run", tmp_path / "replay"
+    reference.write_text("pair_i,pair_j,estimate\n3,3,0.1\n2,8,0.25\n5,4,0.7\n2,9,0.3\n")
+    assert main(["estimate", "bundled", "--final", "destructive", "--engine", "statevector",
+                 "--out-dir", str(run)]) == 0
+    argv = ["replay", str(run / "counts.txt"), "bundled", "--reference", str(reference)]
+    assert main(argv + ["--out-dir", str(rep)]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert {"replay.csv": _sha((rep / "replay.csv").read_bytes()),
+            "replay stdout": _sha(out.encode())} == SELF_PAIR_REFERENCE_DIGESTS
+    rows = [row.split(",") for row in (rep / "replay.csv").read_text().splitlines()[1:]]
+    assert {(i, j): ref for i, j, *_, ref, _, _ in rows if ref} == {
+        ("2", "8"): "0.25", ("4", "5"): "0.7"}
 
 
 def _off_norm_states(path, n, width, scale):

@@ -5,12 +5,13 @@ with arrays: ``csv.writer`` for the CSV writer, Python's sorted bitstrings
 for ``CountsTable``, an ``np.where`` replay of the controlled swaps for
 ``builder.decode``, ``slot_pairs`` of one ``decode`` call for
 ``builder.pair_table``, a one-shard run for the sharded oracle, and
-``tally`` of its counts for the verdict matrices the oracle counts as it
-draws.
+``tally`` of its counts for the per-pair verdict vectors the oracle counts
+as it draws.
 """
 
 import csv
 import functools
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -155,7 +156,7 @@ def test_decode_matches_where_reference(case, outcomes, seed):
 @pytest.mark.parametrize("block", [1, 5, 64])
 def test_pair_table_in_blocks_equals_one_decode(scheme, n, block, monkeypatch):
     # 23 outcomes in blocks of 1, 5 or all of them give one decode's pairs,
-    # stored slot-major: each slot's addresses are contiguous
+    # stored slot-major: each slot's pair ranks are contiguous
     monkeypatch.setattr(builder, "_OUTCOME_BLOCK", block)
     plan = _plan(scheme, n)
     bits = np.random.default_rng(n + block).integers(0, 2, size=(23, plan.ancilla_count))
@@ -164,9 +165,12 @@ def test_pair_table_in_blocks_equals_one_decode(scheme, n, block, monkeypatch):
     assert np.array_equal(table, slot_pairs(plan, labels))
     assert table.dtype == slot_pairs(plan, labels).dtype
     assert table.T.flags.c_contiguous
-    # one address per unordered pair: (min - 1) * n + (max - 1) of the slot's labels
-    a, b = (labels[np.array(registers) - 1].T.astype(np.int64) for registers in zip(*plan.slots))
-    assert np.array_equal(table, (np.minimum(a, b) - 1) * n + np.maximum(a, b) - 1)
+    # one index per unordered pair: the row of (min, max) of the slot's labels
+    # among the pairs in combinations order
+    rank = {p: r for r, p in enumerate(itertools.combinations(range(1, n + 1), 2))}
+    a, b = (labels[np.array(registers) - 1].T.tolist() for registers in zip(*plan.slots))
+    expected = [[rank[min(x, y), max(x, y)] for x, y in zip(*row)] for row in zip(a, b)]
+    assert table.tolist() == expected
 
 
 @settings(max_examples=30, deadline=None)
@@ -249,4 +253,5 @@ def test_the_oracle_matrices_are_the_tally_of_its_counts(scheme, m, width, seed,
     with mock.patch.object(estimation, "_VERDICT_BLOCK", block):
         counts, matrices = _sharded(shards, oracle_sample, run)
     assert all(np.array_equal(a, b) for a, b in zip(matrices, tally(counts, run.plan)))
-    assert not any(np.tril(t).any() for t in matrices)  # zero on and below the diagonal
+    n = run.plan.n
+    assert all(t.shape == (n * (n - 1) // 2,) for t in matrices)  # one entry per pair

@@ -77,7 +77,7 @@ def test_every_pair_reaches_the_measured_slot(n):
 
 def test_pair_one_two_has_single_covering_outcome():
     plan = layout_plan("san", 4)
-    assert pair_coverage(plan)[0, 1] == 1
+    assert pair_coverage(plan)[0] == 1  # pair (1, 2) is the first row
     assert decode_all(plan)[:2, 0b000].tolist() == [1, 2]
 
 
