@@ -12,10 +12,10 @@ Shots stay integer and bit arrays throughout; bitstrings appear only in
 ``fileio``. A pair (i, j), i < j, has one index, ``builder.pair_rank``: its
 0-based row among the n(n-1)/2 pairs in ``itertools.combinations`` order, the
 order of ``estimates.csv``. A run's one ``builder.pair_table`` maps each
-distinct ancilla outcome's slots to it, and ``tally`` returns its verdict
-counts as vectors of n(n-1)/2 entries in that order; only
-``StateEnsemble.overlaps`` stays an (n, n) matrix. ``_pair_rows`` alone turns
-the real pairs into rows, gathered from such vectors.
+distinct ancilla outcome's slots to it; ``tally``'s verdict counts and
+``StateEnsemble.overlaps`` are vectors of n(n-1)/2 entries in that order.
+``_pair_rows`` alone turns the real pairs into rows: the vectors themselves
+when no input was padded, and otherwise a gather at the real pairs' ranks.
 
 The oracle sampler splits its shots into shards of ``_MIN_SHARD_ROWS`` or
 more, one thread each, that count the verdicts they draw per pair; ``tally``
@@ -295,7 +295,8 @@ def oracle_sample(run: Run) -> tuple[CountsTable, tuple[np.ndarray, np.ndarray]]
     Draws follow ``sim.draw_thresholds``: shot i's ancilla outcome is the
     top d bits of word i of the stream at counter 0, and its verdict in slot
     s is 1 exactly when word i*S + s of the stream at counter 2**192 (S
-    slots) reaches p0 = (1 + overlap)/2 for the slot's pair. Each shard opens
+    slots) reaches p0 = (1 + overlap)/2 for the slot's pair, the overlap read
+    at the pair's rank in ``StateEnsemble.overlaps``. Each shard opens
     the verdict stream at its own first word, so the rows do not depend on
     how shots split into shards or blocks. The shards also count their
     verdicts per pair rank: their sum, each shard's accumulator added into
@@ -309,7 +310,7 @@ def oracle_sample(run: Run) -> tuple[CountsTable, tuple[np.ndarray, np.ndarray]]
     bits = index_bits(outcomes, d)
     pairs = pair_table(plan, bits)
     rows = np.empty((shots, len(plan.measured)), dtype=np.uint8)
-    thresholds = draw_thresholds((run.ensemble.overlaps[np.triu_indices(plan.n, 1)] + 1.0) / 2.0)
+    thresholds = draw_thresholds((run.ensemble.overlaps + 1.0) / 2.0)
     totals = _in_shards(shots, partial(
         _oracle_rows, rows, anc, outcomes, bits, pairs, thresholds, run.seed))
     del anc, pairs, thresholds  # the partial was never named: these go before the merge
@@ -331,8 +332,7 @@ def oracle_distribution(ensemble: StateEnsemble, plan: LayoutPlan) -> np.ndarray
         raise ValueError("analytic distribution too large to enumerate")
     if ensemble.n != plan.n:
         raise ValueError("ensemble size does not match the plan (pad first)")
-    p0 = ensemble.overlaps[np.triu_indices(plan.n, 1)]
-    p0 = (p0[pair_table(plan, index_bits(np.arange(1 << d), d))] + 1.0) / 2.0
+    p0 = (ensemble.overlaps[pair_table(plan, index_bits(np.arange(1 << d), d))] + 1.0) / 2.0
     probs = np.full((1 << d, 1), 1.0 / (1 << d))
     for c in range(n_slots):
         verdict = np.stack([p0[:, c], 1.0 - p0[:, c]], axis=1)
@@ -399,18 +399,20 @@ def estimate_all_overlaps(run: Run) -> RunResult:
         values, cnts = np.unique(idx, return_counts=True)
         counts = CountsTable(labels, plan.scheme, index_bits(values, len(labels)), cnts)
         t0, t1 = tally(counts, plan)
-    return RunResult(run, counts, _pair_rows(run.real, padded.overlaps, t0, t1))
+    return RunResult(run, counts, _pair_rows(run.real, padded, t0, t1))
 
 
-def _pair_rows(real: int, overlaps: np.ndarray, t0: np.ndarray, t1: np.ndarray) -> PairEstimates:
+def _pair_rows(real: int, padded: StateEnsemble, t0: np.ndarray, t1: np.ndarray) -> PairEstimates:
     """The one place pairs become rows: the estimates of the real 1-based pairs
-    i < j in ``itertools.combinations`` order, from their entries of the (n, n)
-    ``overlaps`` (n >= ``real``) and of ``tally``'s vectors ``(t0, t1)``, each
-    gathered at the pairs' ``builder.pair_rank`` over all n labels."""
+    i < j in ``itertools.combinations`` order, from ``tally``'s vectors
+    ``(t0, t1)`` and ``padded.overlaps`` (n >= ``real`` labels). With no
+    padding (``real == n``) the rows are those vectors themselves, read
+    through ``slice(None)``; otherwise each is gathered at the real pairs'
+    ``builder.pair_rank`` over all n labels."""
     i, j = np.triu_indices(real, k=1)
-    rank = pair_rank(len(overlaps), i + 1, j + 1)
+    rows = slice(None) if real == padded.n else pair_rank(padded.n, i + 1, j + 1)
     return PairEstimates.from_verdicts(
-        np.stack([i + 1, j + 1], axis=1), t0[rank], t1[rank], overlaps[i, j])
+        np.stack([i + 1, j + 1], axis=1), t0[rows], t1[rows], padded.overlaps[rows])
 
 
 @dataclass(frozen=True)
@@ -471,7 +473,8 @@ def replay(
     ``reference`` defaults to the ensemble's exact overlaps; a pair is
     flagged "deviates" when |estimate - reference| exceeds ``tolerance`` and
     "unsampled" when no shot reached it. With no ``reference`` the report's
-    reference column is the estimates' ``exact`` column itself.
+    reference column is the estimates' ``exact`` column itself, which with no
+    padding is the ensemble's ``overlaps`` vector.
     """
     if not np.isfinite(tolerance) or tolerance < 0:
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
@@ -486,7 +489,7 @@ def replay(
             f"{' '.join(counts.labels)}"
         )
     plan = plans[layouts.index(counts.labels)]
-    estimates = _pair_rows(ensemble.n, padded.overlaps, *tally(counts, plan))
+    estimates = _pair_rows(ensemble.n, padded, *tally(counts, plan))
     ref = estimates.exact if reference is None else _reference_rows(reference, ensemble.n)
     deviates = np.abs(estimates.estimate - ref) > tolerance
     flags = np.where(

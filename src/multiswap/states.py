@@ -140,9 +140,12 @@ class StateEnsemble:
 
     @cached_property
     def overlaps(self) -> np.ndarray:
-        """Read-only (n, n) matrix of |<phi_i|phi_j>|**2, row and column
-        i-1 for label i: the Gram matrix of the amplitude rows, squared in
-        modulus. Computed once per ensemble.
+        """Read-only vector of the n(n-1)/2 overlaps |<phi_i|phi_j>|**2, i < j,
+        in ``itertools.combinations`` order, so pair (i, j) is entry
+        ``builder.pair_rank(n, i, j)``. It is the upper triangle of the Gram
+        matrix of the amplitude rows, squared in modulus, taken once through
+        a boolean mask; the (n, n) matrix is a temporary. Computed once per
+        ensemble.
 
         The real and imaginary parts are four real products rather than one
         complex one: that rounds closest to ``exact_overlap`` (measured: one
@@ -150,5 +153,6 @@ class StateEnsemble:
         in 3 for the complex product)."""
         re, im = self.amplitudes.real, self.amplitudes.imag
         gram = np.hypot(re @ re.T + im @ im.T, re @ im.T - im @ re.T) ** 2
-        gram.flags.writeable = False
-        return gram
+        rows = gram[~np.tri(self.n, dtype=bool)]
+        rows.flags.writeable = False
+        return rows

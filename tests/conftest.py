@@ -39,6 +39,18 @@ def random_ensemble(rng: np.random.Generator, n: int, width: int = 1) -> StateEn
     return StateEnsemble([random_state(rng, width).amplitudes for _ in range(n)])
 
 
+def overlap_matrix(ensemble: StateEnsemble) -> np.ndarray:
+    """``ensemble.overlaps`` mirrored into the symmetric (n, n) matrix whose
+    entry [i-1, j-1] is the overlap of labels i and j, with ones on the
+    diagonal. The vector is put back through numpy's own upper-triangle
+    order, not ``builder.pair_rank``, so a reference built on it stays
+    independent of the pair index it checks."""
+    i, j = np.triu_indices(ensemble.n, k=1)
+    matrix = np.eye(ensemble.n)
+    matrix[i, j] = matrix[j, i] = ensemble.overlaps
+    return matrix
+
+
 def outcome_count(counts, bitstring: str) -> int:
     """Shots a CountsTable records for one outcome bitstring (0 if absent)."""
     row = np.array([int(b) for b in bitstring], dtype=np.uint8)

@@ -128,7 +128,7 @@ def _estimates(exact, estimate, samples):
 
 def test_scatter_exact_mode_sits_on_diagonal(d0):
     # noise-free estimates: 2 * P(verdict 0) - 1 with P = (1 + overlap) / 2
-    exact = d0.overlaps[np.triu_indices(8, k=1)]
+    exact = d0.overlaps  # the 28 pairs in combinations order, as _estimates lists them
     columns, summary = scatter_data(_estimates(exact, 2.0 * (1.0 + exact) / 2.0 - 1.0,
                                                np.ones(28)))
     assert summary.max_abs_error <= 1e-10

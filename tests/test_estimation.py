@@ -27,7 +27,7 @@ from multiswap.sim import measured_distribution
 from multiswap.states import StateEnsemble, basis_state, exact_overlap, tensor_product
 from multiswap.swaptest import destructive_decode
 
-from conftest import outcome_count, random_ensemble
+from conftest import outcome_count, overlap_matrix, random_ensemble
 
 
 def _from_verdicts(t0, t1):
@@ -280,8 +280,9 @@ def oracle_slot_marginal(ensemble, plan, slots) -> np.ndarray:
     ancilla labels, then the slots' result labels in ``slots`` order."""
     d = plan.ancilla_count
     labels = decode(plan, index_bits(np.arange(1 << d), d))
-    overlaps = ensemble.overlaps[np.triu_indices(plan.n, k=1)]  # in pair_rank order
-    p0 = (1 + overlaps[builder.slot_pairs(plan, labels)[:, slots]]) / 2
+    first = labels[[plan.slots[s][0] - 1 for s in slots]] - 1
+    second = labels[[plan.slots[s][1] - 1 for s in slots]] - 1
+    p0 = (1 + overlap_matrix(ensemble)[first, second].T) / 2
     probs = np.full((1 << d, 1), 1.0 / (1 << d))
     for c in range(len(slots)):
         verdict = np.stack([p0[:, c], 1 - p0[:, c]], axis=1)
@@ -414,6 +415,29 @@ def test_replay_without_reference_reports_the_exact_column_itself(d0, real):
     assert np.shares_memory(report.reference, report.estimates.exact)
     assert np.array_equal(report.reference, report.estimates.exact)
     assert len(report.reference) == real * (real - 1) // 2
+
+
+def test_an_unpadded_runs_rows_are_the_vectors_themselves(d0):
+    # no input was padded, so no pair is gathered: the exact column, and
+    # replay's default reference with it, is the ensemble's overlap vector
+    ensemble = random_ensemble(np.random.default_rng(8), 8)
+    result = estimate_all_overlaps(decide(ensemble, shots=1000, seed=6, engine="oracle"))
+    assert np.shares_memory(result.estimates.exact, result.run.ensemble.overlaps)
+    report = replay(reference_counts(), d0)
+    assert np.shares_memory(report.estimates.exact, d0.overlaps)
+    assert np.shares_memory(report.reference, d0.overlaps)
+
+
+@pytest.mark.parametrize("real", [5, 13])
+def test_a_padded_runs_rows_are_gathered_at_their_ranks(real):
+    ensemble = random_ensemble(np.random.default_rng(real), real)
+    result = estimate_all_overlaps(decide(ensemble, shots=1000, seed=6, engine="oracle"))
+    padded, est = result.run.ensemble, result.estimates
+    assert padded.n > real and len(est) == real * (real - 1) // 2
+    for (i, j), exact in zip(est.pairs.tolist(), est.exact.tolist()):
+        assert exact == padded.overlaps[builder.pair_rank(padded.n, i, j)]
+        assert exact == pytest.approx(
+            exact_overlap(ensemble.state(i), ensemble.state(j)), rel=0, abs=1e-14)
 
 
 def test_replay_round_trips_run_counts(d0):
@@ -560,7 +584,7 @@ def _serial_oracle_rows(ensemble, plan, shots, seed):
     labels = decode(plan, index_bits(anc, d))
     first = labels[[a - 1 for a, _ in plan.slots]] - 1
     second = labels[[b - 1 for _, b in plan.slots]] - 1
-    p0 = (ensemble.overlaps[first, second].T + 1.0) / 2.0
+    p0 = (overlap_matrix(ensemble)[first, second].T + 1.0) / 2.0
     return np.hstack([index_bits(anc, d), uniforms >= p0]).astype(np.uint8)
 
 

@@ -135,3 +135,72 @@ def test_the_worker_guard_sees_both_forms_of_public_use():
         "    _draw_stream(0)\n    np.sort(lo)\n    _VERDICT_BLOCK\n"
     )
     assert public_calls_in(source, {"_w"}) == {"_w": ["sim.draw_stream", "pair_table"]}
+
+
+def numpy_loads(source: str, name: str) -> list[str]:
+    """Where ``source`` loads ``np.<name>``, once per load: the enclosing
+    top-level function, ``Class.method`` for a method, or ``<module>``."""
+    scopes = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            scopes += [(f"{node.name}.{sub.name}" if isinstance(sub, ast.FunctionDef)
+                        else node.name, sub) for sub in node.body]
+        else:
+            scopes.append((getattr(node, "name", "<module>"), node))
+    return [
+        scope
+        for scope, node in scopes
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and sub.attr == name
+        and isinstance(sub.value, ast.Name) and sub.value.id == "np"
+    ]
+
+
+def matrix_reads(source: str) -> list[str]:
+    """Subscripts of an ``.overlaps`` attribute with two or more indices,
+    as ``x.overlaps[i, j]`` or ``x.overlaps[i][j]``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Subscript):
+            continue
+        indices, base = 0, node
+        while isinstance(base, ast.Subscript):
+            index = base.slice
+            indices += len(index.elts) if isinstance(index, ast.Tuple) else 1
+            base = base.value
+        if indices > 1 and isinstance(base, ast.Attribute) and base.attr == "overlaps":
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_the_upper_triangle_has_one_owner():
+    # StateEnsemble.overlaps takes the Gram matrix's upper triangle once, as
+    # the vector in pair_rank order; _pair_rows builds the label columns from
+    # numpy's own triangle; nothing else takes a triangle or reads the
+    # overlaps as a matrix
+    names = ("tri", "triu", "tril", "triu_indices", "tril_indices",
+             "triu_indices_from", "tril_indices_from")
+    found = {name: [] for name in names}
+    for path in MODULES:
+        source = path.read_text()
+        for name in names:
+            found[name] += [f"{path.stem}.{scope}" for scope in numpy_loads(source, name)]
+        assert matrix_reads(source) == [], path.stem
+    assert found == {
+        **{name: [] for name in names},
+        "tri": ["states.StateEnsemble.overlaps"],
+        "triu_indices": ["estimation._pair_rows"],
+    }
+
+
+@pytest.mark.parametrize("source, loads, reads", [
+    ("def oracle_sample(run):\n    run.ensemble.overlaps[np.triu_indices(8, 1)]\n",
+     ["oracle_sample"], []),
+    ("class E:\n    def f(self):\n        return np.triu_indices(4)\n", ["E.f"], []),
+    ("i, j = np.triu_indices(4)\ne.overlaps[i, j]\n", ["<module>"], ["e.overlaps[i, j]"]),
+    ("def f(e):\n    return e.overlaps[0][1] + e.overlaps[rows]\n", [], ["e.overlaps[0][1]"]),
+    ("def f(overlaps):\n    return overlaps[0, 1] + np.triu(overlaps)\n", [], []),
+])
+def test_the_triangle_guard_sees_every_form(source, loads, reads):
+    assert numpy_loads(source, "triu_indices") == loads
+    assert matrix_reads(source) == reads

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,8 @@ from multiswap.states import (
     normalize,
     tensor_product,
 )
+
+from conftest import overlap_matrix, random_state
 
 
 def test_normalize_scales_by_inverse_norm():
@@ -179,21 +183,23 @@ def test_ensemble_labels_are_one_based(d0):
     assert np.array_equal(d0.state(1).amplitudes, d0.amplitudes[0])
     with pytest.raises(ValueError, match="out of range"):
         d0.state(9)
-    assert d0.overlaps.shape == (8, 8)
+    assert d0.overlaps.shape == (28,)  # one entry per pair i < j
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 5])
 def test_overlap_matrix_matches_pairwise_overlaps(width):
+    # any n >= 2, not only a power of two: entry r is the pair at row r of
+    # itertools.combinations, and the mirrored matrix is every pair's overlap
     rng = np.random.default_rng(width)
-    states = []
-    for _ in range(12):
-        v = rng.normal(size=2**width) + 1j * rng.normal(size=2**width)
-        states.append(PureState(v / np.linalg.norm(v), width))
-    ensemble = StateEnsemble([s.amplitudes for s in states])
-    matrix = ensemble.overlaps
-    expected = [[exact_overlap(a, b) for b in states] for a in states]
-    assert np.allclose(matrix, expected, rtol=0, atol=1e-14)
-    assert np.array_equal(matrix, matrix.T)
-    assert ensemble.overlaps is matrix  # computed once
-    with pytest.raises(ValueError):
-        matrix[0, 1] = 0.0
+    for n in (2, 3, 7, 12):
+        states = [random_state(rng, width) for _ in range(n)]
+        ensemble = StateEnsemble([s.amplitudes for s in states])
+        vector = ensemble.overlaps
+        assert vector.shape == (n * (n - 1) // 2,)
+        expected = [exact_overlap(a, b) for a, b in itertools.combinations(states, 2)]
+        assert np.allclose(vector, expected, rtol=0, atol=1e-14)
+        expected = [[exact_overlap(a, b) for b in states] for a in states]
+        assert np.allclose(overlap_matrix(ensemble), expected, rtol=0, atol=1e-14)
+        assert ensemble.overlaps is vector  # computed once
+        with pytest.raises(ValueError):
+            vector[0] = 0.0
