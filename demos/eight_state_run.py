@@ -30,8 +30,9 @@ est = result.estimates  # one column per field, one row per pair
 published = reference_estimates()
 
 print("\npair   exact    this run  published  samples")
-rows = zip(est.pairs.tolist(), est.exact.tolist(), est.estimate.tolist(), est.samples.tolist())
-for (i, j), exact, value, samples in rows:
+rows = zip(est.pair_i.tolist(), est.pair_j.tolist(), est.exact.tolist(), est.estimate.tolist(),
+           est.samples.tolist())
+for i, j, exact, value, samples in rows:
     print(
         f"{(i, j)}  {exact:.4f}   {value:+.4f}   "
         f"{published[(i, j)]:+.4f}    {samples}"

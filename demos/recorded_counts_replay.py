@@ -31,15 +31,16 @@ print(f"\nworked example, pair (6,7): t0={t0}, t1={t1}, "
 # replay plans the layout itself: scheme and final variant from the counts,
 # register count and width from the ensemble
 report = replay(counts, ensemble, reference=reference_estimates(), tolerance=1e-3)
-est = report.estimates  # reference and flags are aligned with est.pairs
+est = report.estimates  # reference and flags are aligned with its rows
 print(f"\nreplayed {len(est)} pairs against the published estimates "
       f"(tolerance {report.tolerance}):")
-rows = zip(est.pairs.tolist(), est.estimate.tolist(), report.reference.tolist(),
-           est.samples.tolist(), report.flags.tolist())
-for (i, j), value, ref, samples, flag in rows:
+rows = zip(est.pair_i.tolist(), est.pair_j.tolist(), est.estimate.tolist(),
+           report.reference.tolist(), est.samples.tolist(), report.flags.tolist())
+for i, j, value, ref, samples, flag in rows:
     marker = "   <-- " + flag if flag != "ok" else ""
     print(f"  {(i, j)}: replayed {value:+.4f}  published {ref:+.4f}"
           f"  m={samples}{marker}")
 
-deviating = [(i, j) for i, j in est.pairs[report.flags != "ok"].tolist()]
+flagged = report.flags != "ok"
+deviating = list(zip(est.pair_i[flagged].tolist(), est.pair_j[flagged].tolist()))
 print(f"\npublished values not derivable from the published counts: {deviating}")

@@ -360,12 +360,13 @@ def slot_pairs(plan: LayoutPlan, labels, out=None) -> np.ndarray:
 
 def pair_table(plan: LayoutPlan, ancilla_bits) -> np.ndarray:
     """``slot_pairs`` of ``decode`` for (R, d) ancilla bits, the one route from outcomes to
-    pair ranks: ``_OUTCOME_BLOCK`` at a time into a (slots, R) table, returned transposed."""
+    pair ranks: ``_OUTCOME_BLOCK`` at a time into a (slots, R) table, returned transposed.
+    Each block's labels go straight to ``slot_pairs``, so one is alive at a time."""
     dtype = np.min_scalar_type(pair_rank(plan.n, plan.n - 1, plan.n))
     table = np.empty((len(plan.slots), len(ancilla_bits)), dtype)
     for lo in range(0, len(ancilla_bits), _OUTCOME_BLOCK):
-        labels = decode(plan, ancilla_bits[lo : lo + _OUTCOME_BLOCK])
-        slot_pairs(plan, labels, table[:, lo : lo + labels.shape[1]])
+        block = ancilla_bits[lo : lo + _OUTCOME_BLOCK]
+        slot_pairs(plan, decode(plan, block), table[:, lo : lo + len(block)])
     return table.T
 
 

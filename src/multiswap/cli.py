@@ -188,7 +188,8 @@ def cmd_replay(args) -> int:
     print(f"pairs: {len(est)}, flagged: {len(flagged)}")
     # with a report file the printout names only the first flagged pairs
     shown = flagged[:_REPLAY_SHOWN] if args.out_dir else flagged
-    for (i, j), flag in zip(est.pairs[shown].tolist(), report.flags[shown].tolist()):
+    for i, j, flag in zip(est.pair_i[shown].tolist(), est.pair_j[shown].tolist(),
+                          report.flags[shown].tolist()):
         print(f"  {(i, j)}: {flag}")
     if args.out_dir:
         out = Path(args.out_dir)
@@ -198,9 +199,9 @@ def cmd_replay(args) -> int:
             print(f"  ... and {len(flagged) - len(shown)} more in {out / 'replay.csv'}")
         print(f"report written to {out / 'replay.csv'}")
     else:
-        rows = zip(est.pairs.tolist(), est.exact.tolist(), est.estimate.tolist(),
-                   est.samples.tolist(), report.flags.tolist())
-        for (i, j), exact, value, samples, flag in rows:
+        rows = zip(est.pair_i.tolist(), est.pair_j.tolist(), est.exact.tolist(),
+                   est.estimate.tolist(), est.samples.tolist(), report.flags.tolist())
+        for i, j, exact, value, samples, flag in rows:
             shown = "unsampled" if np.isnan(value) else f"estimate={value:.4f}"
             print(f"({i},{j}) exact={exact:.4f} {shown} samples={samples} flag={flag}")
     return 0

@@ -16,6 +16,8 @@ distinct ancilla outcome's slots to it; ``tally``'s verdict counts and
 ``StateEnsemble.overlaps`` are vectors of n(n-1)/2 entries in that order.
 ``_pair_rows`` alone turns the real pairs into rows: the vectors themselves
 when no input was padded, and otherwise a gather at the real pairs' ranks.
+``PairEstimates`` and ``ReplayReport`` hold their rows as vectors, one per
+CSV column, the pair labels as the two columns ``pair_i`` and ``pair_j``.
 
 The oracle sampler splits its shots into shards of ``_MIN_SHARD_ROWS`` or
 more, one thread each, that count the verdicts they draw per pair; ``tally``
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -118,18 +120,20 @@ class CountsTable:
 
 @dataclass(frozen=True)
 class PairEstimates:
-    """Per-pair results as columns, one row per real unordered pair.
+    """Per-pair results as the ``estimates.csv`` columns, in its order: one
+    vector entry per real unordered pair.
 
-    ``pairs`` is a (P, 2) array of 1-based labels i < j in
+    ``pair_i`` and ``pair_j`` are the pairs' int64 1-based labels i < j in
     ``itertools.combinations`` order. ``exact``, ``estimate`` and ``stderr``
     are float vectors and ``samples`` an int64 vector; an unsampled pair has
     0 samples and NaN estimate and stderr.
     """
 
-    pairs: np.ndarray
+    pair_i: np.ndarray
+    pair_j: np.ndarray
     exact: np.ndarray
-    samples: np.ndarray
     estimate: np.ndarray
+    samples: np.ndarray
     stderr: np.ndarray
 
     def __post_init__(self):
@@ -138,29 +142,21 @@ class PairEstimates:
             raise ValueError(f"estimate {self.estimate[outside][0]} outside [-1, 1]")
 
     @classmethod
-    def from_verdicts(cls, pairs, t0, t1, exact) -> "PairEstimates":
-        """2*t0/m - 1 with a 1/sqrt(m) error bound, m = t0 + t1, for every
-        pair at once; NaN where m = 0."""
+    def from_verdicts(cls, pair_i, pair_j, t0, t1, exact) -> "PairEstimates":
+        """The labels' 2*t0/m - 1 with a 1/sqrt(m) error bound, m = t0 + t1,
+        for every pair at once; NaN where m = 0."""
         t0 = np.asarray(t0, dtype=np.int64)
         m = t0 + np.asarray(t1, dtype=np.int64)
         per = np.where(m > 0, m, np.nan)  # NaN carries an unsampled pair through
-        value, stderr = 2.0 * t0 / per - 1.0, 1.0 / np.sqrt(per)
-        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        return cls(pairs, np.asarray(exact, dtype=float), m, value, stderr)
+        return cls(np.asarray(pair_i, dtype=np.int64), np.asarray(pair_j, dtype=np.int64),
+                   np.asarray(exact, dtype=float), 2.0 * t0 / per - 1.0, m, 1.0 / np.sqrt(per))
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.pair_i)
 
     def columns(self) -> dict[str, np.ndarray]:
         """The estimates table, in ``estimates.csv`` column order."""
-        return {
-            "pair_i": self.pairs[:, 0],
-            "pair_j": self.pairs[:, 1],
-            "exact": self.exact,
-            "estimate": self.estimate,
-            "samples": self.samples,
-            "stderr": self.stderr,
-        }
+        return {field.name: getattr(self, field.name) for field in fields(self)}
 
 
 def layout_for(
@@ -408,35 +404,35 @@ def _pair_rows(real: int, padded: StateEnsemble, t0: np.ndarray, t1: np.ndarray)
     ``(t0, t1)`` and ``padded.overlaps`` (n >= ``real`` labels). With no
     padding (``real == n``) the rows are those vectors themselves, read
     through ``slice(None)``; otherwise each is gathered at the real pairs'
-    ``builder.pair_rank`` over all n labels."""
+    ``builder.pair_rank`` over all n labels. The label columns are
+    ``np.triu_indices`` made 1-based in place."""
     i, j = np.triu_indices(real, k=1)
-    rows = slice(None) if real == padded.n else pair_rank(padded.n, i + 1, j + 1)
-    return PairEstimates.from_verdicts(
-        np.stack([i + 1, j + 1], axis=1), t0[rows], t1[rows], padded.overlaps[rows])
+    i += 1
+    j += 1
+    rows = slice(None) if real == padded.n else pair_rank(padded.n, i, j)
+    return PairEstimates.from_verdicts(i, j, t0[rows], t1[rows], padded.overlaps[rows])
 
 
 @dataclass(frozen=True)
 class ReplayReport:
     """Re-derived estimates for recorded counts, with discrepancy flags.
 
-    ``reference`` and ``flags`` are aligned with ``estimates.pairs``;
-    ``reference`` is NaN for a pair the reference lacks.
+    ``reference``, ``abs_diff`` (|estimate - reference|) and ``flags`` are
+    vectors aligned with the rows of ``estimates``; ``reference`` is NaN for
+    a pair the reference lacks.
     """
 
     estimates: PairEstimates
     reference: np.ndarray
+    abs_diff: np.ndarray
     flags: np.ndarray
     total_shots: int
     tolerance: float
 
     def columns(self) -> dict[str, np.ndarray]:
         """The replay table, in ``replay.csv`` column order."""
-        return {
-            **self.estimates.columns(),
-            "reference": self.reference,
-            "abs_diff": np.abs(self.estimates.estimate - self.reference),
-            "flag": self.flags,
-        }
+        return {**self.estimates.columns(), "reference": self.reference,
+                "abs_diff": self.abs_diff, "flag": self.flags}
 
 
 def _reference_rows(reference: dict[tuple[int, int], float], n: int) -> np.ndarray:
@@ -491,8 +487,8 @@ def replay(
     plan = plans[layouts.index(counts.labels)]
     estimates = _pair_rows(ensemble.n, padded, *tally(counts, plan))
     ref = estimates.exact if reference is None else _reference_rows(reference, ensemble.n)
-    deviates = np.abs(estimates.estimate - ref) > tolerance
-    flags = np.where(
-        estimates.samples == 0, "unsampled", np.where(deviates, "deviates", "ok")
-    )
-    return ReplayReport(estimates, ref, flags, counts.total_shots, tolerance)
+    abs_diff = np.abs(estimates.estimate - ref)
+    flags = np.full(len(ref), "ok", dtype="<U9")  # in place: "unsampled" overrides
+    flags[abs_diff > tolerance] = "deviates"
+    flags[estimates.samples == 0] = "unsampled"
+    return ReplayReport(estimates, ref, abs_diff, flags, counts.total_shots, tolerance)

@@ -406,17 +406,20 @@ _CSV_BLOCK = 1 << 16
 
 def write_csv(path, columns: dict) -> None:
     """Write named, equal-length columns as CSV: a header row of the names,
-    then one row per index, each ended by CRLF as ``csv.writer`` does."""
+    then one row per index, each ended by CRLF as ``csv.writer`` does. An
+    array given as two columns is formatted once per row block."""
     data = [np.asarray(values) for values in columns.values()]
     if len({len(column) for column in data}) > 1:
         raise ValueError("CSV columns differ in length")
     rows = len(data[0]) if data else 0
+    distinct = {id(column): column for column in data}
     with open(path, "w", newline="") as fh:
         header = _csv_lines([[_quote(str(name))] for name in columns]) or [""]
         fh.write(header[0] + "\r\n")
         for start in range(0, rows, _CSV_BLOCK):
-            block = [_cells(column[start : start + _CSV_BLOCK]) for column in data]
-            fh.write("\r\n".join(_csv_lines(block)) + "\r\n")
+            cells = {key: _cells(column[start : start + _CSV_BLOCK])
+                     for key, column in distinct.items()}
+            fh.write("\r\n".join(_csv_lines([cells[id(column)] for column in data])) + "\r\n")
 
 
 def read_reference_estimates(path) -> dict[tuple[int, int], float]:

@@ -12,6 +12,8 @@ import numpy as np
 
 # Constructed states always carry unit norm to this tolerance.
 NORM_ATOL = 1e-10
+#: Gram entries ``StateEnsemble.overlaps`` computes at once
+_GRAM_BLOCK = 1 << 20
 
 
 def _as_amplitudes(values, ndim: int = 1) -> np.ndarray:
@@ -142,17 +144,28 @@ class StateEnsemble:
     def overlaps(self) -> np.ndarray:
         """Read-only vector of the n(n-1)/2 overlaps |<phi_i|phi_j>|**2, i < j,
         in ``itertools.combinations`` order, so pair (i, j) is entry
-        ``builder.pair_rank(n, i, j)``. It is the upper triangle of the Gram
-        matrix of the amplitude rows, squared in modulus, taken once through
-        a boolean mask; the (n, n) matrix is a temporary. Computed once per
-        ensemble.
+        ``builder.pair_rank(n, i, j)``. Computed once per ensemble, in blocks of
+        ``_GRAM_BLOCK // n`` amplitude rows: each block's products against all
+        rows, squared in modulus, give its entries j > i, which are the next
+        stretch of the vector. No (n, n) matrix is built; every n <= 1024 is
+        one block.
 
         The real and imaginary parts are four real products rather than one
         complex one: that rounds closest to ``exact_overlap`` (measured: one
         bit differs in about 1 of 100 entries at widths 1 and 2, against 1
-        in 3 for the complex product)."""
-        re, im = self.amplitudes.real, self.amplitudes.imag
-        gram = np.hypot(re @ re.T + im @ im.T, re @ im.T - im @ re.T) ** 2
-        rows = gram[~np.tri(self.n, dtype=bool)]
+        in 3 for the complex product). A block's entries were measured equal
+        bit for bit to the whole product's at n = 2048, 4096 and 8192, widths
+        1-3, the padded sizes every run reads. At a non-power-of-two n > 1024
+        the BLAS kernel may split the products differently, and an entry can
+        differ in its last bit (measured at n = 1100, 1500 and 2500, widths
+        1-3: 26-207 entries, at most 4.4e-16 apart)."""
+        re, im, n = self.amplitudes.real, self.amplitudes.imag, self.n
+        rows, step = np.empty(n * (n - 1) // 2), max(1, _GRAM_BLOCK // n)
+        for lo in range(0, n, step):
+            rb, ib = re[lo : lo + step], im[lo : lo + step]  # the block's rows
+            gram = np.hypot(rb @ re.T + ib @ im.T, rb @ im.T - ib @ re.T) ** 2
+            upper = gram[np.arange(n) > np.arange(lo, lo + len(rb))[:, None]]
+            start = lo * (2 * n - lo - 1) // 2  # the entries of the rows above lo
+            rows[start : start + len(upper)] = upper
         rows.flags.writeable = False
         return rows

@@ -73,6 +73,11 @@ def slot_pairs(plan, labels) -> np.ndarray:
     return np.stack([labels[first].T, labels[second].T], axis=-1).astype(np.int64)
 
 
+def pair_labels(estimates):
+    """The (i, j) label pairs of ``PairEstimates`` rows, in row order."""
+    return list(zip(estimates.pair_i.tolist(), estimates.pair_j.tolist()))
+
+
 def real_pair_coverage(plan, real=None):
     """(pairs, coverage): the pairs i < j of the real labels 1..real (all n
     labels by default) in combinations order and their entries of

@@ -121,9 +121,11 @@ def test_scatter_rows_and_summary(d0):
 
 def _estimates(exact, estimate, samples):
     """The first len(exact) pairs of eight labels with the given columns."""
-    pairs = np.array(list(itertools.combinations(range(1, 9), 2))[: len(exact)])
-    return PairEstimates(pairs.reshape(-1, 2), np.asarray(exact), np.asarray(samples),
-                         np.asarray(estimate), np.full(len(exact), np.nan))
+    pairs = np.array(list(itertools.combinations(range(1, 9), 2))[: len(exact)]).reshape(-1, 2)
+    return PairEstimates(
+        pair_i=pairs[:, 0], pair_j=pairs[:, 1], exact=np.asarray(exact),
+        estimate=np.asarray(estimate), samples=np.asarray(samples),
+        stderr=np.full(len(exact), np.nan))
 
 
 def test_scatter_exact_mode_sits_on_diagonal(d0):

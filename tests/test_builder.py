@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -14,6 +15,7 @@ from multiswap.builder import (
     layout_plan,
     pad_inputs,
     pair_coverage,
+    pair_table,
 )
 from multiswap.circuits import count_resources, index_bits
 from multiswap.sim import measured_distribution, project_qubits, run_statevector
@@ -323,3 +325,23 @@ def test_pair_coverage_counts_every_outcome_and_slot(scheme, n):
     assert np.array_equal(coverage, expected)
     # n/2 slots per outcome in the new scheme, one in the baseline
     assert coverage.sum() == (n // 2 if scheme == "new" else 1) << d
+
+
+def test_pair_table_holds_one_decode_block_at_a_time(monkeypatch):
+    # 2^13 outcomes of n=1024 in two 2^12-outcome decode blocks of 8 MiB:
+    # each block is freed before the next is decoded
+    plan = layout_plan("new", 1024)
+    d = plan.ancilla_count
+    rng = np.random.default_rng(4)
+    bits = index_bits(rng.integers(0, 1 << d, 1 << 13, dtype=np.uint64), d)
+    whole = pair_table(plan, bits)  # one block: the default holds 2^15 outcomes
+    monkeypatch.setattr(builder, "_OUTCOME_BLOCK", 1 << 12)
+    block = decode(plan, bits[: 1 << 12]).nbytes
+    tracemalloc.start()
+    try:
+        table = pair_table(plan, bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(table, whole)
+    assert peak < table.nbytes + 1.5 * block

@@ -1,12 +1,13 @@
 import itertools
 import sys
+import tracemalloc
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from multiswap import builder, estimation, sim
+from multiswap import builder, estimation, fileio, sim
 from multiswap.estimation import (
     ENGINES,
     CountsTable,
@@ -27,13 +28,13 @@ from multiswap.sim import measured_distribution
 from multiswap.states import StateEnsemble, basis_state, exact_overlap, tensor_product
 from multiswap.swaptest import destructive_decode
 
-from conftest import outcome_count, overlap_matrix, random_ensemble
+from conftest import outcome_count, overlap_matrix, pair_labels, random_ensemble
 
 
 def _from_verdicts(t0, t1):
     """Estimates for one pair (6, 7) per verdict split."""
-    pairs = np.tile([6, 7], (len(t0), 1))
-    return PairEstimates.from_verdicts(pairs, t0, t1, np.full(len(t0), np.nan))
+    return PairEstimates.from_verdicts(
+        np.full(len(t0), 6), np.full(len(t0), 7), t0, t1, np.full(len(t0), np.nan))
 
 
 def test_estimate_worked_example():
@@ -56,8 +57,8 @@ def test_estimate_without_samples_is_marked_not_crashed():
 
 def test_estimates_outside_the_unit_range_are_rejected():
     with pytest.raises(ValueError, match="outside"):
-        PairEstimates(np.array([[1, 2]]), np.ones(1), np.ones(1, dtype=np.int64),
-                      np.array([1.5]), np.ones(1))
+        PairEstimates(np.array([1]), np.array([2]), np.ones(1), np.array([1.5]),
+                      np.ones(1, dtype=np.int64), np.ones(1))
 
 
 def test_tally_worked_example_from_recorded_counts(d0):
@@ -70,8 +71,8 @@ def test_tally_worked_example_from_recorded_counts(d0):
     assert (t0[25], t1[25]) == (601, 403)  # pair (6, 7), in either order: rank 25
     # rows are the pairs i < j in combinations order, each at its pair_rank
     est = replay(counts, d0).estimates
-    assert est.pairs.tolist() == [list(p) for p in itertools.combinations(range(1, 9), 2)]
-    assert builder.pair_rank(8, est.pairs[:, 0], est.pairs[:, 1]).tolist() == list(range(28))
+    assert pair_labels(est) == list(itertools.combinations(range(1, 9), 2))
+    assert builder.pair_rank(8, est.pair_i, est.pair_j).tolist() == list(range(28))
     assert np.array_equal(est.samples, t0 + t1)
     assert (t0 + t1).min() > 0
 
@@ -371,8 +372,8 @@ def test_sample_bookkeeping_identities(d0):
 def test_padded_run_reports_only_real_pairs(d0):
     five = StateEnsemble(d0.amplitudes[:5])
     result = estimate_all_overlaps(decide(five, shots=2048, seed=4))
-    assert result.estimates.pairs.tolist() == [
-        [i, j] for i in range(1, 6) for j in range(i + 1, 6)
+    assert pair_labels(result.estimates) == [
+        (i, j) for i in range(1, 6) for j in range(i + 1, 6)
     ]
 
 
@@ -434,7 +435,7 @@ def test_a_padded_runs_rows_are_gathered_at_their_ranks(real):
     result = estimate_all_overlaps(decide(ensemble, shots=1000, seed=6, engine="oracle"))
     padded, est = result.run.ensemble, result.estimates
     assert padded.n > real and len(est) == real * (real - 1) // 2
-    for (i, j), exact in zip(est.pairs.tolist(), est.exact.tolist()):
+    for (i, j), exact in zip(pair_labels(est), est.exact.tolist()):
         assert exact == padded.overlaps[builder.pair_rank(padded.n, i, j)]
         assert exact == pytest.approx(
             exact_overlap(ensemble.state(i), ensemble.state(j)), rel=0, abs=1e-14)
@@ -444,7 +445,8 @@ def test_replay_round_trips_run_counts(d0):
     result = estimate_all_overlaps(decide(d0, shots=4096, seed=13))
     report = replay(result.counts, d0)
     assert report.total_shots == 4096
-    assert np.array_equal(report.estimates.pairs, result.estimates.pairs)
+    assert np.array_equal(report.estimates.pair_i, result.estimates.pair_i)
+    assert np.array_equal(report.estimates.pair_j, result.estimates.pair_j)
     assert np.array_equal(report.estimates.estimate, result.estimates.estimate)
     assert np.array_equal(report.estimates.samples, result.estimates.samples)
 
@@ -457,7 +459,7 @@ def test_replay_recorded_run_against_published_estimates(d0):
     # most published estimates are reproduced from the published counts
     # bit-for-bit; the handful that are not get flagged, which is the point
     assert (report.flags == "ok").sum() >= 25
-    assert report.flags[report.estimates.pairs.tolist().index([6, 7])] == "ok"
+    assert report.flags[pair_labels(report.estimates).index((6, 7))] == "ok"
 
 
 def test_replay_aligns_reference_with_pairs(d0):
@@ -466,17 +468,77 @@ def test_replay_aligns_reference_with_pairs(d0):
     # names the same pair
     reference = {(7, 6): 0.5, (0, 1): 0.5, (8, 9): 0.5, (99999999999999999999999, 3): 0.5}
     report = replay(counts, d0, reference=reference, tolerance=0.01)
-    pairs = report.estimates.pairs.tolist()
-    row = pairs.index([6, 7])
+    pairs = pair_labels(report.estimates)
+    row = pairs.index((6, 7))
     assert report.reference[row] == 0.5
     assert np.isnan(np.delete(report.reference, row)).all()
-    assert report.flags.tolist() == ["deviates" if p == [6, 7] else "ok" for p in pairs]
+    assert report.flags.tolist() == ["deviates" if p == (6, 7) else "ok" for p in pairs]
     columns = report.columns()
     assert list(columns)[-3:] == ["reference", "abs_diff", "flag"]
     assert columns["abs_diff"][row] == pytest.approx(abs(0.5 - report.estimates.estimate[row]))
     assert np.isnan(np.delete(columns["abs_diff"], row)).all()
     with pytest.raises(ValueError, match="both orders"):
         replay(counts, d0, reference={(6, 7): 0.5, (7, 6): 0.5})
+
+
+@pytest.mark.parametrize("real", [8, 5])
+def test_every_per_pair_array_is_a_vector_in_row_order(d0, real):
+    # no (P, 2) labels and no matrix: each array field of PairEstimates and
+    # ReplayReport has one entry per row
+    ensemble = StateEnsemble(d0.amplitudes[:real])
+    result = estimate_all_overlaps(decide(ensemble, shots=500, seed=2))
+    reports = [replay(result.counts, ensemble),
+               replay(result.counts, ensemble, reference={(1, 2): 0.5})]
+    rows = real * (real - 1) // 2
+    for record in [result.estimates, *reports, *(report.estimates for report in reports)]:
+        arrays = [getattr(record, field.name) for field in fields(record)]
+        arrays = [value for value in arrays if isinstance(value, np.ndarray)]
+        assert arrays and all(value.shape == (rows,) for value in arrays), type(record)
+    assert len(result.estimates) == rows
+    assert list(result.estimates.columns()) == [field.name for field in fields(PairEstimates)]
+
+
+def _zero_counts(plan):
+    """One all-zero outcome line in the plan's standard layout."""
+    labels = plan.measured_labels()
+    return CountsTable(labels, plan.scheme, np.zeros((1, len(labels)), np.uint8), [1])
+
+
+def test_replay_holds_no_second_flag_array():
+    # 512 identical states: 130,816 pairs, all but 256 unsampled. Beyond the
+    # arrays its report keeps, replay and columns() allocate less than one
+    # float64 vector of the pairs
+    ensemble = StateEnsemble([[1, 0]] * 512)
+    counts = _zero_counts(layout_plan("new", 512, 1, "standard"))
+    ensemble.overlaps  # computed once per ensemble, before the trace starts
+    tracemalloc.start()
+    try:
+        report = replay(counts, ensemble)
+        columns = report.columns()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - held < 8 * len(report.flags)
+    assert columns["abs_diff"] is report.abs_diff
+    assert report.flags.dtype == np.dtype("<U9")
+    assert (report.flags == "unsampled").sum() == len(report.flags) - 256
+
+
+def test_replay_csv_formats_each_distinct_array_once(monkeypatch, d0, tmp_path):
+    # with no reference, replay.csv's reference column is the exact array
+    # itself; it is formatted once per row block, and the file is unchanged
+    report = replay(reference_counts(), d0)
+    columns = report.columns()
+    assert columns["reference"] is columns["exact"]
+    monkeypatch.setattr(fileio, "_CSV_BLOCK", 10)  # 28 rows: three blocks
+    calls = []
+    cells = fileio._cells
+    monkeypatch.setattr(fileio, "_cells", lambda column: calls.append(1) or cells(column))
+    fileio.write_csv(tmp_path / "replay.csv", columns)
+    assert len(calls) == 3 * (len(columns) - 1)
+    fileio.write_csv(tmp_path / "copies.csv", {k: np.array(v) for k, v in columns.items()})
+    assert len(calls) == 3 * (2 * len(columns) - 1)
+    assert (tmp_path / "replay.csv").read_bytes() == (tmp_path / "copies.csv").read_bytes()
 
 
 def test_replay_size_mismatch(d0):
@@ -523,7 +585,7 @@ def test_san_destructive_pipeline_and_replay(d0):
     assert len(est) == 28
     assert (np.abs(est.estimate - est.exact) <= 4 * est.stderr).all()
     replayed = replay(result.counts, d0).estimates
-    for column in ("pairs", "estimate", "samples"):
+    for column in ("pair_i", "pair_j", "estimate", "samples"):
         assert np.array_equal(getattr(replayed, column), getattr(est, column))
 
 

@@ -174,10 +174,10 @@ def matrix_reads(source: str) -> list[str]:
 
 
 def test_the_upper_triangle_has_one_owner():
-    # StateEnsemble.overlaps takes the Gram matrix's upper triangle once, as
-    # the vector in pair_rank order; _pair_rows builds the label columns from
-    # numpy's own triangle; nothing else takes a triangle or reads the
-    # overlaps as a matrix
+    # StateEnsemble.overlaps keeps each row block's entries j > i and builds
+    # no triangle mask; _pair_rows builds the label columns from numpy's own
+    # triangle; nothing else takes a triangle or reads the overlaps as a
+    # matrix
     names = ("tri", "triu", "tril", "triu_indices", "tril_indices",
              "triu_indices_from", "tril_indices_from")
     found = {name: [] for name in names}
@@ -188,7 +188,6 @@ def test_the_upper_triangle_has_one_owner():
         assert matrix_reads(source) == [], path.stem
     assert found == {
         **{name: [] for name in names},
-        "tri": ["states.StateEnsemble.overlaps"],
         "triu_indices": ["estimation._pair_rows"],
     }
 

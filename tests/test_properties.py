@@ -229,7 +229,8 @@ def test_sample_counts_follow_pair_coverage(scheme, n, shots):
     ensemble = random_ensemble(np.random.default_rng(11), n)
     result = estimate_all_overlaps(decide(ensemble, scheme, shots, 11, engine="oracle"))
     pairs, coverage = real_pair_coverage(result.run.plan)
-    assert np.array_equal(result.estimates.pairs, pairs)
+    assert np.array_equal(result.estimates.pair_i, pairs[:, 0])
+    assert np.array_equal(result.estimates.pair_j, pairs[:, 1])
     p = coverage / (1 << result.run.plan.ancilla_count)
     assert (p > 0).all() and (p < 1).all()
     z = (result.estimates.samples - shots * p) / np.sqrt(shots * p * (1 - p))

@@ -1,10 +1,13 @@
 import itertools
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from multiswap import states as states_module
 from multiswap.fileio import parse_states
 from multiswap.states import (
     PureState,
@@ -203,3 +206,56 @@ def test_overlap_matrix_matches_pairwise_overlaps(width):
         assert ensemble.overlaps is vector  # computed once
         with pytest.raises(ValueError):
             vector[0] = 0.0
+
+
+def _random_amplitudes(seed: int, n: int, width: int) -> np.ndarray:
+    """n Gaussian-drawn unit rows of 2**width amplitudes."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(n, 2**width)) + 1j * rng.normal(size=(n, 2**width))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 1024), st.integers(1, 3), st.integers(0, 2**32 - 1))
+@example(2048, 1, 0)
+@example(2048, 2, 1)
+@example(2048, 3, 2)
+def test_overlaps_are_the_one_product_upper_triangle_bit_for_bit(n, width, seed):
+    # every n <= 1024 is one row block; 2048 is several, and a power-of-two
+    # n's blocks round as the rows of the whole product
+    ensemble = StateEnsemble(_random_amplitudes(seed, n, width))
+    re, im = ensemble.amplitudes.real, ensemble.amplitudes.imag
+    gram = np.hypot(re @ re.T + im @ im.T, re @ im.T - im @ re.T) ** 2
+    upper = gram[np.triu_indices(n, k=1)]
+    assert (n <= 1024) == (states_module._GRAM_BLOCK // n >= n)
+    assert np.array_equal(ensemble.overlaps.view(np.uint64), upper.view(np.uint64))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 300), st.integers(1, 3), st.integers(2, 8), st.integers(0, 2**32 - 1))
+@example(1500, 2, 3, 0)
+def test_overlaps_in_small_row_blocks_stay_exact(n, width, rows, seed):
+    # blocks of 2-8 rows, a partial last block included, still put each
+    # pair's overlap at its combinations row
+    ensemble = StateEnsemble(_random_amplitudes(seed, n, width))
+    with mock.patch.object(states_module, "_GRAM_BLOCK", rows * n):
+        vector = ensemble.overlaps
+    assert vector.shape == (n * (n - 1) // 2,)
+    first, second = np.triu_indices(n, k=1)
+    ranks = np.arange(0, len(vector), max(1, len(vector) // 4000))
+    members = [ensemble.state(label) for label in range(1, n + 1)]
+    expected = [exact_overlap(members[first[r]], members[second[r]]) for r in ranks]
+    assert np.allclose(vector[ranks], expected, rtol=0, atol=1e-14)
+
+
+def test_overlaps_build_no_gram_matrix():
+    # at n=4096 the vector is 64 MiB and an (n, n) float64 matrix 128 MiB:
+    # the row blocks keep the whole computation under two vectors
+    ensemble = StateEnsemble(_random_amplitudes(5, 4096, 1))
+    tracemalloc.start()
+    try:
+        vector = ensemble.overlaps
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * vector.nbytes
