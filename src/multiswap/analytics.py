@@ -95,14 +95,17 @@ _MEASURE_LIMIT = 1024
 
 
 def resource_report(max_k: int) -> list[dict]:
-    """Closed-form and measured resource counts for n = 4 .. 2**max_k.
+    """Closed-form and measured resource counts for n = 4 .. 2**max_k, for
+    every max_k whose precision model stays a finite float (2 .. 511).
 
     Measured columns come from count_resources on the built networks. Rows
     where the circulated general-term formulas disagree with the recursion-
     derived ones carry formula_conflict=True; both values are always shown.
     """
-    if max_k < 2:
-        raise ValueError("max_k must be >= 2")
+    # the precision model divides by 2**k * (2**k - 1) as a float
+    top = (sys.float_info.max_exp - 1) // 2
+    if not 2 <= max_k <= top:
+        raise ValueError(f"max_k must be in 2..{top}, got {max_k}")
     rows = []
     for k in range(2, max_k + 1):
         n = 2**k

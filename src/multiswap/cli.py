@@ -208,20 +208,16 @@ def cmd_replay(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    # the precision model divides by 2**k * (2**k - 1) as a float
-    top = (sys.float_info.max_exp - 1) // 2
-    if not 2 <= args.max_k <= top:
-        raise ConfigError(f"--max-k must be in 2..{top}, got {args.max_k}")
-    if not 1 <= args.shots <= sys.float_info.max / 2:  # it doubles shots as a float too
-        raise ConfigError(f"--shots must be >= 1 and at most {sys.float_info.max / 2:.6g}")
+    # analytics refuses a size or shot count its float arithmetic cannot
+    # take, before any file is written
+    rows = analytics.resource_report(args.max_k)
+    models = [analytics.precision(row["n"], args.shots) for row in rows]
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = analytics.resource_report(args.max_k)
     write_csv(
         out / "resources.csv",
         {col: [row[col] for row in rows] for col in analytics.RESOURCE_COLUMNS},
     )
-    models = [analytics.precision(row["n"], args.shots) for row in rows]
     names = ("n", "shots", "baseline_per_pair", "multiplexed_per_pair", "ratio")
     write_csv(
         out / "precision.csv",

@@ -85,15 +85,23 @@ class CountsTable:
     counts: np.ndarray
 
     def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=np.uint8)
-        counts = np.asarray(self.counts, dtype=np.int64)
+        bits, counts = np.asarray(self.bits), np.asarray(self.counts)
         width = len(self.labels)
-        if width == 0 or bits.ndim != 2 or bits.shape[1] != width or (bits > 1).any():
+        # uint8 rows (every engine's and the reader's) take one cheap check;
+        # other rows, and float counts, are checked before a cast could turn
+        # them into other rows or counts
+        bad = bits > 1 if bits.dtype == np.uint8 else (bits != 0) & (bits != 1)
+        if width == 0 or bits.ndim != 2 or bits.shape[1] != width or bad.any():
             raise ValueError(f"outcomes must be a 0/1 matrix with {width} columns")
+        if counts.dtype.kind == "f" and not (
+            (np.trunc(counts) == counts) & (np.abs(counts) < 2.0**63)
+        ).all():
+            raise ValueError("counts must be non-negative whole numbers")
+        bits, counts = bits.astype(np.uint8, copy=False), counts.astype(np.int64, copy=False)
         if counts.shape != (len(bits),):
             raise ValueError("counts need one entry per outcome row")
         if (counts < 0).any():
-            raise ValueError("counts must be non-negative")
+            raise ValueError("counts must be non-negative whole numbers")
         top = np.iinfo(np.int64).max  # every later sum of counts is at most the total
         if len(counts) * int(counts.max(initial=0)) > top and sum(counts.tolist()) > top:
             raise DataError(f"counts total more than {top} shots, past the int64 range")
@@ -347,15 +355,20 @@ def decide(
     """The one place a run is checked, planned and given its engine: no draw, no gate.
 
     It checks engine, final variant (``builder.check_final_variant``), shots
-    and seed; ``builder.layout_plan`` checks the scheme. ``engine="auto"``
-    uses the dense statevector whenever the circuit fits under the qubit cap
-    ``sim.MAX_QUBITS`` (which ``sim.check_size`` enforces), and otherwise
+    and seed (integers, numpy's too, but no bool); ``builder.layout_plan``
+    checks the scheme. ``engine="auto"`` uses the dense statevector whenever
+    the circuit fits under the qubit cap ``sim.MAX_QUBITS`` (which
+    ``sim.check_size`` enforces), and otherwise
     the oracle, whose verdicts are standard-variant ones: any other variant
     is refused unless the statevector can run it, whatever the engine asked.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     check_final_variant(final_variant)
+    for name, value in (("shots", shots), ("seed", seed)):
+        # what operator.index takes, but no bool: numpy 1.x still indexes np.bool_
+        if isinstance(value, (bool, np.bool_)) or not hasattr(type(value), "__index__"):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     if not 0 <= seed < 1 << 64:

@@ -23,29 +23,26 @@ steps:
 - Wire map. In a branch, a gate such a qubit controls is dropped at 0 and
   loses its control at 1 (CSWAP becomes SWAP, CNOT becomes X). Every SWAP,
   rewritten or written, exchanges two entries of a wire map (qubit q ends
-  in storage qubit wire[q]), so no amplitude moves.
+  in storage qubit wire[q]), so no amplitude moves and the registers a
+  relabelled CSWAP exchanges stay in separate components.
 - Components. The branch's gates and input factors link its qubits into
   independent components. A component no measurement reads is skipped; each
   other one is evolved on its own buffer, reduced to its marginal, checked
   to sum to 1, and the branch marginal is their outer product.
 
-``run_statevector`` returns the whole state, so it evolves every qubit on one
-buffer. Its SWAPs go into the wire map too, and each factor's qubits enter
-the buffer in the order the wire map gives the output, so a dense input
-needs no output transpose.
+``run_statevector`` returns the whole state, so it runs the circuit's gates
+as written on one buffer over every qubit; a SWAP is an exchange kernel.
 
 A buffer is one zeroed array of 16 * 2**k bytes for its k qubits, plus a
 scratch buffer of two ``_BLOCK``-amplitude blocks; the dense input is never
-built. A factor is merged in just before the first gate that touches it, as
-the new most significant axes of the active prefix, so qubits sit in the
-order gates first reach them: a |0> factor costs nothing, and pages past the
-active prefix stay untouched until a gate first writes them. A factor that
-no gate touches is merged at the end (``run_statevector`` then
-transposes to qubit order unless the buffer already holds it). A dense input
-fed to ``run_statevector`` is held once as the input and once in the buffer.
+built. Before the first gate the buffer becomes the product of its factors:
+the last factor is merged first and each one after it enters as the new
+most significant axes, so the buffer is in qubit order from the start and a
+|0> factor costs nothing. A dense input fed to ``run_statevector`` is held
+once as the input and once in the buffer.
 
-Gates act in place on the active prefix. Every gate kind left after the
-rewrite is a basis permutation (X, CNOT, CSWAP: two strided views of the
+Gates act in place on the buffer. Every gate kind left after the rewrite is
+a basis permutation (X, CNOT, SWAP, CSWAP: two strided views of the
 ``[2]*k`` tensor exchange contents), a diagonal sign (Z, CCZ: one view is
 negated) or H (a butterfly on the two half-views, done as a batched 2x2
 matmul where the target's stride allows). Each kernel walks its views in
@@ -90,6 +87,7 @@ _BRANCH_BLOCKS = 4
 _EXCHANGES = {
     "X": ((0,), (1,)),
     "CNOT": ((1, 0), (1, 1)),
+    "SWAP": ((0, 1), (1, 0)),
     "CSWAP": ((1, 0, 1), (1, 1, 0)),
 }
 # kind -> bits of the view whose sign flips
@@ -273,59 +271,33 @@ def _rewrite(circuit: CircuitIR, fixed: dict[int, int]) -> tuple[list, list[int]
     return gates, wire
 
 
-def _evolve(gates, factors, rank=None) -> tuple[np.ndarray, dict[int, int]]:
-    """Run ``gates`` ((kind, qubits) pairs) on one zeroed buffer that the
-    input factors enter lazily.
+def _evolve(gates, factors) -> tuple[np.ndarray, dict[int, int]]:
+    """Run ``gates`` ((kind, qubits) pairs) on one buffer that starts as the
+    product of the input factors.
 
     ``factors`` are (first qubit, state) pairs in qubit order covering every
-    qubit the gates touch. Returns the state over all their qubits (flat,
-    2**k amplitudes) and each qubit's position in it, 0 most significant.
-    A factor is merged just before the first gate touching it; factors no
-    gate touched are merged afterwards, last factor first. A merged
-    factor's qubits keep their order unless ``rank`` (qubit -> sort key)
-    reorders them.
+    qubit the gates touch. Returns the state over all their k qubits (flat,
+    2**k amplitudes, in qubit order) and each qubit's position in it, 0 most
+    significant.
     """
-    owner = {}
-    for i, (first, f) in enumerate(factors):
-        owner.update(dict.fromkeys(range(first, first + f.width), i))
-    psi = np.zeros(1 << len(owner), dtype=np.complex128)
+    order = [q for first, f in factors for q in range(first, first + f.width)]
+    pos = {q: i for i, q in enumerate(order)}
+    psi = np.zeros(1 << len(order), dtype=np.complex128)
     psi[0] = 1.0
-    low: dict[int, int] = {}  # merged qubit -> bit, counted from the least significant
-
-    def merge(i: int):
+    n = 1
+    for _, factor in reversed(factors):
         # psi[:n] -> f (x) psi[:n]: the factor becomes the most significant
         # axes; the tail is written before the head it reads is scaled
-        first, factor = factors[i]
-        f, base, width = factor.amplitudes, len(low), factor.width
-        n = 1 << base
-        qubits = sorted(range(first, first + width), key=rank)
-        if qubits != sorted(qubits):
-            # written whole from a strided view of the factor, so a reordered
-            # dense input is never copied; the head it overwrites is read
-            # from a copy (numpy would copy the whole output instead)
-            t = f.reshape((2,) * width).transpose([q - first for q in qubits])
-            head = psi[:n].copy()
-            np.multiply(t[..., None], head, out=psi[: f.size * n].reshape(t.shape + (n,)))
-        else:
-            if f[1:].any():
-                np.multiply(f[1:, None], psi[:n], out=psi[n : f.size * n].reshape(-1, n))
-            if f[0] != 1:
-                psi[:n] *= f[0]
-        for j, q in enumerate(qubits):
-            low[q] = base + width - 1 - j
-
+        f = factor.amplitudes
+        if f[1:].any():
+            np.multiply(f[1:, None], psi[:n], out=psi[n : f.size * n].reshape(-1, n))
+        if f[0] != 1:
+            psi[:n] *= f[0]
+        n *= f.size
     buf = np.empty((2, _BLOCK), dtype=np.complex128)
     for kind, qubits in gates:
-        for q in qubits:
-            if q not in low:
-                merge(owner[q])
-        k = len(low)
-        _apply_gate(psi[: 1 << k], kind, tuple(k - 1 - low[q] for q in qubits), k, buf)
-    for i in reversed(range(len(factors))):
-        if factors[i][0] not in low:
-            merge(i)
-    k = len(low)
-    return psi, {q: k - 1 - b for q, b in low.items()}
+        _apply_gate(psi, kind, tuple(pos[q] for q in qubits), len(pos), buf)
+    return psi, pos
 
 
 def _marginal(psi: np.ndarray, keep, qubit_count: int) -> np.ndarray:
@@ -397,15 +369,9 @@ def run_statevector(circuit: CircuitIR, input_state: InputState) -> PureState:
     left unchanged; the output is a new buffer.
     """
     factors = _factors(circuit, input_state)
-    q = circuit.qubit_count
-    check_size(q)
-    gates, wire = _rewrite(circuit, {})
-    # each factor's qubits enter the buffer in output order
-    psi, pos = _evolve(gates, factors, {s: qb for qb, s in enumerate(wire)}.get)
-    axes = [pos[wire[qb]] for qb in range(q)]
-    if axes != list(range(q)):
-        psi = psi.reshape((2,) * q).transpose(axes).reshape(-1)
-    return PureState(psi, q)
+    check_size(circuit.qubit_count)
+    psi, _ = _evolve([(g.kind, g.qubits) for g in circuit.gates], factors)
+    return PureState(psi, circuit.qubit_count)
 
 
 def measured_distribution(

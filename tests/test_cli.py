@@ -167,7 +167,8 @@ def test_analyze_rejects_bad_k(capsys):
 
 def test_analyze_rejects_zero_shots(tmp_path, capsys):
     assert main(["analyze", "--shots", "0", "--out-dir", str(tmp_path / "out")]) == 2
-    assert "--shots must be >= 1" in capsys.readouterr().err
+    assert "shots must be in 1.." in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_analyze_measures_only_up_to_the_measure_limit(tmp_path, capsys):
@@ -185,7 +186,7 @@ def test_analyze_refuses_k_past_the_float_range(tmp_path, capsys):
     # 2**512 * (2**512 - 1) is past the largest float, so precision() overflowed
     out = tmp_path / "analysis"
     assert main(["analyze", "--max-k", "512", "--out-dir", str(out)]) == 2
-    assert "--max-k must be in 2..511, got 512" in capsys.readouterr().err
+    assert "max_k must be in 2..511, got 512" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -198,7 +199,7 @@ def test_analyze_refuses_shots_past_the_float_range(tmp_path, capsys):
     for i, shots in enumerate((largest + 1, 10**400)):
         out = tmp_path / f"refused{i}"
         assert main(["analyze", "--max-k", "2", "--shots", str(shots), "--out-dir", str(out)]) == 2
-        assert "--shots must be >= 1 and at most 8.98847e+307" in capsys.readouterr().err
+        assert "shots must be in 1..8.98847e+307" in capsys.readouterr().err
         assert not out.exists()
 
 

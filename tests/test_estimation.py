@@ -600,6 +600,20 @@ def test_counts_table_merges_and_sorts_rows():
         CountsTable(("a", "b"), "new", [[1, 0]], [-1])
 
 
+def test_counts_table_refuses_what_a_cast_would_change():
+    # each of these bits would cast to the row 01, and the count 2.7 to 2
+    for bits in ([[256, 1]], np.array([[256, 1]]), [[0.7, 1.0]], [[np.nan, 1.0]]):
+        with pytest.raises(ValueError, match="0/1"):
+            CountsTable(("a", "b"), "new", bits, [1])
+    for counts in ([2.7], [np.nan], [np.inf], [2.0**63]):
+        with pytest.raises(ValueError, match="non-negative whole numbers"):
+            CountsTable(("a", "b"), "new", [[0, 1]], counts)
+    # float or bool 0/1 bits and whole float counts are what they say
+    for bits in ([[0.0, 1.0]], np.array([[False, True]])):
+        table = CountsTable(("a", "b"), "new", bits, [2.0])
+        assert table.bits.tolist() == [[0, 1]] and table.counts.tolist() == [2]
+
+
 def test_counts_table_refuses_a_total_past_the_int64_range():
     top = 2**63 - 1
     table = CountsTable(("a",), "new", [[0], [0]], [top - 5, 5])  # merged into one row
@@ -621,6 +635,25 @@ def test_run_validates_configuration(d0, monkeypatch):
     ):
         with pytest.raises(ValueError, match=message):
             decide(d0, **kwargs)
+
+
+def test_run_refuses_shots_and_seeds_that_are_not_integers(d0, monkeypatch):
+    # 1.5 was kept as the run's seed while both engines drew with seed 1,
+    # and 100.5 shots failed inside numpy; both now fail before any plan
+    _no_run(monkeypatch)
+    monkeypatch.setattr(estimation, "layout_for", lambda *args: pytest.fail("planned"))
+    for kwargs, message in (
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"shots": 100.5}, "shots must be an integer, got 100.5"),
+        ({"shots": np.float64(64)}, "shots must be an integer, got "),
+        ({"shots": np.True_}, "shots must be an integer, got "),
+    ):
+        with pytest.raises(ValueError, match=message):
+            decide(d0, **kwargs)
+    monkeypatch.undo()
+    run = decide(d0, shots=np.int32(64), seed=np.uint64(3))
+    assert (run.shots, run.seed) == (64, 3)
 
 
 def test_destructive_verdict_is_parity_over_wide_registers():

@@ -80,6 +80,13 @@ def test_the_oracle_variant_rule_has_one_owner():
     assert rule in ast.get_source_segment(source, decide)
 
 
+def test_the_float_range_rules_have_one_owner():
+    # analytics bounds max_k and shots for its own float arithmetic; the
+    # analyze command only calls it
+    owners = [path.stem for path in MODULES if "float_info" in path.read_text()]
+    assert owners == ["analytics"]
+
+
 def public_calls_in(source: str, names) -> dict[str, list[str]]:
     """The public names of ``multiswap`` functions that each named function
     of ``source`` (the text of ``multiswap.estimation``) loads: a bare name

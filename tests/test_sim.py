@@ -449,8 +449,8 @@ def test_branch_count_is_capped(monkeypatch):
 
 
 def test_product_output_is_in_qubit_order():
-    # qubit 0 enters the buffer first, so it is least significant inside;
-    # qubit 1 enters afterwards and the output is transposed back
+    # the buffer starts as the product of the factors, the first factor's
+    # qubits most significant, so a gate on qubit 0 flips the top bit
     out = run_statevector(_circuit(2, [Gate("X", (0,))]), [basis_state(1), basis_state(1)])
     np.testing.assert_array_equal(out.amplitudes, [0, 0, 1, 0])
     rng = np.random.default_rng(31)
@@ -458,6 +458,23 @@ def test_product_output_is_in_qubit_order():
     out = run_statevector(_circuit(5, [Gate("Z", (3,)), Gate("Z", (3,))]), [a, b, c])
     np.testing.assert_allclose(out.amplitudes, tensor_product([a, b, c]).amplitudes,
                                rtol=0, atol=1e-15)
+
+
+def test_run_statevector_never_rewrites(monkeypatch):
+    # the gates run as written, SWAP included: no wire map, no transpose
+    calls = []
+    rewrite = sim._rewrite
+    monkeypatch.setattr(sim, "_rewrite", lambda *args: calls.append(1) or rewrite(*args))
+    rng = np.random.default_rng(33)
+    factors = [random_state(rng, 1), random_state(rng, 2), random_state(rng, 1)]
+    gates = [Gate("H", (3,)), Gate("SWAP", (0, 3)), Gate("CSWAP", (3, 1, 2)), Gate("CNOT", (2, 0))]
+    circuit = _circuit(4, gates)
+    expected = tensor_product(factors).amplitudes
+    for gate in gates:
+        expected = _reference_unitary(gate, 4) @ expected
+    np.testing.assert_allclose(run_statevector(circuit, factors).amplitudes, expected,
+                               rtol=0, atol=1e-12)
+    assert calls == []
 
 
 def test_factor_widths_must_cover_the_circuit():
@@ -558,6 +575,30 @@ def test_26_qubit_statevector_holds_one_working_copy():
     """)
     peak_bytes = _child_peak_bytes(child)
     assert peak_bytes < 2.5 * 2**30, f"peak RSS {peak_bytes / 2**30:.2f} GiB"
+
+
+def test_run_statevector_holds_one_buffer_on_a_product_input():
+    """22 one-qubit factors reached out of qubit order, plus a SWAP: the
+    buffer starts in qubit order, so the 64 MiB state is never copied."""
+    child = textwrap.dedent("""
+        import numpy as np
+        from multiswap.circuits import CircuitIR, Gate
+        from multiswap.sim import run_statevector
+        from multiswap.states import normalize
+
+        q = 22
+        rng = np.random.default_rng(22)
+        factors = [normalize(rng.normal(size=2) + 1j * rng.normal(size=2)) for _ in range(q)]
+        gates = (Gate("H", (21,)), Gate("CNOT", (21, 0)), Gate("SWAP", (1, 20)),
+                 Gate("CSWAP", (0, 2, 19)))
+        psi = run_statevector(CircuitIR(q, ("data",) * q, gates), factors).amplitudes
+        assert psi.size == 1 << q and abs(np.vdot(psi, psi) - 1) < 1e-9
+    """)
+    baseline = _child_peak_bytes("import numpy as np\n")
+    peak = _child_peak_bytes(child)
+    state = 16 << 22
+    assert peak < baseline + 1.5 * state, (
+        f"peak RSS {peak / 2**20:.0f} MiB, numpy alone {baseline / 2**20:.0f} MiB")
 
 
 def test_24_qubit_estimation_run_stays_under_100_mib():
